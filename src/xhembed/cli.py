@@ -85,8 +85,11 @@ CONFIG_KEYS = {
 }
 
 
-def load_config(path):
+def load_config(path=None):
+    """Every key at its default, overridden by the file at `path` if given."""
     cfg = {k: d for k, (_, d) in CONFIG_KEYS.items()}
+    if path is None:
+        return cfg
     with open(path, encoding="utf-8") as f:
         for ln, raw in enumerate(f.read().splitlines(), start=1):
             line = raw.strip()
@@ -209,7 +212,7 @@ def run_pipeline(cfg, out_dir, strategies, deterministic=True, log=print):
         if InitStrategy.VECMAP in strategies:
             stage = "map"
             mapping = fit_mapping(e_v, e_m)
-            save_mapping(mapping, out / "mapping.txt")
+            save_mapping(mapping, out / "mapping.npz")
             log(f"[map] objective {mapping.objective:.4f}")
 
         stage = "mt"
@@ -313,8 +316,7 @@ def _cmd_stats(args):
 
 
 def _cmd_split(args):
-    cfg = load_config(args.config) if args.config else {
-        k: d for k, (_, d) in CONFIG_KEYS.items()}
+    cfg = load_config(args.config)
     corp = load_parallel_corpus(args.src, args.tgt, args.name)
     spec = SplitSpec((cfg["split.train"], cfg["split.dev"], cfg["split.test"]),
                      args.seed if args.seed is not None else cfg["split.seed"])
@@ -324,8 +326,7 @@ def _cmd_split(args):
 
 
 def _cmd_train_subword(args):
-    cfg = load_config(args.config) if args.config else {
-        k: d for k, (_, d) in CONFIG_KEYS.items()}
+    cfg = load_config(args.config)
     sents = []
     for path in args.text:
         with open(path, encoding="utf-8") as f:
@@ -365,8 +366,7 @@ def _cmd_init_emb(args):
 
 
 def _cmd_train_mt(args):
-    cfg = load_config(args.config) if args.config else {
-        k: d for k, (_, d) in CONFIG_KEYS.items()}
+    cfg = load_config(args.config)
     nmt_cfg = _nmt_config(cfg)
     src_vocab = Vocabulary.load(args.src_vocab)
     tgt_vocab = Vocabulary.load(args.tgt_vocab)
@@ -384,8 +384,7 @@ def _cmd_train_mt(args):
 
 
 def _cmd_finetune(args):
-    cfg = load_config(args.config) if args.config else {
-        k: d for k, (_, d) in CONFIG_KEYS.items()}
+    cfg = load_config(args.config)
     nmt_cfg, params, _ = load_checkpoint(args.checkpoint)
     src_vocab = Vocabulary.load(args.src_vocab)
     tgt_vocab = Vocabulary.load(args.tgt_vocab)

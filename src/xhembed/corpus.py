@@ -130,16 +130,18 @@ class Vocabulary:
                 f.write(f"{tok}\t{self.freq[tok]}\n")
 
     @classmethod
-    def load(cls, path):
+    def from_freqs(cls, pairs):
+        """Vocabulary of (token, count) pairs, keeping their order as ids."""
         v = cls()
-        for line in _read_lines(path):
-            if not line:
-                continue
-            tok, c = line.split("\t")
+        for tok, c in pairs:
             v.token_to_id[tok] = len(v.id_to_token)
             v.id_to_token.append(tok)
             v.freq[tok] = int(c)
         return v
+
+    @classmethod
+    def load(cls, path):
+        return cls.from_freqs(line.split("\t") for line in _read_lines(path) if line)
 
 
 def build_vocabulary(side, min_count=1):

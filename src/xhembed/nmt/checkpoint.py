@@ -1,58 +1,26 @@
-"""Single-file text checkpoints: config, every tensor, training history."""
+"""Single-file checkpoints in the artifact format: the config and training
+history in the header, one array per tensor."""
 
-import ast
 from dataclasses import asdict
 
-import numpy as np
-
+from .. import artifact
 from .model import Seq2SeqConfig
 from .train import EpochRecord
 
 
 def save_checkpoint(path, cfg, params, history=None):
-    with open(path, "w", encoding="utf-8") as f:
-        f.write("#config\n")
-        for k, v in asdict(cfg).items():
-            f.write(f"{k}={v!r}\n")
-        for name, tensor in params.items():
-            arr = np.atleast_2d(tensor)
-            f.write(f"#tensor {name} {tensor.ndim} {arr.shape[0]} {arr.shape[1]}\n")
-            for row in arr:
-                f.write(" ".join("%.17g" % v for v in row) + "\n")
-        f.write("#history\n")
-        for rec in history or []:
-            f.write(f"{rec.epoch}\t{rec.train_loss!r}\t{rec.dev_ppl!r}\n")
+    header = {"config": asdict(cfg),
+              "tensors": {name: t.shape for name, t in params.items()},
+              "history": [asdict(rec) for rec in history or []]}
+    artifact.save(path, "checkpoint", header, params)
 
 
 def load_checkpoint(path):
     """Returns (cfg, params, history)."""
-    cfg_kwargs = {}
-    params = {}
-    history = []
-    with open(path, encoding="utf-8") as f:
-        lines = f.read().splitlines()
-    i = 0
-    assert lines[i] == "#config"
-    i += 1
-    while i < len(lines) and not lines[i].startswith("#"):
-        k, v = lines[i].split("=", 1)
-        cfg_kwargs[k] = ast.literal_eval(v)
-        i += 1
-    cfg = Seq2SeqConfig(**cfg_kwargs)
-    while i < len(lines) and lines[i].startswith("#tensor"):
-        _, name, ndim, r, c = lines[i].split()
-        ndim, r, c = int(ndim), int(r), int(c)
-        i += 1
-        arr = np.empty((r, c))
-        for j in range(r):
-            arr[j] = np.array(lines[i + j].split(), dtype=np.float64)
-        i += r
-        params[name] = arr[0] if ndim == 1 else arr
-    if i < len(lines) and lines[i] == "#history":
-        i += 1
-        for line in lines[i:]:
-            if not line:
-                continue
-            e, tl, dp = line.split("\t")
-            history.append(EpochRecord(int(e), float(tl), float(dp)))
-    return cfg, params, history
+    def decode(header, arrays):
+        cfg = Seq2SeqConfig(**header["config"])
+        params = {name: artifact.require_shape(arrays, name, shape)
+                  for name, shape in header["tensors"].items()}
+        history = [EpochRecord(**rec) for rec in header["history"]]
+        return cfg, params, history
+    return artifact.load(path, "checkpoint", decode)

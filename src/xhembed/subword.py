@@ -4,11 +4,12 @@ sampling; composes vectors for arbitrary words including OOV."""
 import math
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .corpus import build_vocabulary
+from . import artifact
+from .corpus import Vocabulary, build_vocabulary
 from .embedstore import EmbeddingMatrix
 
 FNV_OFFSET = 2166136261
@@ -95,40 +96,23 @@ class SubwordModel:
         return EmbeddingMatrix(list(tokens), rows)
 
     def save(self, path):
-        cfg = self.config
-        with open(path, "w", encoding="utf-8") as f:
-            f.write(f"dim {cfg.dim} minn {cfg.minn} maxn {cfg.maxn} "
-                    f"buckets {cfg.buckets}\n")
-            f.write(f"vocab {len(self.vocab.tokens())}\n")
-            for tok in self.vocab.tokens():
-                f.write(f"{tok}\t{self.vocab.freq[tok]}\n")
-            for mat in (self.input_vectors, self.output_vectors):
-                for row in mat:
-                    f.write(" ".join("%.17g" % v for v in row) + "\n")
+        header = {"config": asdict(self.config),
+                  "vocab": [[t, self.vocab.freq[t]] for t in self.vocab.tokens()]}
+        artifact.save(path, "subword model", header,
+                      {"input_vectors": self.input_vectors,
+                       "output_vectors": self.output_vectors})
 
     @classmethod
     def load(cls, path):
-        from .corpus import Vocabulary
-        with open(path, encoding="utf-8") as f:
-            head = f.readline().split()
-            dim, minn, maxn, buckets = (int(head[1]), int(head[3]),
-                                        int(head[5]), int(head[7]))
-            n_vocab = int(f.readline().split()[1])
-            vocab = Vocabulary()
-            for _ in range(n_vocab):
-                tok, c = f.readline().rstrip("\n").split("\t")
-                vocab.token_to_id[tok] = len(vocab.id_to_token)
-                vocab.id_to_token.append(tok)
-                vocab.freq[tok] = int(c)
-            cfg = SkipgramConfig(dim=dim, minn=minn, maxn=maxn, buckets=buckets)
-            n_in = buckets + len(vocab)
-            inp = np.empty((n_in, dim))
-            for i in range(n_in):
-                inp[i] = np.array(f.readline().split(), dtype=np.float64)
-            out = np.empty((len(vocab), dim))
-            for i in range(len(vocab)):
-                out[i] = np.array(f.readline().split(), dtype=np.float64)
-        return cls(vocab, cfg, inp, out)
+        def decode(header, arrays):
+            cfg = SkipgramConfig(**header["config"])
+            vocab = Vocabulary.from_freqs(header["vocab"])
+            inp = artifact.require_shape(arrays, "input_vectors",
+                                         (cfg.buckets + len(vocab), cfg.dim))
+            out = artifact.require_shape(arrays, "output_vectors",
+                                         (len(vocab), cfg.dim))
+            return cls(vocab, cfg, inp, out)
+        return artifact.load(path, "subword model", decode)
 
 
 def _sigmoid(x):

@@ -6,6 +6,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import artifact
 from .embedstore import normalize_rows
 
 
@@ -127,34 +128,23 @@ def self_learning_loop(x, z, seed_dict, max_iters=20, patience=3, k=10,
 
 
 def save_mapping(model, path):
-    d = model.w_x.shape[0]
-    with open(path, "w", encoding="utf-8") as f:
-        f.write(f"dim {d} objective {model.objective!r}\n")
-        for mat in (model.w_x, model.w_z):
-            for row in mat:
-                f.write(" ".join("%.17g" % v for v in row) + "\n")
-        for rec in (model.pre_x, model.pre_z):
-            if rec is None:
-                f.write("none\n")
-            else:
-                f.write(" ".join("%.17g" % v for v in rec.column_means) + "\n")
+    arrays = {"w_x": model.w_x, "w_z": model.w_z}
+    for name, rec in (("pre_x", model.pre_x), ("pre_z", model.pre_z)):
+        if rec is not None:
+            arrays[name] = rec.column_means
+    header = {"dim": model.w_x.shape[0], "objective": model.objective}
+    artifact.save(path, "mapping", header, arrays)
 
 
 def load_mapping(path):
-    with open(path, encoding="utf-8") as f:
-        lines = f.read().splitlines()
-    head = lines[0].split()
-    d = int(head[1])
-    obj = float(head[3])
-    w_x = np.array([lines[1 + i].split() for i in range(d)], dtype=np.float64)
-    w_z = np.array([lines[1 + d + i].split() for i in range(d)], dtype=np.float64)
-    recs = []
-    for line in lines[1 + 2 * d:1 + 2 * d + 2]:
-        if line == "none":
-            recs.append(None)
-        else:
-            recs.append(PreprocessRecord(np.array(line.split(), dtype=np.float64)))
-    return MappingModel(w_x, w_z, recs[0], recs[1], obj)
+    def decode(header, arrays):
+        d = header["dim"]
+        pre = [PreprocessRecord(artifact.require_shape(arrays, name, (d,)))
+               if name in arrays else None for name in ("pre_x", "pre_z")]
+        return MappingModel(artifact.require_shape(arrays, "w_x", (d, d)),
+                            artifact.require_shape(arrays, "w_z", (d, d)),
+                            *pre, float(header["objective"]))
+    return artifact.load(path, "mapping", decode)
 
 
 def fit_mapping(e_v, e_m):

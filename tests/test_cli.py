@@ -192,3 +192,69 @@ class TestPipeline:
                    "--strategies", "XhSub"])
         assert rc == 0
         assert not (out / "ev.vec").exists()
+
+
+class TestMalformedArtifacts:
+    """A damaged checkpoint, subword model or mapping exits 1 naming the file."""
+
+    def artifacts(self, tmp_path):
+        cfg_path = write_cfg(tmp_path, micro_dataset(tmp_path))
+        out = tmp_path / "out"
+        assert main(["run-all", "--config", str(cfg_path), "--out", str(out),
+                     "--deterministic", "--strategies", "Random,VecMap"]) == 0
+        return out
+
+    def assert_fails_naming(self, argv, path, capsys):
+        capsys.readouterr()
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert str(path) in err and "Traceback" not in err
+
+    def test_truncated_files(self, tmp_path, capsys):
+        out = self.artifacts(tmp_path)
+        ckpt = out / "Random" / "corpus2.ckpt"
+        ckpt.write_bytes(ckpt.read_bytes()[:ckpt.stat().st_size // 2])
+        self.assert_fails_naming(
+            ["translate", "--checkpoint", str(ckpt),
+             "--src", str(out / "corpus2.test.src"),
+             "--src-vocab", str(out / "vocab.src"),
+             "--tgt-vocab", str(out / "vocab.tgt"),
+             "--out", str(tmp_path / "hyp")], ckpt, capsys)
+
+        model = out / "subword.model"
+        model.write_bytes(model.read_bytes()[:-100])
+        self.assert_fails_naming(
+            ["init-emb", "--strategy", "XhSub", "--vocab", str(out / "vocab.src"),
+             "--subword-model", str(model), "--dim", "8",
+             "--out", str(tmp_path / "init.vec")], model, capsys)
+
+    def test_garbage_mapping(self, tmp_path, capsys):
+        out = self.artifacts(tmp_path)
+        mapping = tmp_path / "mapping.txt"
+        mapping.write_text("dim 8 objective 0.5\nnot numbers\n")
+        self.assert_fails_naming(
+            ["init-emb", "--strategy", "VecMap", "--vocab", str(out / "vocab.src"),
+             "--ev", str(out / "ev.vec"), "--subword-model", str(out / "subword.model"),
+             "--mapping", str(mapping), "--dim", "8",
+             "--out", str(tmp_path / "init.vec")], mapping, capsys)
+
+
+class TestStagewise:
+    def test_stages_reproduce_run_all(self, tmp_path, capsys):
+        """Decoding a run-all checkpoint and rebuilding an init from the saved
+        subword model give run-all's own files byte for byte."""
+        cfg_path = write_cfg(tmp_path, micro_dataset(tmp_path))
+        out = tmp_path / "out"
+        assert main(["run-all", "--config", str(cfg_path), "--out", str(out),
+                     "--deterministic", "--strategies", "Random,XhSub"]) == 0
+        hyp = tmp_path / "corpus2.test.hyp"
+        assert main(["translate", "--checkpoint", str(out / "Random" / "corpus2.ckpt"),
+                     "--src", str(out / "corpus2.test.src"),
+                     "--src-vocab", str(out / "vocab.src"),
+                     "--tgt-vocab", str(out / "vocab.tgt"), "--out", str(hyp)]) == 0
+        assert hyp.read_bytes() == (out / "Random" / "corpus2.test.hyp").read_bytes()
+        init = tmp_path / "init.vec"
+        assert main(["init-emb", "--strategy", "XhSub", "--vocab", str(out / "vocab.src"),
+                     "--subword-model", str(out / "subword.model"), "--dim", "8",
+                     "--seed", "0", "--out", str(init)]) == 0
+        assert init.read_bytes() == (out / "XhSub" / "init.vec").read_bytes()
