@@ -4,7 +4,7 @@ history in the header, one array per tensor."""
 from dataclasses import asdict
 
 from .. import artifact
-from .model import Seq2SeqConfig
+from .model import Seq2SeqConfig, param_names
 from .train import EpochRecord
 
 
@@ -19,6 +19,12 @@ def load_checkpoint(path):
     """Returns (cfg, params, history)."""
     def decode(header, arrays):
         cfg = Seq2SeqConfig(**header["config"])
+        expected, found = set(param_names(cfg)), set(header["tensors"])
+        if found != expected:
+            missing, extra = sorted(expected - found), sorted(found - expected)
+            raise ValueError(
+                f"tensor names differ from the model's: {len(missing)} missing "
+                f"{missing[:3]}, {len(extra)} unexpected {extra[:3]}")
         params = {name: artifact.require_shape(arrays, name, shape)
                   for name, shape in header["tensors"].items()}
         history = [EpochRecord(**rec) for rec in header["history"]]

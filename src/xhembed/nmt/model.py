@@ -1,6 +1,12 @@
 """Model definition: 2-layer BiGRU encoder, 2-layer GRU decoder with global
 multiplicative attention.  Forward and backward passes are hand-written on
-numpy so gradients can be verified by finite differences."""
+numpy so gradients can be verified by finite differences.
+
+Each GRU is three tensors, `{prefix}_W` (I, 3H), `{prefix}_U` (H, 3H) and
+`{prefix}_b` (3H), whose column blocks are the update, reset and candidate
+gates in that order, [z|r|c].  `param_names` lists the tensors of a config;
+checkpoints with any other set of names (such as the nine per-gate tensors
+per GRU of earlier versions) are rejected when loaded."""
 
 from dataclasses import dataclass
 
@@ -27,16 +33,27 @@ class Seq2SeqConfig:
             raise ValueError("beam must be >= 1")
 
 
-def _gru_param_names(prefix):
-    return [f"{prefix}_{n}" for n in
-            ("Wz", "Uz", "bz", "Wr", "Ur", "br", "Wc", "Uc", "bc")]
-
-
 def _init_gru(params, rng, prefix, in_dim, hid, scale):
-    for gate in ("z", "r", "c"):
-        params[f"{prefix}_W{gate}"] = rng.uniform(-scale, scale, (in_dim, hid))
-        params[f"{prefix}_U{gate}"] = rng.uniform(-scale, scale, (hid, hid))
-        params[f"{prefix}_b{gate}"] = np.zeros(hid)
+    """Stacked gate blocks [z|r|c]: W (in_dim, 3*hid), U (hid, 3*hid),
+    b (3*hid).  Blocks are drawn in the order W_z, U_z, W_r, U_r, W_c, U_c."""
+    ws, us = [], []
+    for _ in range(3):
+        ws.append(rng.uniform(-scale, scale, (in_dim, hid)))
+        us.append(rng.uniform(-scale, scale, (hid, hid)))
+    params[f"{prefix}_W"] = np.concatenate(ws, axis=1)
+    params[f"{prefix}_U"] = np.concatenate(us, axis=1)
+    params[f"{prefix}_b"] = np.zeros(3 * hid)
+
+
+def param_names(cfg):
+    """The tensor names build_model creates for `cfg`, in its order."""
+    gru = ("W", "U", "b")
+    names = ["src_emb", "tgt_emb"]
+    for l in range(cfg.enc_layers):
+        names += [f"enc_{l}_{d}_{n}" for d in "fb" for n in gru]
+    for l in range(cfg.dec_layers):
+        names += [f"dec_{l}_{n}" for n in gru] + [f"bridge_{l}_W", f"bridge_{l}_b"]
+    return names + ["att_W", "comb_W", "comb_b", "out_W", "out_b"]
 
 
 def build_model(cfg, source_init, target_vocab, seed=None, init_scale=0.1,
@@ -84,36 +101,47 @@ def _sigmoid(x):
     return 1.0 / (1.0 + np.exp(-x))
 
 
-def _gru_step(p, prefix, x_t, h_prev):
-    z = _sigmoid(x_t @ p[f"{prefix}_Wz"] + h_prev @ p[f"{prefix}_Uz"] + p[f"{prefix}_bz"])
-    r = _sigmoid(x_t @ p[f"{prefix}_Wr"] + h_prev @ p[f"{prefix}_Ur"] + p[f"{prefix}_br"])
-    c = np.tanh(x_t @ p[f"{prefix}_Wc"] + (r * h_prev) @ p[f"{prefix}_Uc"] + p[f"{prefix}_bc"])
+def _gru_input(p, prefix, x):
+    """x @ W + b for every leading position of x (..., I) at once, as one 2-D
+    matmul: a 3-D matmul on a strided view does not reach BLAS."""
+    w = p[f"{prefix}_W"]
+    return (x.reshape(-1, w.shape[0]) @ w + p[f"{prefix}_b"]).reshape(
+        *x.shape[:-1], w.shape[1])
+
+
+def _gru_step(u, xw_t, h_prev):
+    """One step from the input projection xw_t (B,3H) and h_prev (B,H).
+    Returns (h, [z|r], c)."""
+    hid = h_prev.shape[1]
+    zr = _sigmoid(xw_t[:, :2 * hid] + h_prev @ u[:, :2 * hid])
+    z, r = zr[:, :hid], zr[:, hid:]
+    c = np.tanh(xw_t[:, 2 * hid:] + (r * h_prev) @ u[:, 2 * hid:])
     h = (1.0 - z) * h_prev + z * c
-    return h, z, r, c
+    return h, zr, c
 
 
 def gru_forward(p, prefix, x, mask, h0, reverse=False):
     """Run a GRU over (B,T,I) input.  Masked positions carry the previous
     state through unchanged.  Returns (hs (B,T,H), h_last, cache)."""
+    xw = _gru_input(p, prefix, x)
     if reverse:
-        x = x[:, ::-1]
+        xw = xw[:, ::-1]
         mask = mask[:, ::-1]
+    u = p[f"{prefix}_U"]
     b, t_len, _ = x.shape
-    hid = p[f"{prefix}_Uz"].shape[0]
+    hid = u.shape[0]
     hs = np.empty((b, t_len, hid))
-    zs = np.empty_like(hs)
-    rs = np.empty_like(hs)
+    zrs = np.empty((b, t_len, 2 * hid))
     cs = np.empty_like(hs)
     h_prevs = np.empty_like(hs)
     h = h0
     for t in range(t_len):
         m = mask[:, t:t + 1]
         h_prevs[:, t] = h
-        h_new, z, r, c = _gru_step(p, prefix, x[:, t], h)
-        zs[:, t], rs[:, t], cs[:, t] = z, r, c
+        h_new, zrs[:, t], cs[:, t] = _gru_step(u, xw[:, t], h)
         h = m * h_new + (1.0 - m) * h
         hs[:, t] = h
-    cache = (x, mask, h_prevs, zs, rs, cs, reverse)
+    cache = (x, mask, h_prevs, zrs, cs, reverse)
     out = hs[:, ::-1] if reverse else hs
     return out, h, cache
 
@@ -121,20 +149,23 @@ def gru_forward(p, prefix, x, mask, h0, reverse=False):
 def gru_backward(p, prefix, cache, dhs, dh_last, grads):
     """Backward through gru_forward.  dhs: (B,T,H) grads on outputs in
     original time order; dh_last: (B,H) extra grad on the final state.
+    The time loop only carries the recurrent terms and stores the gate
+    pre-activation grads; the weight grads and dx are taken after it.
     Returns (dx in original order, dh0)."""
-    x, mask, h_prevs, zs, rs, cs, reverse = cache
+    x, mask, h_prevs, zrs, cs, reverse = cache
+    u = p[f"{prefix}_U"]
+    b, t_len, hid = h_prevs.shape
     if dhs is None:
         dhs = np.zeros_like(h_prevs)
     elif reverse:
         dhs = dhs[:, ::-1]
-    b, t_len, _ = x.shape
-    dx = np.zeros_like(x)
+    u_zr, u_c = u[:, :2 * hid], u[:, 2 * hid:]
+    da = np.empty((b, t_len, 3 * hid))       # [z|r|c] pre-activation grads
     dh = dh_last.copy()
-    g = {name: grads[name] for name in _gru_param_names(prefix)}
     for t in range(t_len - 1, -1, -1):
         m = mask[:, t:t + 1]
-        x_t, h_prev = x[:, t], h_prevs[:, t]
-        z, r, c = zs[:, t], rs[:, t], cs[:, t]
+        h_prev, c = h_prevs[:, t], cs[:, t]
+        z, r = zrs[:, t, :hid], zrs[:, t, hid:]
         dh_total = dh + dhs[:, t]
         dh_new = dh_total * m
         dh_prev = dh_total * (1.0 - m)
@@ -142,27 +173,25 @@ def gru_backward(p, prefix, cache, dhs, dh_last, grads):
         dc = dh_new * z
         dh_prev = dh_prev + dh_new * (1.0 - z)
         dac = dc * (1.0 - c * c)
-        dx_t = dac @ p[f"{prefix}_Wc"].T
-        drh = dac @ p[f"{prefix}_Uc"].T
-        g[f"{prefix}_Wc"] += x_t.T @ dac
-        g[f"{prefix}_Uc"] += (r * h_prev).T @ dac
-        g[f"{prefix}_bc"] += dac.sum(axis=0)
+        drh = dac @ u_c.T
         dr = drh * h_prev
         dh_prev = dh_prev + drh * r
-        daz = dz * z * (1.0 - z)
-        dar = dr * r * (1.0 - r)
-        dx_t += daz @ p[f"{prefix}_Wz"].T + dar @ p[f"{prefix}_Wr"].T
-        dh_prev = dh_prev + daz @ p[f"{prefix}_Uz"].T + dar @ p[f"{prefix}_Ur"].T
-        g[f"{prefix}_Wz"] += x_t.T @ daz
-        g[f"{prefix}_Uz"] += h_prev.T @ daz
-        g[f"{prefix}_bz"] += daz.sum(axis=0)
-        g[f"{prefix}_Wr"] += x_t.T @ dar
-        g[f"{prefix}_Ur"] += h_prev.T @ dar
-        g[f"{prefix}_br"] += dar.sum(axis=0)
-        dx[:, t] = dx_t
-        dh = dh_prev
-    if reverse:
-        dx = dx[:, ::-1]
+        da[:, t, :hid] = dz * z * (1.0 - z)
+        da[:, t, hid:2 * hid] = dr * r * (1.0 - r)
+        da[:, t, 2 * hid:] = dac
+        dh = dh_prev + da[:, t, :2 * hid] @ u_zr.T
+    h_flat = h_prevs.reshape(-1, hid)
+    r_flat = zrs.reshape(-1, 2 * hid)[:, hid:]
+    da_flat = da.reshape(-1, 3 * hid)
+    g_u = grads[f"{prefix}_U"]
+    g_u[:, :2 * hid] += h_flat.T @ da_flat[:, :2 * hid]
+    g_u[:, 2 * hid:] += (r_flat * h_flat).T @ da_flat[:, 2 * hid:]
+    if reverse:  # x, dx and the returned order are the original time order
+        da_flat = da[:, ::-1].reshape(-1, 3 * hid)
+    w = p[f"{prefix}_W"]
+    grads[f"{prefix}_W"] += x.reshape(-1, w.shape[0]).T @ da_flat
+    grads[f"{prefix}_b"] += da_flat.sum(axis=0)
+    dx = (da_flat @ w.T).reshape(x.shape)
     return dx, dh
 
 
@@ -266,7 +295,6 @@ def forward_loss(params, cfg, batch, dropout_on=False, rng=None,
     if n_tokens == 0:
         raise ValueError("batch has no target tokens")
 
-    drop_idx = 0
     h_enc, enc_finals, enc_caches = encode(params, cfg, src_ids, src_mask, drop)
     n_enc_drops = len(drop.masks)
     dec_h0, bridge_cache = bridge(params, cfg, enc_finals)
@@ -357,7 +385,8 @@ def decoder_step(params, cfg, state, y_prev, h_enc, src_mask):
     x = params["tgt_emb"][y_prev]
     new_state = []
     for l in range(cfg.dec_layers):
-        h, _, _, _ = _gru_step(params, f"dec_{l}", x, state[l])
+        h, _, _ = _gru_step(params[f"dec_{l}_U"],
+                            _gru_input(params, f"dec_{l}", x), state[l])
         new_state.append(h)
         x = h
     h_top = x[:, None, :]

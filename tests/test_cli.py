@@ -4,6 +4,7 @@ import pytest
 from xhembed.cli import (CONFIG_KEYS, ValidationError, load_config, main,
                          run_pipeline)
 from xhembed.combine import InitStrategy
+from xhembed.nmt import load_checkpoint, save_checkpoint
 
 
 def write_cfg(tmp_path, text, name="run.cfg"):
@@ -227,6 +228,30 @@ class TestMalformedArtifacts:
             ["init-emb", "--strategy", "XhSub", "--vocab", str(out / "vocab.src"),
              "--subword-model", str(model), "--dim", "8",
              "--out", str(tmp_path / "init.vec")], model, capsys)
+
+    def test_wrong_tensor_names(self, tmp_path, capsys):
+        """A checkpoint in the per-gate GRU layout, or one missing a tensor,
+        is rejected when loaded instead of failing later in decoding."""
+        out = self.artifacts(tmp_path)
+        cfg, params, history = load_checkpoint(out / "Random" / "corpus2.ckpt")
+        per_gate = {}
+        for name, t in params.items():
+            if name.startswith(("enc_", "dec_")):
+                prefix, kind = name.rsplit("_", 1)
+                for gate, block in zip("zrc", np.split(t, 3, axis=-1)):
+                    per_gate[f"{prefix}_{kind}{gate}"] = block
+            else:
+                per_gate[name] = t
+        no_att = {k: v for k, v in params.items() if k != "att_W"}
+        for name, tensors in (("per_gate.ckpt", per_gate), ("no_att.ckpt", no_att)):
+            ckpt = tmp_path / name
+            save_checkpoint(ckpt, cfg, tensors, history)
+            self.assert_fails_naming(
+                ["translate", "--checkpoint", str(ckpt),
+                 "--src", str(out / "corpus2.test.src"),
+                 "--src-vocab", str(out / "vocab.src"),
+                 "--tgt-vocab", str(out / "vocab.tgt"),
+                 "--out", str(tmp_path / "hyp")], ckpt, capsys)
 
     def test_garbage_mapping(self, tmp_path, capsys):
         out = self.artifacts(tmp_path)

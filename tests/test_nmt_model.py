@@ -5,10 +5,10 @@ import pytest
 
 from xhembed.corpus import BOS, EOS, PAD
 from xhembed.embedstore import EmbeddingMatrix
-from xhembed.nmt import Seq2SeqConfig, build_model
+from xhembed.nmt import Seq2SeqConfig, build_model, gradcheck
 from xhembed.nmt.data import Batch, encode_pairs, make_batch, make_batches
 from xhembed.nmt.gradcheck import gradient_check
-from xhembed.nmt.model import forward_loss
+from xhembed.nmt.model import forward_loss, param_names
 
 from conftest import random_pairs, tiny_model, vocab_of
 
@@ -46,6 +46,20 @@ class TestBuildModel:
     def test_source_rows_copied(self):
         cfg, params, sv, _ = tiny_model()
         assert params["src_emb"].shape == (len(sv), cfg.emb_dim)
+
+    @pytest.mark.parametrize("layers", [(1, 1), (2, 2), (3, 2)])
+    def test_keys_are_param_names(self, layers):
+        cfg, params, _, _ = tiny_model(enc_layers=layers[0], dec_layers=layers[1])
+        assert list(params) == param_names(cfg)
+
+    def test_stacked_gru_tensors(self):
+        cfg, params, _, _ = tiny_model()
+        assert len(params) == 29
+        h, e = cfg.hidden, cfg.emb_dim
+        assert params["enc_0_f_W"].shape == (e, 3 * h // 2)
+        assert params["enc_1_b_U"].shape == (h // 2, 3 * h // 2)
+        assert params["dec_1_W"].shape == (h, 3 * h)
+        assert params["dec_0_b"].shape == (3 * h,)
 
     def test_vocab_order_mismatch_rejected(self):
         cfg, _, sv, tv = tiny_model()
@@ -137,3 +151,27 @@ class TestGradients:
         assert set(grads) == set(params)
         for name, g in grads.items():
             assert np.any(g != 0), name
+            if name.startswith(("enc_", "dec_")):
+                # each [z|r|c] gate block of a stacked GRU tensor
+                for gate, block in zip("zrc", np.split(g, 3, axis=-1)):
+                    assert np.any(block != 0), (name, gate)
+
+    @staticmethod
+    def gradcheck_error(**model_kwargs):
+        cfg, params, sv, tv = tiny_model(**model_kwargs)
+        rng = np.random.default_rng(4)
+        batch = make_batch(encode_pairs(random_pairs(sv, tv, 4, rng), sv, tv))
+        return gradient_check(params, cfg, batch, sample_size=100, seed=0)
+
+    def test_finite_difference_check_deep(self):
+        assert self.gradcheck_error(enc_layers=3, dec_layers=3) < 1e-4
+
+    def test_finite_difference_check_dropout(self, monkeypatch):
+        """Dropout on, with the same masks on every forward pass."""
+        def fixed_mask_loss(params, cfg, batch, dropout_on=False, rng=None,
+                            compute_grads=True):
+            return forward_loss(params, cfg, batch, dropout_on=True,
+                                rng=np.random.default_rng(7),
+                                compute_grads=compute_grads)
+        monkeypatch.setattr(gradcheck, "forward_loss", fixed_mask_loss)
+        assert self.gradcheck_error(dropout=0.3) < 1e-4
