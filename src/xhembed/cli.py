@@ -406,7 +406,7 @@ def _cmd_translate(args):
     with open(args.src, encoding="utf-8") as f:
         sents = [line.split() for line in f.read().splitlines()]
     translate(params, nmt_cfg, sents, src_vocab, tgt_vocab, args.out,
-              beam=args.beam or nmt_cfg.beam)
+              beam=args.beam)
     print(f"wrote {len(sents)} hypotheses to {args.out}")
 
 

@@ -1,6 +1,6 @@
 """Greedy and beam-search decoding, and file-level translation."""
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -9,7 +9,7 @@ from .data import make_batch
 from .model import decoder_step, encode_for_decoding
 
 # tokens never proposed during decoding
-_BANNED = (PAD, BOS)
+_BANNED = [PAD, BOS]
 
 
 def _decode_setup(params, cfg, src_ids):
@@ -18,11 +18,12 @@ def _decode_setup(params, cfg, src_ids):
     return batch, h_enc, state
 
 
-def _step_logprobs(params, cfg, state, prev_id, h_enc, src_mask):
-    lp, new_state = decoder_step(params, cfg, state,
-                                 np.array([prev_id]), h_enc, src_mask)
-    lp = lp[0].copy()
-    lp[list(_BANNED)] = -np.inf
+def _step_logprobs(params, cfg, state, prev_ids, h_enc, src_mask):
+    """decoder_step for one row per entry of prev_ids; returns ((B,Vt)
+    log-probs with the banned tokens at -inf, new per-layer states)."""
+    lp, new_state = decoder_step(params, cfg, state, np.array(prev_ids),
+                                 h_enc, src_mask)
+    lp[:, _BANNED] = -np.inf
     return lp, new_state
 
 
@@ -32,8 +33,8 @@ def greedy_decode(params, cfg, src_ids, max_len=None):
     out = []
     prev = BOS
     for _ in range(max_len):
-        lp, state = _step_logprobs(params, cfg, state, prev, h_enc, batch.src_mask)
-        prev = int(lp.argmax())
+        lp, state = _step_logprobs(params, cfg, state, [prev], h_enc, batch.src_mask)
+        prev = int(lp[0].argmax())
         if prev == EOS:
             break
         out.append(prev)
@@ -44,30 +45,40 @@ def greedy_decode(params, cfg, src_ids, max_len=None):
 class BeamHypothesis:
     tokens: list            # starts with BOS
     log_prob: float
-    state: list = field(repr=False, default=None)
+    row: int = 0            # row of its decoder state in the last step's batch
 
 
-def beam_search(params, cfg, src_ids, beam=None, max_len=None):
-    """Breadth-limited search over cumulative log-probability, no length
-    normalization.  EOS-terminated hypotheses move to a finished pool; stops
-    when the best finished score cannot be beaten or max_len is reached."""
-    beam = beam or cfg.beam
+def _beam_width(cfg, beam):
+    beam = cfg.beam if beam is None else beam
+    if beam < 1:
+        raise ValueError(f"beam must be >= 1, got {beam}")
+    return beam
+
+
+def best_hypothesis(params, cfg, src_ids, beam=None, max_len=None):
+    """The highest-scoring BeamHypothesis of beam_search, BOS and any final
+    EOS included."""
+    beam = _beam_width(cfg, beam)
     max_len = max_len or cfg.max_decode_len
     batch, h_enc, state = _decode_setup(params, cfg, src_ids)
-    live = [BeamHypothesis([BOS], 0.0, state)]
+    live = [BeamHypothesis([BOS], 0.0)]
     finished = []
     for _ in range(max_len):
+        n = len(live)
+        state = [s[[hyp.row for hyp in live]] for s in state]
+        # np.repeat, not np.broadcast_to: a stride-0 view sends attention's
+        # 3-D matmul off BLAS
+        lp, state = _step_logprobs(
+            params, cfg, state, [hyp.tokens[-1] for hyp in live],
+            np.repeat(h_enc, n, axis=0), np.repeat(batch.src_mask, n, axis=0))
+        top = np.argsort(-lp, axis=1)[:, :beam]
         candidates = []
-        for hyp in live:
-            lp, new_state = _step_logprobs(params, cfg, hyp.state,
-                                           hyp.tokens[-1], h_enc, batch.src_mask)
-            top = np.argsort(-lp)[:beam]
-            for tok in top:
-                if lp[tok] == -np.inf:
+        for i, hyp in enumerate(live):
+            for tok in top[i]:
+                if lp[i, tok] == -np.inf:
                     continue
                 candidates.append(BeamHypothesis(
-                    hyp.tokens + [int(tok)], hyp.log_prob + float(lp[tok]),
-                    new_state))
+                    hyp.tokens + [int(tok)], hyp.log_prob + float(lp[i, tok]), i))
         candidates.sort(key=lambda h: -h.log_prob)
         live = []
         for hyp in candidates[:beam]:
@@ -80,8 +91,18 @@ def beam_search(params, cfg, src_ids, beam=None, max_len=None):
         if finished and max(h.log_prob for h in finished) >= live[0].log_prob:
             break
     pool = finished if finished else live
-    best = max(pool, key=lambda h: h.log_prob)
-    toks = best.tokens[1:]
+    return max(pool, key=lambda h: h.log_prob)
+
+
+def beam_search(params, cfg, src_ids, beam=None, max_len=None):
+    """Breadth-limited search over cumulative log-probability, no length
+    normalization.  Each live hypothesis proposes its `beam` best tokens and
+    the `beam` best proposals survive; EOS-terminated ones move to a finished
+    pool.  Stops when the best finished score cannot be beaten or max_len is
+    reached.  Each step advances all live hypotheses of the sentence in one
+    batched decoder_step call, so a sentence costs at most max_len calls.
+    Raises ValueError if beam < 1."""
+    toks = best_hypothesis(params, cfg, src_ids, beam, max_len).tokens[1:]
     if toks and toks[-1] == EOS:
         toks = toks[:-1]
     return toks
@@ -89,7 +110,9 @@ def beam_search(params, cfg, src_ids, beam=None, max_len=None):
 
 def translate(params, cfg, sentences, src_vocab, tgt_vocab, out_path, beam=None):
     """Decode each source sentence and write one space-joined hypothesis per
-    line, order-preserving."""
+    line, order-preserving.  A beam < 1 raises ValueError before out_path is
+    opened."""
+    beam = _beam_width(cfg, beam)
     with open(out_path, "w", encoding="utf-8") as f:
         for sent in sentences:
             if not sent:

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,8 @@ from xhembed.cli import (CONFIG_KEYS, ValidationError, load_config, main,
                          run_pipeline)
 from xhembed.combine import InitStrategy
 from xhembed.nmt import load_checkpoint, save_checkpoint
+
+from conftest import tiny_model
 
 
 def write_cfg(tmp_path, text, name="run.cfg"):
@@ -125,6 +129,19 @@ class TestSubcommands:
                      "--out", str(tmp_path / "ev.vec")]) == 0
         assert "covered\t1" in capsys.readouterr().out
         assert (tmp_path / "ev.vec").read_text().splitlines()[1].startswith("indoda")
+
+
+def tiny_translate_args(tmp_path, cfg, params, sv, tv):
+    """`translate` arguments for a checkpoint of (cfg, params) and one
+    source sentence, written under tmp_path."""
+    ckpt = tmp_path / "model.ckpt"
+    save_checkpoint(ckpt, cfg, params)
+    sv.save(tmp_path / "vocab.src")
+    tv.save(tmp_path / "vocab.tgt")
+    (tmp_path / "test.src").write_text("w1 w2 w3\n")
+    return ["translate", "--checkpoint", str(ckpt), "--src", str(tmp_path / "test.src"),
+            "--src-vocab", str(tmp_path / "vocab.src"),
+            "--tgt-vocab", str(tmp_path / "vocab.tgt"), "--out", str(tmp_path / "hyp")]
 
 
 def micro_dataset(tmp_path):
@@ -253,6 +270,13 @@ class TestMalformedArtifacts:
                  "--tgt-vocab", str(out / "vocab.tgt"),
                  "--out", str(tmp_path / "hyp")], ckpt, capsys)
 
+    def test_tensor_shapes_disagree_with_config(self, tmp_path, capsys):
+        """hidden-8 tensors under a header config of hidden 16 are rejected
+        when loaded instead of failing later in decoding."""
+        cfg, params, sv, tv = tiny_model(hidden=8)
+        argv = tiny_translate_args(tmp_path, replace(cfg, hidden=16), params, sv, tv)
+        self.assert_fails_naming(argv, tmp_path / "model.ckpt", capsys)
+
     def test_garbage_mapping(self, tmp_path, capsys):
         out = self.artifacts(tmp_path)
         mapping = tmp_path / "mapping.txt"
@@ -262,6 +286,16 @@ class TestMalformedArtifacts:
              "--ev", str(out / "ev.vec"), "--subword-model", str(out / "subword.model"),
              "--mapping", str(mapping), "--dim", "8",
              "--out", str(tmp_path / "init.vec")], mapping, capsys)
+
+
+class TestTranslate:
+    @pytest.mark.parametrize("beam", ["-3", "0"])
+    def test_beam_below_one_is_one(self, tmp_path, capsys, beam):
+        argv = tiny_translate_args(tmp_path, *tiny_model())
+        assert main(argv + ["--beam", beam]) == 1
+        err = capsys.readouterr().err
+        assert "beam must be >= 1" in err and "Traceback" not in err
+        assert not (tmp_path / "hyp").exists()
 
 
 class TestStagewise:

@@ -1,10 +1,14 @@
+from dataclasses import dataclass, field
+
 import numpy as np
 import pytest
 
 from xhembed.corpus import BOS, EOS, PAD, UNK
 from xhembed.metrics import corpus_bleu
+from xhembed.nmt import decode
 from xhembed.nmt.data import encode_pairs, make_batch
-from xhembed.nmt.decode import beam_search, greedy_decode, translate
+from xhembed.nmt.decode import (beam_search, best_hypothesis, greedy_decode,
+                                translate)
 from xhembed.nmt.model import decoder_step, encode_for_decoding
 from xhembed.nmt.train import TrainConfig, train
 
@@ -23,6 +27,58 @@ def sequence_score(params, cfg, src_ids, tokens):
         total += float(lp[0][tok])
         prev = tok
     return total
+
+
+@dataclass
+class RefHypothesis:
+    tokens: list
+    log_prob: float
+    state: list = field(repr=False, default=None)
+
+
+def reference_beam(params, cfg, src_ids, beam, max_len=None):
+    """Beam search with one batch-1 decoder_step per live hypothesis per step,
+    the loop the batched search replaced.  Returns the best RefHypothesis."""
+    max_len = max_len or cfg.max_decode_len
+    batch = make_batch([(list(src_ids), [BOS])])
+    h_enc, state = encode_for_decoding(params, cfg, batch.src_ids, batch.src_mask)
+    live = [RefHypothesis([BOS], 0.0, state)]
+    finished = []
+    for _ in range(max_len):
+        candidates = []
+        for hyp in live:
+            lp, new_state = decoder_step(params, cfg, hyp.state,
+                                         np.array([hyp.tokens[-1]]), h_enc,
+                                         batch.src_mask)
+            lp = lp[0].copy()
+            lp[[PAD, BOS]] = -np.inf
+            top = np.argsort(-lp)[:beam]
+            for tok in top:
+                if lp[tok] == -np.inf:
+                    continue
+                candidates.append(RefHypothesis(
+                    hyp.tokens + [int(tok)], hyp.log_prob + float(lp[tok]),
+                    new_state))
+        candidates.sort(key=lambda h: -h.log_prob)
+        live = []
+        for hyp in candidates[:beam]:
+            if hyp.tokens[-1] == EOS:
+                finished.append(hyp)
+            else:
+                live.append(hyp)
+        if not live:
+            break
+        if finished and max(h.log_prob for h in finished) >= live[0].log_prob:
+            break
+    pool = finished if finished else live
+    return max(pool, key=lambda h: h.log_prob)
+
+
+def assert_matches_reference(params, cfg, src_ids, beam):
+    want = reference_beam(params, cfg, src_ids, beam)
+    got = best_hypothesis(params, cfg, src_ids, beam)
+    assert got.tokens == want.tokens
+    assert abs(got.log_prob - want.log_prob) <= 1e-12
 
 
 class TestGreedy:
@@ -52,6 +108,69 @@ class TestBeam:
         cfg, params, sv, tv = tiny_model()
         ids = [4, 5, 6]
         assert beam_search(params, cfg, ids) == beam_search(params, cfg, ids)
+
+    @pytest.mark.parametrize("beam", [0, -3])
+    def test_beam_below_one_rejected(self, beam):
+        cfg, params, sv, tv = tiny_model()
+        with pytest.raises(ValueError, match="beam must be >= 1"):
+            beam_search(params, cfg, [4, 5, 6], beam=beam)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("beam", [2, 3, 5])
+    def test_batched_equals_per_hypothesis_search(self, seed, beam):
+        cfg, params, sv, tv = tiny_model(seed=seed)
+        rng = np.random.default_rng(seed)
+        for src, _ in random_pairs(sv, tv, 50, rng):
+            assert_matches_reference(params, cfg, [sv.id(t) for t in src], beam)
+
+
+class TestBatchedStep:
+    def test_batch_rows_equal_single_calls(self):
+        """decoder_step on 5 rows gives each row's batch-1 result; BLAS may
+        reorder the sums between batch sizes, so not bit for bit."""
+        cfg, params, sv, tv = tiny_model()
+        rng = np.random.default_rng(5)
+        batch = make_batch([(list(rng.integers(4, len(sv), n)), [BOS])
+                            for n in (3, 6, 4, 5, 2)])
+        h_enc, _ = encode_for_decoding(params, cfg, batch.src_ids, batch.src_mask)
+        state = [rng.uniform(-1, 1, (5, cfg.hidden)) for _ in range(cfg.dec_layers)]
+        prev = rng.integers(4, len(tv), 5)
+        lp, new_state = decoder_step(params, cfg, state, prev, h_enc, batch.src_mask)
+        for i in range(5):
+            lp_i, state_i = decoder_step(params, cfg, [s[i:i + 1] for s in state],
+                                         prev[i:i + 1], h_enc[i:i + 1],
+                                         batch.src_mask[i:i + 1])
+            np.testing.assert_allclose(lp[i], lp_i[0], rtol=0, atol=1e-12)
+            for s, s_i in zip(new_state, state_i):
+                np.testing.assert_allclose(s[i], s_i[0], rtol=0, atol=1e-12)
+
+    @pytest.fixture
+    def step_batches(self, monkeypatch):
+        """Batch size of every decoder_step call the decode module makes."""
+        sizes = []
+
+        def counting(params, cfg, state, y_prev, h_enc, src_mask):
+            sizes.append(len(y_prev))
+            return decoder_step(params, cfg, state, y_prev, h_enc, src_mask)
+        monkeypatch.setattr(decode, "decoder_step", counting)
+        return sizes
+
+    def test_beam_makes_one_call_per_step(self, step_batches):
+        cfg, params, sv, tv = tiny_model()
+        rng = np.random.default_rng(2)
+        largest = 0
+        for src, _ in random_pairs(sv, tv, 20, rng):
+            step_batches.clear()
+            beam_search(params, cfg, [sv.id(t) for t in src], beam=5, max_len=6)
+            assert 1 <= len(step_batches) <= 6
+            assert max(step_batches) <= 5
+            largest = max(largest, max(step_batches))
+        assert largest > 1
+
+    def test_greedy_calls_at_batch_one(self, step_batches):
+        cfg, params, sv, tv = tiny_model()
+        greedy_decode(params, cfg, [4, 5, 6], max_len=6)
+        assert step_batches and set(step_batches) == {1}
 
 
 class TestTranslateFile:
@@ -112,3 +231,9 @@ class TestCopyTask:
             b = beam_search(params, cfg, ids, beam=5)
             assert sequence_score(params, cfg, ids, b) >= \
                 sequence_score(params, cfg, ids, g) - 1e-9
+
+    @pytest.mark.parametrize("beam", [2, 3, 5])
+    def test_batched_equals_per_hypothesis_search(self, copy_model, beam):
+        cfg, params, sv, tv, pairs = copy_model
+        for src, _ in pairs[:30]:
+            assert_matches_reference(params, cfg, [sv.id(t) for t in src], beam)

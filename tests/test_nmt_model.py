@@ -6,6 +6,7 @@ import pytest
 from xhembed.corpus import BOS, EOS, PAD
 from xhembed.embedstore import EmbeddingMatrix
 from xhembed.nmt import Seq2SeqConfig, build_model, gradcheck
+from xhembed.nmt.checkpoint import expected_shapes
 from xhembed.nmt.data import Batch, encode_pairs, make_batch, make_batches
 from xhembed.nmt.gradcheck import gradient_check
 from xhembed.nmt.model import forward_loss, param_names
@@ -51,6 +52,13 @@ class TestBuildModel:
     def test_keys_are_param_names(self, layers):
         cfg, params, _, _ = tiny_model(enc_layers=layers[0], dec_layers=layers[1])
         assert list(params) == param_names(cfg)
+
+    @pytest.mark.parametrize("layers", [(1, 1), (2, 2), (3, 2)])
+    def test_checkpoint_shapes_are_build_model_shapes(self, layers):
+        cfg, params, sv, tv = tiny_model(n_src=11, n_tgt=13, emb=6, hidden=10,
+                                         enc_layers=layers[0], dec_layers=layers[1])
+        assert expected_shapes(cfg, len(sv), len(tv)) == \
+            {name: t.shape for name, t in params.items()}
 
     def test_stacked_gru_tensors(self):
         cfg, params, _, _ = tiny_model()
