@@ -59,7 +59,6 @@ CONFIG_KEYS = {
     "subword.maxn": (int, 6),
     "subword.buckets": (int, 100_000),
     "subword.seed": (int, 1),
-    "subword.workers": (int, 1),
     "map.max_iters": (int, 20),
     "map.patience": (int, 3),
     "map.csls_k": (int, 10),
@@ -117,15 +116,14 @@ def _require(cfg, *keys):
             raise ValidationError(f"config key {key!r}: path {cfg[key]!r} does not exist")
 
 
-def _subword_config(cfg, deterministic):
+def _subword_config(cfg):
     return SkipgramConfig(
         dim=cfg["subword.dim"], window=cfg["subword.window"],
         negatives=cfg["subword.negatives"], epochs=cfg["subword.epochs"],
         lr=cfg["subword.lr"], subsample=cfg["subword.subsample"],
         min_count=cfg["subword.min_count"], minn=cfg["subword.minn"],
         maxn=cfg["subword.maxn"], buckets=cfg["subword.buckets"],
-        seed=cfg["subword.seed"],
-        workers=1 if deterministic else cfg["subword.workers"])
+        seed=cfg["subword.seed"])
 
 
 def _nmt_config(cfg):
@@ -189,7 +187,7 @@ def run_pipeline(cfg, out_dir, strategies, deterministic=True, log=print):
         stage = "train-subword"
         subword_sents = (splits["bible"][0].side("src")
                          + splits["corpus2"][0].side("src"))
-        sw_cfg = _subword_config(cfg, deterministic)
+        sw_cfg = _subword_config(cfg)
         model, reports = train_skipgram(subword_sents, sw_cfg)
         model.save(out / "subword.model")
         (out / "subword.report.txt").write_text(
@@ -331,7 +329,7 @@ def _cmd_train_subword(args):
     for path in args.text:
         with open(path, encoding="utf-8") as f:
             sents.extend(line.split() for line in f.read().splitlines() if line)
-    model, reports = train_skipgram(sents, _subword_config(cfg, args.deterministic))
+    model, reports = train_skipgram(sents, _subword_config(cfg))
     model.save(args.out)
     for r in reports:
         print(r)
@@ -403,6 +401,13 @@ def _cmd_translate(args):
     nmt_cfg, params, _ = load_checkpoint(args.checkpoint)
     src_vocab = Vocabulary.load(args.src_vocab)
     tgt_vocab = Vocabulary.load(args.tgt_vocab)
+    # the loaded tensors agree on the sizes: out_W has one column per tgt_emb row
+    for path, vocab, table in ((args.src_vocab, src_vocab, "src_emb"),
+                               (args.tgt_vocab, tgt_vocab, "tgt_emb")):
+        if len(vocab) != len(params[table]):
+            raise ValidationError(
+                f"{path}: {len(vocab)} types, but {table} of checkpoint "
+                f"{args.checkpoint} has {len(params[table])} rows")
     with open(args.src, encoding="utf-8") as f:
         sents = [line.split() for line in f.read().splitlines()]
     translate(params, nmt_cfg, sents, src_vocab, tgt_vocab, args.out,
@@ -460,7 +465,8 @@ def build_parser():
     sp.add_argument("--text", nargs="+", required=True)
     sp.add_argument("--out", required=True)
     sp.add_argument("--config")
-    sp.add_argument("--deterministic", action="store_true")
+    sp.add_argument("--deterministic", action="store_true",
+                    help="accepted for compatibility; training is always deterministic")
     sp.set_defaults(func=_cmd_train_subword)
 
     sp = sub.add_parser("build-ev", help="project lexicon into HR space")
@@ -530,7 +536,8 @@ def build_parser():
     sp.add_argument("--config", required=True)
     sp.add_argument("--out")
     sp.add_argument("--seed", type=int)
-    sp.add_argument("--deterministic", action="store_true")
+    sp.add_argument("--deterministic", action="store_true",
+                    help="recorded in the manifest; runs are always deterministic")
     sp.add_argument("--strategies", help="comma-separated subset")
     sp.set_defaults(func=_cmd_run_all)
     return p

@@ -27,8 +27,16 @@ def _step_logprobs(params, cfg, state, prev_ids, h_enc, src_mask):
     return lp, new_state
 
 
+def _decode_len(cfg, max_len):
+    max_len = cfg.max_decode_len if max_len is None else max_len
+    if max_len < 1:
+        raise ValueError(f"max_len must be >= 1, got {max_len}")
+    return max_len
+
+
 def greedy_decode(params, cfg, src_ids, max_len=None):
-    max_len = max_len or cfg.max_decode_len
+    """Raises ValueError if max_len < 1."""
+    max_len = _decode_len(cfg, max_len)
     batch, h_enc, state = _decode_setup(params, cfg, src_ids)
     out = []
     prev = BOS
@@ -57,9 +65,9 @@ def _beam_width(cfg, beam):
 
 def best_hypothesis(params, cfg, src_ids, beam=None, max_len=None):
     """The highest-scoring BeamHypothesis of beam_search, BOS and any final
-    EOS included."""
+    EOS included.  Raises ValueError if beam < 1 or max_len < 1."""
     beam = _beam_width(cfg, beam)
-    max_len = max_len or cfg.max_decode_len
+    max_len = _decode_len(cfg, max_len)
     batch, h_enc, state = _decode_setup(params, cfg, src_ids)
     live = [BeamHypothesis([BOS], 0.0)]
     finished = []
@@ -101,7 +109,7 @@ def beam_search(params, cfg, src_ids, beam=None, max_len=None):
     pool.  Stops when the best finished score cannot be beaten or max_len is
     reached.  Each step advances all live hypotheses of the sentence in one
     batched decoder_step call, so a sentence costs at most max_len calls.
-    Raises ValueError if beam < 1."""
+    Raises ValueError if beam < 1 or max_len < 1."""
     toks = best_hypothesis(params, cfg, src_ids, beam, max_len).tokens[1:]
     if toks and toks[-1] == EOS:
         toks = toks[:-1]

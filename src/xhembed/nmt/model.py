@@ -31,6 +31,8 @@ class Seq2SeqConfig:
             raise ValueError("hidden size must be even (split across directions)")
         if self.beam < 1:
             raise ValueError("beam must be >= 1")
+        if self.max_decode_len < 1:
+            raise ValueError("max_decode_len must be >= 1")
 
 
 def _init_gru(params, rng, prefix, in_dim, hid, scale):
@@ -316,25 +318,29 @@ def forward_loss(params, cfg, batch, dropout_on=False, rng=None,
 
     a, att_cache = attention_output(params, h_top, h_enc, src_mask)
     a_d = drop.apply(a)
-    logits = a_d @ params["out_W"] + params["out_b"]
-    logits -= logits.max(axis=2, keepdims=True)
-    log_z = np.log(np.exp(logits).sum(axis=2, keepdims=True))
-    log_probs = logits - log_z
+    # The output layer works on (B*T, .) rows, so each matmul is one 2-D BLAS
+    # call, and on one (B*T, V) buffer: the logits, then their exponents,
+    # then dlogits, each in place.
     bsz, t_len = y_out.shape
-    gold = log_probs[np.arange(bsz)[:, None], np.arange(t_len)[None, :], y_out]
-    loss = -(gold * out_mask).sum() / n_tokens
+    a_flat = a_d.reshape(bsz * t_len, -1)
+    rows, gold_ids = np.arange(bsz * t_len), y_out.reshape(-1)
+    buf = a_flat @ params["out_W"] + params["out_b"]
+    buf -= buf.max(axis=1, keepdims=True)
+    gold = buf[rows, gold_ids]
+    np.exp(buf, out=buf)
+    z = buf.sum(axis=1)
+    gold_log_probs = (gold - np.log(z)).reshape(bsz, t_len)
+    loss = -(gold_log_probs * out_mask).sum() / n_tokens
     if not compute_grads:
         return loss, None
 
     grads = zero_grads(params)
-    probs = np.exp(log_probs)
-    dlogits = probs * out_mask[:, :, None]
-    dlogits[np.arange(bsz)[:, None], np.arange(t_len)[None, :], y_out] -= out_mask
-    dlogits /= n_tokens
-    h = cfg.hidden
-    grads["out_W"] += a_d.reshape(-1, h).T @ dlogits.reshape(bsz * t_len, -1)
-    grads["out_b"] += dlogits.sum(axis=(0, 1))
-    da_d = dlogits @ params["out_W"].T
+    mask_flat = out_mask.reshape(-1)
+    buf *= (mask_flat / (z * n_tokens))[:, None]   # softmax * mask / n
+    buf[rows, gold_ids] -= mask_flat / n_tokens
+    grads["out_W"] += a_flat.T @ buf
+    grads["out_b"] += buf.sum(axis=0)
+    da_d = (buf @ params["out_W"].T).reshape(a_d.shape)
     da = drop.backward(len(drop.masks) - 1, da_d)
     dh_top, dh_enc = attention_backward(params, att_cache, h_top, h_enc, da, grads)
 

@@ -36,19 +36,40 @@ class Adam:
         self.t = 0
 
     def step(self, params, grads, clip=None):
+        """One update of `params` in place, after scaling the gradients to a
+        global norm of at most `clip`.  Overwrites `grads`: they are scaled in
+        place and then used as scratch space, so pass arrays you no longer
+        need."""
         if clip is not None:
-            norm = math.sqrt(sum(float(np.sum(g * g)) for g in grads.values()))
+            norm = math.sqrt(sum(float(np.vdot(g, g)) for g in grads.values()))
             if norm > clip:
                 scale = clip / norm
-                grads = {k: g * scale for k, g in grads.items()}
+                for g in grads.values():
+                    g *= scale
         self.t += 1
         bias1 = 1.0 - self.b1 ** self.t
         bias2 = 1.0 - self.b2 ** self.t
         for k, p in params.items():
-            g = grads[k]
-            self.m[k] = self.b1 * self.m[k] + (1 - self.b1) * g
-            self.v[k] = self.b2 * self.v[k] + (1 - self.b2) * g * g
-            p -= self.lr * (self.m[k] / bias1) / (np.sqrt(self.v[k] / bias2) + self.eps)
+            g, m, v = grads[k], self.m[k], self.v[k]
+            # the same operations, in the same order, as
+            #   m = b1 * m + (1 - b1) * g
+            #   v = b2 * v + (1 - b2) * g * g
+            #   p -= lr * (m / bias1) / (sqrt(v / bias2) + eps)
+            # with one temporary and g as scratch
+            tmp = (1 - self.b2) * g
+            tmp *= g
+            v *= self.b2
+            v += tmp
+            g *= 1 - self.b1
+            m *= self.b1
+            m += g
+            np.divide(m, bias1, out=tmp)
+            tmp *= self.lr
+            np.divide(v, bias2, out=g)
+            np.sqrt(g, out=g)
+            g += self.eps
+            tmp /= g
+            p -= tmp
 
 
 def perplexity(params, cfg, batches):

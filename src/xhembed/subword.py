@@ -2,7 +2,6 @@
 sampling; composes vectors for arbitrary words including OOV."""
 
 import math
-import threading
 import time
 from dataclasses import asdict, dataclass
 
@@ -55,11 +54,16 @@ class SkipgramConfig:
     maxn: int = 6
     buckets: int = 100_000
     seed: int = 1
+    # Only 1 is accepted.  The field remains because the benchmark's SGNS
+    # workload still passes workers=1; it goes once that key is dropped there.
     workers: int = 1
 
     def __post_init__(self):
         if self.window < 1 or self.negatives < 1 or self.lr <= 0:
             raise ValueError("window >= 1, negatives >= 1, lr > 0 required")
+        if self.workers != 1:
+            raise ValueError(f"workers must be 1 (training is single-threaded), "
+                             f"got {self.workers}")
 
 
 class SubwordModel:
@@ -242,10 +246,8 @@ class _Trainer:
 
 def train_skipgram(sentences, config):
     """Train a subword skip-gram model; returns (model, list of EpochReport).
-
-    Deterministic (bit-identical across runs) when config.workers == 1;
-    with more workers updates race benignly and only aggregate quality holds.
-    """
+    Single-threaded and deterministic: the same sentences and config give
+    bit-identical vectors."""
     tr = _Trainer(list(sentences), config)
     reports = []
     lr_state = [config.lr, 0]  # [unused, processed tokens]
@@ -254,22 +256,7 @@ def train_skipgram(sentences, config):
         t0 = time.time()
         rng = np.random.default_rng((config.seed, epoch))
         rng.shuffle(order)
-        if config.workers <= 1:
-            loss, pairs = tr.run_sentences(order.tolist(), rng, lr_state)
-        else:
-            chunks = np.array_split(order, config.workers)
-            results = [None] * config.workers
-            def work(i):
-                wrng = np.random.default_rng((config.seed, epoch, i))
-                results[i] = tr.run_sentences(chunks[i].tolist(), wrng, lr_state)
-            threads = [threading.Thread(target=work, args=(i,))
-                       for i in range(config.workers)]
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join()
-            loss = sum(r[0] for r in results)
-            pairs = sum(r[1] for r in results)
+        loss, pairs = tr.run_sentences(order.tolist(), rng, lr_state)
         dt = max(time.time() - t0, 1e-9)
         reports.append(EpochReport(epoch, pairs,
                                    loss / max(pairs, 1),

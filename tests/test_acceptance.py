@@ -38,6 +38,7 @@ def report(num, desc, ok, extra=""):
     assert ok, f"criterion {num}: {desc} ({extra})"
 
 
+@pytest.mark.slow
 def test_criterion_1_toy_pipeline_deterministic(tmp_path):
     """Full strategy grid on the bundled toy corpus: all 5 strategies finish
     within budget and two runs emit byte-identical result tables."""
@@ -274,6 +275,7 @@ def test_criterion_9_composition_algebra():
            f"{elapsed:.1f}s")
 
 
+@pytest.mark.slow
 def test_criterion_10_subword_suite():
     t0 = time.monotonic()
     corpus = tiny_corpus(1200, seed=2)   # ~10k tokens

@@ -8,7 +8,7 @@ from xhembed.cli import (CONFIG_KEYS, ValidationError, load_config, main,
 from xhembed.combine import InitStrategy
 from xhembed.nmt import load_checkpoint, save_checkpoint
 
-from conftest import tiny_model
+from conftest import tiny_model, vocab_of
 
 
 def write_cfg(tmp_path, text, name="run.cfg"):
@@ -35,6 +35,10 @@ class TestConfig:
     def test_bad_value_type(self, tmp_path):
         with pytest.raises(ValidationError, match="train.epochs"):
             load_config(write_cfg(tmp_path, "train.epochs=three\n"))
+
+    def test_subword_workers_key_rejected(self, tmp_path):
+        with pytest.raises(ValidationError, match=":1:.*subword.workers"):
+            load_config(write_cfg(tmp_path, "subword.workers=2\n"))
 
     def test_missing_equals(self, tmp_path):
         with pytest.raises(ValidationError):
@@ -289,6 +293,21 @@ class TestMalformedArtifacts:
 
 
 class TestTranslate:
+    @pytest.mark.parametrize("side", ["src", "tgt"])
+    def test_vocabulary_larger_than_checkpoint_is_one(self, tmp_path, capsys, side):
+        """A 44-type vocabulary against a checkpoint with 20 embedding rows."""
+        cfg, params, sv, tv = tiny_model()
+        argv = tiny_translate_args(tmp_path, cfg, params, sv, tv)
+        assert len(params[f"{side}_emb"]) == 20
+        big = vocab_of([f"x{i}" for i in range(40)])
+        assert len(big) == 44
+        vocab_path = tmp_path / f"vocab.{side}"
+        big.save(vocab_path)
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert str(vocab_path) in err and "Traceback" not in err
+        assert not (tmp_path / "hyp").exists()
+
     @pytest.mark.parametrize("beam", ["-3", "0"])
     def test_beam_below_one_is_one(self, tmp_path, capsys, beam):
         argv = tiny_translate_args(tmp_path, *tiny_model())

@@ -94,6 +94,12 @@ class TestGreedy:
         out = greedy_decode(params, cfg, [4, 5], max_len=3)
         assert len(out) <= 3
 
+    @pytest.mark.parametrize("max_len", [0, -2])
+    def test_max_len_below_one_rejected(self, max_len):
+        cfg, params, sv, tv = tiny_model()
+        with pytest.raises(ValueError, match="max_len must be >= 1"):
+            greedy_decode(params, cfg, [4, 5], max_len=max_len)
+
 
 class TestBeam:
     def test_beam_one_equals_greedy(self):
@@ -114,6 +120,12 @@ class TestBeam:
         cfg, params, sv, tv = tiny_model()
         with pytest.raises(ValueError, match="beam must be >= 1"):
             beam_search(params, cfg, [4, 5, 6], beam=beam)
+
+    @pytest.mark.parametrize("max_len", [0, -2])
+    def test_max_len_below_one_rejected(self, max_len):
+        cfg, params, sv, tv = tiny_model()
+        with pytest.raises(ValueError, match="max_len must be >= 1"):
+            best_hypothesis(params, cfg, [4, 5, 6], max_len=max_len)
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     @pytest.mark.parametrize("beam", [2, 3, 5])

@@ -9,7 +9,9 @@ from xhembed.nmt import Seq2SeqConfig, build_model, gradcheck
 from xhembed.nmt.checkpoint import expected_shapes
 from xhembed.nmt.data import Batch, encode_pairs, make_batch, make_batches
 from xhembed.nmt.gradcheck import gradient_check
-from xhembed.nmt.model import forward_loss, param_names
+from xhembed.nmt.model import (_Dropout, attention_backward, attention_output,
+                               bridge, encode, forward_loss, gru_backward,
+                               gru_forward, param_names, zero_grads)
 
 from conftest import random_pairs, tiny_model, vocab_of
 
@@ -43,6 +45,11 @@ class TestBuildModel:
     def test_odd_hidden_rejected(self):
         with pytest.raises(ValueError):
             Seq2SeqConfig(hidden=7)
+
+    @pytest.mark.parametrize("max_decode_len", [0, -1])
+    def test_max_decode_len_below_one_rejected(self, max_decode_len):
+        with pytest.raises(ValueError, match="max_decode_len must be >= 1"):
+            Seq2SeqConfig(max_decode_len=max_decode_len)
 
     def test_source_rows_copied(self):
         cfg, params, sv, _ = tiny_model()
@@ -183,3 +190,100 @@ class TestGradients:
                                 compute_grads=compute_grads)
         monkeypatch.setattr(gradcheck, "forward_loss", fixed_mask_loss)
         assert self.gradcheck_error(dropout=0.3) < 1e-4
+
+
+def unfused_forward_loss(params, cfg, batch, dropout_on=False, rng=None):
+    """forward_loss as it was before the output layer was fused: separate
+    log-prob, prob and dlogits arrays and 3-D output matmuls.  The oracle for
+    the fused, in-place output layer."""
+    drop = _Dropout(cfg.dropout if dropout_on else 0.0,
+                    rng if dropout_on else None)
+    src_ids, src_mask = batch.src_ids, batch.src_mask
+    y_in, y_out = batch.tgt_ids[:, :-1], batch.tgt_ids[:, 1:]
+    out_mask = (y_out != PAD).astype(np.float64)
+    n_tokens = out_mask.sum()
+    h_enc, enc_finals, enc_caches = encode(params, cfg, src_ids, src_mask, drop)
+    n_enc_drops = len(drop.masks)
+    dec_h0, bridge_cache = bridge(params, cfg, enc_finals)
+    x = drop.apply(params["tgt_emb"][y_in])
+    in_mask = np.ones_like(y_in, dtype=np.float64)
+    dec_caches = []
+    for l in range(cfg.dec_layers):
+        hs, _, c = gru_forward(params, f"dec_{l}", x, in_mask, dec_h0[l])
+        dec_caches.append(c)
+        x = drop.apply(hs) if l < cfg.dec_layers - 1 else hs
+    h_top = x
+
+    a, att_cache = attention_output(params, h_top, h_enc, src_mask)
+    a_d = drop.apply(a)
+    logits = a_d @ params["out_W"] + params["out_b"]
+    logits -= logits.max(axis=2, keepdims=True)
+    log_z = np.log(np.exp(logits).sum(axis=2, keepdims=True))
+    log_probs = logits - log_z
+    bsz, t_len = y_out.shape
+    gold = log_probs[np.arange(bsz)[:, None], np.arange(t_len)[None, :], y_out]
+    loss = -(gold * out_mask).sum() / n_tokens
+
+    grads = zero_grads(params)
+    probs = np.exp(log_probs)
+    dlogits = probs * out_mask[:, :, None]
+    dlogits[np.arange(bsz)[:, None], np.arange(t_len)[None, :], y_out] -= out_mask
+    dlogits /= n_tokens
+    h = cfg.hidden
+    grads["out_W"] += a_d.reshape(-1, h).T @ dlogits.reshape(bsz * t_len, -1)
+    grads["out_b"] += dlogits.sum(axis=(0, 1))
+    da_d = dlogits @ params["out_W"].T
+    da = drop.backward(len(drop.masks) - 1, da_d)
+    dh_top, dh_enc = attention_backward(params, att_cache, h_top, h_enc, da, grads)
+
+    dx_upper = dh_top
+    d_h0 = [None] * cfg.dec_layers
+    for l in range(cfg.dec_layers - 1, -1, -1):
+        dx, d_h0[l] = gru_backward(params, f"dec_{l}", dec_caches[l], dx_upper,
+                                   np.zeros_like(dec_h0[l]), grads)
+        if l > 0:
+            dx_upper = drop.backward(n_enc_drops + l, dx)
+        else:
+            np.add.at(grads["tgt_emb"], y_in, drop.backward(n_enc_drops, dx))
+    d_enc_finals = [np.zeros_like(f) for f in enc_finals]
+    for l in range(cfg.dec_layers):
+        src, out = bridge_cache[l]
+        dpre = d_h0[l] * (1.0 - out * out)
+        grads[f"bridge_{l}_W"] += src.T @ dpre
+        grads[f"bridge_{l}_b"] += dpre.sum(axis=0)
+        d_enc_finals[min(l, len(enc_finals) - 1)] += dpre @ params[f"bridge_{l}_W"].T
+    h2 = cfg.hidden // 2
+    dout = dh_enc
+    for l in range(cfg.enc_layers - 1, -1, -1):
+        cf, cb = enc_caches[l]
+        dff, dfb = d_enc_finals[l][:, :h2], d_enc_finals[l][:, h2:]
+        dxf, _ = gru_backward(params, f"enc_{l}_f", cf, dout[:, :, :h2], dff, grads)
+        dxb, _ = gru_backward(params, f"enc_{l}_b", cb, dout[:, :, h2:], dfb, grads)
+        if l > 0:
+            dout = drop.backward(l, dxf + dxb)
+        else:
+            np.add.at(grads["src_emb"], src_ids, drop.backward(0, dxf + dxb))
+    return loss, grads
+
+
+class TestFusedOutputLayer:
+    """The in-place output layer against the unfused one it replaced."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("dropout_on", [False, True])
+    def test_matches_unfused(self, seed, dropout_on):
+        cfg, params, sv, tv = tiny_model(seed=seed, dropout=0.3)
+        rng = np.random.default_rng(seed)
+        batch = make_batch(encode_pairs(random_pairs(sv, tv, 6, rng), sv, tv))
+        loss, grads = forward_loss(params, cfg, batch, dropout_on=dropout_on,
+                                   rng=np.random.default_rng(7))
+        want_loss, want = unfused_forward_loss(params, cfg, batch, dropout_on,
+                                               rng=np.random.default_rng(7))
+        assert loss == want_loss
+        assert loss == forward_loss(params, cfg, batch, dropout_on=dropout_on,
+                                    rng=np.random.default_rng(7),
+                                    compute_grads=False)[0]
+        assert set(grads) == set(want)
+        for name, g in want.items():
+            err = np.abs(grads[name] - g).max() / max(np.abs(g).max(), 1e-300)
+            assert err <= 1e-12, (name, err)

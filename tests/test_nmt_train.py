@@ -43,6 +43,35 @@ class TestAdam:
         opt.step(params, {"a": np.array([0.5])}, clip=10.0)
         assert np.allclose(opt.m["a"], [0.05])
 
+    @pytest.mark.parametrize("clip", [None, 1e3, 0.5])
+    def test_in_place_step_matches_formula(self, clip):
+        """Five steps of the in-place update against the out-of-place
+        formula it replaced; clip 0.5 is active on every step, 1e3 never."""
+        _, params, _, _ = tiny_model()
+        rng = np.random.default_rng(3)
+        want = {k: v.copy() for k, v in params.items()}
+        opt = Adam(params, lr=1e-2)
+        m = {k: np.zeros_like(v) for k, v in want.items()}
+        v = {k: np.zeros_like(x) for k, x in want.items()}
+        b1, b2, eps, lr = 0.9, 0.999, 1e-8, 1e-2
+        for t in range(1, 6):
+            grads = {k: rng.normal(size=x.shape) for k, x in want.items()}
+            ref = {k: g.copy() for k, g in grads.items()}
+            opt.step(params, grads, clip=clip)
+            if clip is not None:
+                norm = math.sqrt(sum(float(np.sum(g * g)) for g in ref.values()))
+                assert (norm > clip) == (clip < 1)
+                if norm > clip:
+                    ref = {k: g * (clip / norm) for k, g in ref.items()}
+            for k, p in want.items():
+                g = ref[k]
+                m[k] = b1 * m[k] + (1 - b1) * g
+                v[k] = b2 * v[k] + (1 - b2) * g * g
+                p -= lr * (m[k] / (1 - b1 ** t)) / (np.sqrt(v[k] / (1 - b2 ** t)) + eps)
+        for k, p in want.items():
+            err = np.abs(params[k] - p).max() / np.abs(p).max()
+            assert err <= 1e-12, (k, err)
+
 
 class TestPerplexity:
     def test_single_batch_is_exp_loss(self):

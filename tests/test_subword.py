@@ -142,6 +142,10 @@ class TestTraining:
         with pytest.raises(ValueError):
             train_skipgram([["a"]], quick_config(min_count=5))
 
+    def test_more_than_one_worker_rejected(self):
+        with pytest.raises(ValueError, match="workers must be 1"):
+            quick_config(workers=2)
+
     def test_oov_variants_cluster_by_stem(self):
         model, _ = train_skipgram(tiny_corpus(400, seed=1), quick_config())
         # held-out morphological variants: "o" suffix never appears in training
