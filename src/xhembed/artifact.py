@@ -1,6 +1,7 @@
-"""The one on-disk format for binary artifacts (NMT checkpoint, subword model,
-cross-space mapping): an uncompressed .npz holding a JSON header and named
-float arrays, written atomically and validated when read."""
+"""The one on-disk format for binary artifacts (embedding matrix, NMT
+checkpoint, subword model, cross-space mapping): an uncompressed .npz holding
+a JSON header and named float arrays, written atomically and validated when
+read."""
 
 import json
 import os
@@ -8,6 +9,8 @@ import zipfile
 from pathlib import Path
 
 import numpy as np
+
+SIGNATURE = b"PK\x03\x04"  # the first four bytes of every artifact (a zip file)
 
 
 class ArtifactError(ValueError):

@@ -59,9 +59,6 @@ CONFIG_KEYS = {
     "subword.maxn": (int, 6),
     "subword.buckets": (int, 100_000),
     "subword.seed": (int, 1),
-    "map.max_iters": (int, 20),
-    "map.patience": (int, 3),
-    "map.csls_k": (int, 10),
     "nmt.enc_layers": (int, 2),
     "nmt.dec_layers": (int, 2),
     "nmt.hidden": (int, 128),
@@ -193,7 +190,7 @@ def run_pipeline(cfg, out_dir, strategies, deterministic=True, log=print):
         (out / "subword.report.txt").write_text(
             "\n".join(str(r) for r in reports) + "\n", encoding="utf-8")
         e_m = model.export_matrix(src_vocab.tokens())
-        write_embeddings(e_m, out / "em.vec")
+        write_embeddings(e_m, out / "em.npz")
         log(f"[subword] trained dim={sw_cfg.dim} over {len(model.vocab)} words")
 
         e_v = None
@@ -202,7 +199,7 @@ def run_pipeline(cfg, out_dir, strategies, deterministic=True, log=print):
             lex = read_lexicon(cfg["data.lexicon"])
             e_hr = read_embeddings(cfg["data.hr_embeddings"])
             e_v, report = build_projected_matrix(lex, e_hr)
-            write_embeddings(e_v, out / "ev.vec")
+            write_embeddings(e_v, out / "ev.npz")
             (out / "ev.report.txt").write_text(report.to_text(), encoding="utf-8")
             log(f"[build-ev] covered {report.covered}/{len(lex)} entries")
 
@@ -259,7 +256,7 @@ def _run_strategy(cfg, out, strat, nmt_cfg, src_vocab, tgt_vocab, splits,
     init = build_initial_embeddings(
         strat, src_vocab, e_v=e_v, subword_model=sw_model, mapping=mapping,
         dim=nmt_cfg.emb_dim, seed=nmt_cfg.seed)
-    write_embeddings(init.matrix, sdir / "init.vec")
+    write_embeddings(init.matrix, sdir / "init.npz")
     init.write_provenance(sdir / "init.provenance.tsv")
     params = build_model(nmt_cfg, init, tgt_vocab, source_vocab=src_vocab)
 

@@ -10,7 +10,7 @@ PAD, UNK, BOS, EOS = 0, 1, 2, 3
 SPECIALS = ["<pad>", "<unk>", "<bos>", "<eos>"]
 
 
-class CorpusError(Exception):
+class CorpusError(ValueError):
     pass
 
 

@@ -1,10 +1,14 @@
-"""Embedding matrix type, word2vec-style text I/O, normalization and
-similarity retrieval (cosine and CSLS)."""
+"""Embedding matrix type, its I/O (artifacts written by the pipeline,
+word2vec-style text read from outside), normalization and cosine retrieval."""
 
 import numpy as np
 
+from . import artifact
 
-class EmbeddingFormatError(Exception):
+KIND = "embedding matrix"
+
+
+class EmbeddingFormatError(ValueError):
     pass
 
 
@@ -40,11 +44,30 @@ class EmbeddingMatrix:
 
 
 def read_embeddings(path):
-    """Read header ("N D" first line) or headerless text embeddings.
-    Duplicate tokens keep the first occurrence; the count of dropped
-    duplicates is returned on the matrix as .duplicates_dropped."""
-    with open(path, encoding="utf-8") as f:
-        lines = f.read().splitlines()
+    """Read a matrix written by write_embeddings or, for outside input,
+    word2vec text; the file's first four bytes decide which."""
+    with open(path, "rb") as f:
+        signature = f.read(4)
+    return _read_artifact(path) if signature == artifact.SIGNATURE else _read_text(path)
+
+
+def _read_artifact(path):
+    def decode(header, arrays):
+        tokens = header["tokens"]
+        rows = artifact.require_shape(arrays, "rows", (len(tokens), header["dim"]))
+        return EmbeddingMatrix(tokens, rows)
+    return artifact.load(path, KIND, decode)
+
+
+def _read_text(path):
+    """Header ("N D" first line) or headerless text embeddings.  Duplicate
+    tokens keep the first occurrence; the count of dropped duplicates is
+    returned on the matrix as .duplicates_dropped."""
+    try:
+        with open(path, encoding="utf-8") as f:
+            lines = f.read().splitlines()
+    except UnicodeDecodeError as e:
+        raise EmbeddingFormatError(f"{path}: undecodable bytes: {e}") from e
     start = 0
     dim = None
     if lines:
@@ -83,11 +106,10 @@ def read_embeddings(path):
 
 
 def write_embeddings(matrix, path):
-    """Write in header form with 6 significant decimals."""
-    with open(path, "w", encoding="utf-8") as f:
-        f.write(f"{len(matrix)} {matrix.dim}\n")
-        for tok, row in zip(matrix.tokens, matrix.rows):
-            f.write(tok + " " + " ".join("%.6g" % v for v in row) + "\n")
+    """Write `matrix` to exactly `path` as an artifact; floats round-trip
+    bit for bit."""
+    artifact.save(path, KIND, {"tokens": matrix.tokens, "dim": matrix.dim},
+                  {"rows": matrix.rows})
 
 
 def unit_normalize(v):
@@ -122,21 +144,3 @@ def nearest_neighbors(matrix, query, k):
     k = min(k, len(matrix))
     order = sorted(range(len(matrix)), key=lambda i: (-cos[i], i))[:k]
     return [(matrix.tokens[i], float(cos[i])) for i in order]
-
-
-def csls_neighborhood(space_rows, queries, k=10):
-    """Mean cosine of each query's k nearest neighbors in `space_rows`.
-    Both inputs are expected unit-normalized."""
-    space_rows = np.asarray(space_rows, dtype=np.float64)
-    queries = np.atleast_2d(np.asarray(queries, dtype=np.float64))
-    if space_rows.shape[0] == 0:
-        raise ValueError("empty opposing space")
-    k = min(k, space_rows.shape[0])
-    sims = queries @ space_rows.T
-    top = np.sort(sims, axis=1)[:, -k:]
-    return top.mean(axis=1)
-
-
-def csls_score(x, y, r_t_x, r_s_y):
-    """CSLS(x, y) = 2 cos(x, y) - rT(x) - rS(y), for unit-normalized x, y."""
-    return 2.0 * float(np.dot(x, y)) - float(r_t_x) - float(r_s_y)

@@ -8,7 +8,7 @@ import numpy as np
 from .embedstore import EmbeddingMatrix, unit_normalize
 
 
-class LexiconError(Exception):
+class LexiconError(ValueError):
     pass
 
 
@@ -25,20 +25,24 @@ def read_lexicon(path):
     Blank lines skipped; duplicate source words rejected."""
     entries = []
     seen = {}
-    with open(path, encoding="utf-8") as f:
-        for ln, line in enumerate(f.read().splitlines(), start=1):
-            if not line.strip():
-                continue
-            parts = line.split("\t")
-            if len(parts) < 2 or not parts[0] or not parts[1].split():
-                raise LexiconError(f"{path}:{ln}: expected 'word<TAB>translations'")
-            word, trans = parts[0], parts[1].split()
-            if word in seen:
-                raise LexiconError(
-                    f"{path}:{ln}: duplicate source word {word!r} "
-                    f"(first at line {seen[word]})")
-            seen[word] = ln
-            entries.append((word, trans))
+    try:
+        with open(path, encoding="utf-8") as f:
+            lines = f.read().splitlines()
+    except UnicodeDecodeError as e:
+        raise LexiconError(f"{path}: undecodable bytes: {e}") from e
+    for ln, line in enumerate(lines, start=1):
+        if not line.strip():
+            continue
+        parts = line.split("\t")
+        if len(parts) < 2 or not parts[0] or not parts[1].split():
+            raise LexiconError(f"{path}:{ln}: expected 'word<TAB>translations'")
+        word, trans = parts[0], parts[1].split()
+        if word in seen:
+            raise LexiconError(
+                f"{path}:{ln}: duplicate source word {word!r} "
+                f"(first at line {seen[word]})")
+        seen[word] = ln
+        entries.append((word, trans))
     return BilingualLexicon(entries)
 
 

@@ -5,7 +5,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 
 
-class BleuError(Exception):
+class BleuError(ValueError):
     pass
 
 

@@ -6,7 +6,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .embedstore import EmbeddingMatrix, write_embeddings
 
 _STEMS = [
     ("indo", "man"), ("haml", "walk"), ("bawo", "father"), ("tolo", "house"),
@@ -61,9 +60,13 @@ def write_toy_dataset(out_dir, pairs=1500, pairs2=400, seed=7, hr_dim=16):
     # 'pretrained' high-resource embeddings over the target vocabulary
     en_words = sorted({w for i in range(len(_STEMS)) for suf in _SUFFIXES
                        for w in _translate_word(i, suf)})
-    hr = EmbeddingMatrix(en_words, rng.uniform(-1, 1, (len(en_words), hr_dim)))
+    hr = rng.uniform(-1, 1, (len(en_words), hr_dim))
     hr_path = out / "hr.vec"
-    write_embeddings(hr, hr_path)
+    # they stand in for downloaded vectors, so they are word2vec text
+    with open(hr_path, "w", encoding="utf-8") as f:
+        f.write(f"{len(en_words)} {hr_dim}\n")
+        for word, row in zip(en_words, hr):
+            f.write(word + " " + " ".join("%.6g" % v for v in row) + "\n")
     paths["hr_embeddings"] = hr_path
     return paths
 

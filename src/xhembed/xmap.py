@@ -84,7 +84,12 @@ def dictionary_objective(x, z, pairs, model):
     return float(np.sum(xm * zm, axis=1).mean())
 
 
-def _csls_matrix(x_mapped, z_mapped, k):
+def csls(x_mapped, z_mapped, k):
+    """CSLS(x_i, z_j) = 2 cos(x_i, z_j) - r_z(x_i) - r_x(z_j) for every pair,
+    where r_z(x_i) is the mean cosine of x_i's k nearest rows of z_mapped
+    and r_x(z_j) that of z_j's k nearest rows of x_mapped (Conneau et al. 2018)."""
+    if x_mapped.size == 0 or z_mapped.size == 0:
+        raise ValueError("empty mapped matrix")
     xn = normalize_rows(x_mapped)
     zn = normalize_rows(z_mapped)
     sims = xn @ zn.T
@@ -97,11 +102,9 @@ def _csls_matrix(x_mapped, z_mapped, k):
 
 def induce_dictionary(x_mapped, z_mapped, k=10):
     """Union of the CSLS-argmax pairing in both directions."""
-    if x_mapped.size == 0 or z_mapped.size == 0:
-        raise ValueError("empty mapped matrix")
-    csls = _csls_matrix(x_mapped, z_mapped, k)
-    fwd = {(i, int(j)) for i, j in enumerate(csls.argmax(axis=1))}
-    bwd = {(int(i), j) for j, i in enumerate(csls.argmax(axis=0))}
+    scores = csls(x_mapped, z_mapped, k)
+    fwd = {(i, int(j)) for i, j in enumerate(scores.argmax(axis=1))}
+    bwd = {(int(i), j) for j, i in enumerate(scores.argmax(axis=0))}
     return sorted(fwd | bwd)
 
 
@@ -150,6 +153,9 @@ def load_mapping(path):
 def fit_mapping(e_v, e_m):
     """Pipeline entry: preprocess both matrices, seed with identity pairs over
     the shared vocabulary, and refine by self-learning."""
+    if e_v.dim != e_m.dim:
+        raise ValueError(f"cannot map E_V of dim {e_v.dim} onto E_M of dim "
+                         f"{e_m.dim}: both spaces must have the same dim")
     shared = [t for t in e_v.tokens if t in e_m.index]
     if not shared:
         raise ValueError("no shared vocabulary between the two spaces")

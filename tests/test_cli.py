@@ -6,6 +6,7 @@ import pytest
 from xhembed.cli import (CONFIG_KEYS, ValidationError, load_config, main,
                          run_pipeline)
 from xhembed.combine import InitStrategy
+from xhembed.embedstore import read_embeddings
 from xhembed.nmt import load_checkpoint, save_checkpoint
 
 from conftest import tiny_model, vocab_of
@@ -15,6 +16,14 @@ def write_cfg(tmp_path, text, name="run.cfg"):
     p = tmp_path / name
     p.write_text(text, encoding="utf-8")
     return p
+
+
+def assert_fails_naming(argv, path, capsys):
+    """`xhembed argv` exits 1 with `path` in its message and no traceback."""
+    capsys.readouterr()
+    assert main([str(a) for a in argv]) == 1
+    err = capsys.readouterr().err
+    assert str(path) in err and "Traceback" not in err
 
 
 class TestConfig:
@@ -39,6 +48,12 @@ class TestConfig:
     def test_subword_workers_key_rejected(self, tmp_path):
         with pytest.raises(ValidationError, match=":1:.*subword.workers"):
             load_config(write_cfg(tmp_path, "subword.workers=2\n"))
+
+    @pytest.mark.parametrize("key", ["map.max_iters", "map.patience", "map.csls_k"])
+    def test_map_keys_rejected(self, tmp_path, key):
+        """fit_mapping reads none of these, so naming one is an error."""
+        with pytest.raises(ValidationError, match=f":1:.*{key}"):
+            load_config(write_cfg(tmp_path, f"{key}=5\n"))
 
     def test_missing_equals(self, tmp_path):
         with pytest.raises(ValidationError):
@@ -130,9 +145,44 @@ class TestSubcommands:
         (tmp_path / "hr.vec").write_text("man 3 4\n")
         assert main(["build-ev", "--lexicon", str(tmp_path / "lex.tsv"),
                      "--hr-embeddings", str(tmp_path / "hr.vec"),
-                     "--out", str(tmp_path / "ev.vec")]) == 0
+                     "--out", str(tmp_path / "ev.npz")]) == 0
         assert "covered\t1" in capsys.readouterr().out
-        assert (tmp_path / "ev.vec").read_text().splitlines()[1].startswith("indoda")
+        e_v = read_embeddings(tmp_path / "ev.npz")
+        assert e_v.tokens == ["indoda"]
+        assert np.array_equal(e_v.rows, [[0.6, 0.8]])
+
+
+class TestMalformedInput:
+    """Malformed outside input exits 1 with a message naming the file."""
+
+    def test_stats_line_count_mismatch(self, tmp_path, capsys):
+        (tmp_path / "a.src").write_text("one two\nthree\n")
+        (tmp_path / "a.tgt").write_text("eins zwei\n")
+        assert_fails_naming(["stats", "--src", tmp_path / "a.src",
+                             "--tgt", tmp_path / "a.tgt"],
+                            tmp_path / "a.tgt", capsys)
+
+    @pytest.mark.parametrize("lexicon", [b"indoda man\n", b"indoda\tman\n\xff\tx\n"])
+    def test_build_ev_malformed_lexicon(self, tmp_path, capsys, lexicon):
+        (tmp_path / "lex.tsv").write_bytes(lexicon)
+        (tmp_path / "hr.vec").write_text("man 3 4\n")
+        assert_fails_naming(["build-ev", "--lexicon", tmp_path / "lex.tsv",
+                             "--hr-embeddings", tmp_path / "hr.vec",
+                             "--out", tmp_path / "ev.npz"],
+                            tmp_path / "lex.tsv", capsys)
+
+    @pytest.mark.parametrize("vec", [b"a 1 0\nb 0\n", b"a 1 0\n\xff 0 1\n"])
+    def test_neighbors_bad_vec(self, tmp_path, capsys, vec):
+        (tmp_path / "e.vec").write_bytes(vec)
+        assert_fails_naming(["neighbors", "--embeddings", tmp_path / "e.vec",
+                             "--word", "a"], tmp_path / "e.vec", capsys)
+
+    def test_evaluate_line_count_mismatch(self, tmp_path, capsys):
+        (tmp_path / "h.txt").write_text("a b\nc d\n")
+        (tmp_path / "r.txt").write_text("a b\n")
+        assert_fails_naming(["evaluate", "--hyp", tmp_path / "h.txt",
+                             "--ref", tmp_path / "r.txt"],
+                            tmp_path / "h.txt", capsys)
 
 
 def tiny_translate_args(tmp_path, cfg, params, sv, tv):
@@ -196,13 +246,14 @@ class TestPipeline:
             "strategy", "bible_corpus_bleu", "bible_mean_sentence_bleu",
             "corpus2_corpus_bleu", "corpus2_mean_sentence_bleu"]
         assert [l.split("\t")[0] for l in lines[1:]] == ["Random", "XhMeta"]
-        for name in ("vocab.src", "vocab.tgt", "subword.model", "em.vec",
-                     "ev.vec", "manifest.txt", "bible.stats.txt"):
+        for name in ("vocab.src", "vocab.tgt", "subword.model", "em.npz",
+                     "ev.npz", "manifest.txt", "bible.stats.txt"):
             assert (out / name).exists(), name
         for sub in ("Random", "XhMeta"):
             assert (out / sub / "bible.ckpt").exists()
             assert (out / sub / "corpus2.test.hyp").exists()
             assert (out / sub / "init.provenance.tsv").exists()
+            assert (out / sub / "init.npz").exists()
 
     def test_xhsub_only_needs_no_lexicon(self, tmp_path):
         text = micro_dataset(tmp_path)
@@ -213,7 +264,18 @@ class TestPipeline:
         rc = main(["run-all", "--config", str(cfg_path), "--out", str(out),
                    "--strategies", "XhSub"])
         assert rc == 0
-        assert not (out / "ev.vec").exists()
+        assert (out / "em.npz").exists()
+        assert not (out / "ev.npz").exists()
+
+    def test_subword_dim_must_match_hr_dim(self, tmp_path, capsys):
+        """The micro dataset's HR vectors are 8-d; a 6-d subword space cannot
+        be mapped onto them."""
+        cfg_path = write_cfg(tmp_path, micro_dataset(tmp_path) + "subword.dim=6\n")
+        rc = main(["run-all", "--config", str(cfg_path), "--out", str(tmp_path / "out"),
+                   "--strategies", "VecMap"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "stage 'map'" in err and "dim 8" in err and "dim 6" in err
 
 
 class TestMalformedArtifacts:
@@ -226,17 +288,11 @@ class TestMalformedArtifacts:
                      "--deterministic", "--strategies", "Random,VecMap"]) == 0
         return out
 
-    def assert_fails_naming(self, argv, path, capsys):
-        capsys.readouterr()
-        assert main(argv) == 1
-        err = capsys.readouterr().err
-        assert str(path) in err and "Traceback" not in err
-
     def test_truncated_files(self, tmp_path, capsys):
         out = self.artifacts(tmp_path)
         ckpt = out / "Random" / "corpus2.ckpt"
         ckpt.write_bytes(ckpt.read_bytes()[:ckpt.stat().st_size // 2])
-        self.assert_fails_naming(
+        assert_fails_naming(
             ["translate", "--checkpoint", str(ckpt),
              "--src", str(out / "corpus2.test.src"),
              "--src-vocab", str(out / "vocab.src"),
@@ -245,10 +301,16 @@ class TestMalformedArtifacts:
 
         model = out / "subword.model"
         model.write_bytes(model.read_bytes()[:-100])
-        self.assert_fails_naming(
+        assert_fails_naming(
             ["init-emb", "--strategy", "XhSub", "--vocab", str(out / "vocab.src"),
              "--subword-model", str(model), "--dim", "8",
-             "--out", str(tmp_path / "init.vec")], model, capsys)
+             "--out", str(tmp_path / "init.npz")], model, capsys)
+
+        em = out / "em.npz"
+        em.write_bytes(em.read_bytes()[:em.stat().st_size // 2])
+        assert_fails_naming(
+            ["map", "--ev", str(out / "ev.npz"), "--em", str(em),
+             "--out", str(tmp_path / "mapping.npz")], em, capsys)
 
     def test_wrong_tensor_names(self, tmp_path, capsys):
         """A checkpoint in the per-gate GRU layout, or one missing a tensor,
@@ -267,7 +329,7 @@ class TestMalformedArtifacts:
         for name, tensors in (("per_gate.ckpt", per_gate), ("no_att.ckpt", no_att)):
             ckpt = tmp_path / name
             save_checkpoint(ckpt, cfg, tensors, history)
-            self.assert_fails_naming(
+            assert_fails_naming(
                 ["translate", "--checkpoint", str(ckpt),
                  "--src", str(out / "corpus2.test.src"),
                  "--src-vocab", str(out / "vocab.src"),
@@ -279,17 +341,17 @@ class TestMalformedArtifacts:
         when loaded instead of failing later in decoding."""
         cfg, params, sv, tv = tiny_model(hidden=8)
         argv = tiny_translate_args(tmp_path, replace(cfg, hidden=16), params, sv, tv)
-        self.assert_fails_naming(argv, tmp_path / "model.ckpt", capsys)
+        assert_fails_naming(argv, tmp_path / "model.ckpt", capsys)
 
     def test_garbage_mapping(self, tmp_path, capsys):
         out = self.artifacts(tmp_path)
         mapping = tmp_path / "mapping.txt"
         mapping.write_text("dim 8 objective 0.5\nnot numbers\n")
-        self.assert_fails_naming(
+        assert_fails_naming(
             ["init-emb", "--strategy", "VecMap", "--vocab", str(out / "vocab.src"),
-             "--ev", str(out / "ev.vec"), "--subword-model", str(out / "subword.model"),
+             "--ev", str(out / "ev.npz"), "--subword-model", str(out / "subword.model"),
              "--mapping", str(mapping), "--dim", "8",
-             "--out", str(tmp_path / "init.vec")], mapping, capsys)
+             "--out", str(tmp_path / "init.npz")], mapping, capsys)
 
 
 class TestTranslate:
@@ -331,8 +393,37 @@ class TestStagewise:
                      "--src-vocab", str(out / "vocab.src"),
                      "--tgt-vocab", str(out / "vocab.tgt"), "--out", str(hyp)]) == 0
         assert hyp.read_bytes() == (out / "Random" / "corpus2.test.hyp").read_bytes()
-        init = tmp_path / "init.vec"
+        init = tmp_path / "init.npz"
         assert main(["init-emb", "--strategy", "XhSub", "--vocab", str(out / "vocab.src"),
                      "--subword-model", str(out / "subword.model"), "--dim", "8",
                      "--seed", "0", "--out", str(init)]) == 0
-        assert init.read_bytes() == (out / "XhSub" / "init.vec").read_bytes()
+        assert init.read_bytes() == (out / "XhSub" / "init.npz").read_bytes()
+
+    def test_matrix_stages_reproduce_run_all(self, tmp_path, capsys):
+        """map, init-emb and train-mt on run-all's own matrix files give
+        run-all's mapping, init tables and checkpoints byte for byte."""
+        cfg_path = write_cfg(tmp_path, micro_dataset(tmp_path))
+        out = tmp_path / "out"
+        assert main(["run-all", "--config", str(cfg_path), "--out", str(out),
+                     "--strategies", "Random,VecMap,XhMeta"]) == 0
+        mapping = tmp_path / "mapping.npz"
+        assert main(["map", "--ev", str(out / "ev.npz"), "--em", str(out / "em.npz"),
+                     "--out", str(mapping)]) == 0
+        assert mapping.read_bytes() == (out / "mapping.npz").read_bytes()
+        for strat, extra in (("VecMap", ["--mapping", str(mapping)]), ("XhMeta", [])):
+            sdir = tmp_path / strat
+            sdir.mkdir()
+            assert main(["init-emb", "--strategy", strat, "--vocab", str(out / "vocab.src"),
+                         "--ev", str(out / "ev.npz"),
+                         "--subword-model", str(out / "subword.model"), "--dim", "8",
+                         "--out", str(sdir / "init.npz")] + extra) == 0
+            assert ((sdir / "init.npz").read_bytes()
+                    == (out / strat / "init.npz").read_bytes()), strat
+            assert main(["train-mt", "--data", str(out), "--name", "bible",
+                         "--src-vocab", str(out / "vocab.src"),
+                         "--tgt-vocab", str(out / "vocab.tgt"),
+                         "--init", str(sdir / "init.npz"),
+                         "--out", str(sdir / "bible.ckpt"),
+                         "--config", str(cfg_path)]) == 0
+            assert ((sdir / "bible.ckpt").read_bytes()
+                    == (out / strat / "bible.ckpt").read_bytes()), strat

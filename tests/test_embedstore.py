@@ -2,11 +2,12 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from xhembed.artifact import ArtifactError
 from xhembed.embedstore import (EmbeddingFormatError, EmbeddingMatrix,
-                                csls_neighborhood, csls_score,
                                 nearest_neighbors, normalize_rows,
                                 read_embeddings, unit_normalize,
                                 write_embeddings)
+from xhembed.xmap import MappingModel, csls, save_mapping
 
 
 class TestIO:
@@ -43,9 +44,30 @@ class TestIO:
         assert m.duplicates_dropped == 1
 
     def test_write_header(self, tmp_path):
-        m = EmbeddingMatrix(["a", "b"], np.zeros((2, 3)))
+        rng = np.random.default_rng(3)
+        m = EmbeddingMatrix(["a", "b", "ümlaut", "x y"], rng.normal(size=(4, 3)))
         write_embeddings(m, tmp_path / "e.vec")
-        assert (tmp_path / "e.vec").read_text().splitlines()[0] == "2 3"
+        m2 = read_embeddings(tmp_path / "e.vec")
+        assert m2.tokens == m.tokens and m2.dim == 3
+        assert m2.rows.dtype == np.float64
+        assert np.array_equal(m2.rows, m.rows)
+
+    def test_truncated_artifact_names_file(self, tmp_path):
+        """A cut artifact still starts with the zip signature, so it is
+        reported as an artifact, not parsed as text."""
+        p = tmp_path / "e.npz"
+        write_embeddings(EmbeddingMatrix(["a", "b"], np.ones((2, 3))), p)
+        data = p.read_bytes()
+        for cut in (4, len(data) // 2, len(data) - 1):
+            p.write_bytes(data[:cut])
+            with pytest.raises(ArtifactError, match=str(p)):
+                read_embeddings(p)
+
+    def test_other_artifact_kind_rejected(self, tmp_path):
+        p = tmp_path / "mapping.npz"
+        save_mapping(MappingModel(np.eye(2), np.eye(2)), p)
+        with pytest.raises(ArtifactError, match="embedding matrix"):
+            read_embeddings(p)
 
     def test_empty_matrix(self, tmp_path):
         m = EmbeddingMatrix([], np.zeros((0, 4)))
@@ -114,31 +136,31 @@ def brute_force_csls(x, y, x_space, y_space, k):
 
 
 class TestCsls:
+    """xmap.csls, the one CSLS implementation, against the oracle."""
+
     def test_single_candidate_zero(self):
         x = unit_normalize(np.array([1.0, 1.0]))
         y = unit_normalize(np.array([1.0, 0.0]))
-        rt = csls_neighborhood(np.array([y]), x, k=1)[0]
-        rs = csls_neighborhood(np.array([x]), y, k=1)[0]
-        assert csls_score(x, y, rt, rs) == pytest.approx(0.0, abs=1e-12)
+        assert csls(x[None], y[None], 1)[0, 0] == pytest.approx(0.0, abs=1e-12)
 
     def test_identical_spaces_self_score(self):
         space = normalize_rows(np.random.default_rng(1).normal(size=(4, 3)))
-        x = space[2]
-        rt = csls_neighborhood(space, x, k=1)[0]
-        assert csls_score(x, x, rt, rt) == pytest.approx(0.0, abs=1e-12)
+        assert np.allclose(np.diag(csls(space, space, 1)), 0.0, rtol=0, atol=1e-12)
 
     def test_matches_brute_force(self):
         rng = np.random.default_rng(2)
         xs = normalize_rows(rng.normal(size=(3, 4)))
         ys = normalize_rows(rng.normal(size=(3, 4)))
         for k in (1, 2, 3):
-            for x in xs:
-                for y in ys:
-                    rt = csls_neighborhood(ys, x, k=k)[0]
-                    rs = csls_neighborhood(xs, y, k=k)[0]
-                    assert csls_score(x, y, rt, rs) == pytest.approx(
+            scores = csls(xs, ys, k)
+            assert scores.shape == (3, 3)
+            for i, x in enumerate(xs):
+                for j, y in enumerate(ys):
+                    assert scores[i, j] == pytest.approx(
                         brute_force_csls(x, y, xs, ys, k), abs=1e-9)
 
     def test_empty_space_error(self):
         with pytest.raises(ValueError):
-            csls_neighborhood(np.zeros((0, 3)), np.ones(3), 1)
+            csls(np.ones((1, 3)), np.zeros((0, 3)), 1)
+        with pytest.raises(ValueError):
+            csls(np.zeros((0, 3)), np.ones((1, 3)), 1)

@@ -175,6 +175,13 @@ class TestFitMapping:
         with pytest.raises(ValueError):
             fit_mapping(ev, em)
 
+    def test_dim_mismatch_names_both_dims(self):
+        toks = ["a", "b", "c"]
+        ev = EmbeddingMatrix(toks, np.eye(3, 6))
+        em = EmbeddingMatrix(toks, np.eye(3, 4))
+        with pytest.raises(ValueError, match="dim 6.*dim 4"):
+            fit_mapping(ev, em)
+
     def test_aligns_rotated_copy(self):
         rng = np.random.default_rng(17)
         toks = [f"w{i}" for i in range(30)]
