@@ -11,7 +11,8 @@ from . import corpus as corpus_mod
 from . import metrics
 from .combine import (STRATEGY_ORDER, InitStrategy, build_initial_embeddings)
 from .corpus import (SplitSpec, Vocabulary, build_vocabulary, corpus_stats,
-                     load_parallel_corpus, split_corpus, write_splits)
+                     load_parallel_corpus, read_lines, split_corpus,
+                     write_splits)
 from .embedstore import nearest_neighbors, read_embeddings, write_embeddings
 from .lexproject import build_projected_matrix, read_lexicon
 from .nmt import (Seq2SeqConfig, TrainConfig, build_model, fine_tune,
@@ -86,22 +87,21 @@ def load_config(path=None):
     cfg = {k: d for k, (_, d) in CONFIG_KEYS.items()}
     if path is None:
         return cfg
-    with open(path, encoding="utf-8") as f:
-        for ln, raw in enumerate(f.read().splitlines(), start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ValidationError(f"{path}:{ln}: expected key=value")
-            key, val = line.split("=", 1)
-            key = key.strip()
-            if key not in CONFIG_KEYS:
-                raise ValidationError(f"{path}:{ln}: unknown config key {key!r}")
-            typ = CONFIG_KEYS[key][0]
-            try:
-                cfg[key] = typ(val.strip())
-            except ValueError as e:
-                raise ValidationError(f"{path}:{ln}: bad value for {key}: {e}") from e
+    for ln, raw in enumerate(read_lines(path), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise ValidationError(f"{path}:{ln}: expected key=value")
+        key, val = line.split("=", 1)
+        key = key.strip()
+        if key not in CONFIG_KEYS:
+            raise ValidationError(f"{path}:{ln}: unknown config key {key!r}")
+        typ = CONFIG_KEYS[key][0]
+        try:
+            cfg[key] = typ(val.strip())
+        except ValueError as e:
+            raise ValidationError(f"{path}:{ln}: bad value for {key}: {e}") from e
     return cfg
 
 
@@ -139,8 +139,8 @@ def _train_config(cfg, section="train"):
 
 
 def _read_split_pairs(out_dir, name, part):
-    src = (Path(out_dir) / f"{name}.{part}.src").read_text(encoding="utf-8").splitlines()
-    tgt = (Path(out_dir) / f"{name}.{part}.tgt").read_text(encoding="utf-8").splitlines()
+    src = read_lines(Path(out_dir) / f"{name}.{part}.src")
+    tgt = read_lines(Path(out_dir) / f"{name}.{part}.tgt")
     return [(s.split(), t.split()) for s, t in zip(src, tgt)]
 
 
@@ -256,8 +256,7 @@ def _run_strategy(cfg, out, strat, nmt_cfg, src_vocab, tgt_vocab, splits,
     init = build_initial_embeddings(
         strat, src_vocab, e_v=e_v, subword_model=sw_model, mapping=mapping,
         dim=nmt_cfg.emb_dim, seed=nmt_cfg.seed)
-    write_embeddings(init.matrix, sdir / "init.npz")
-    init.write_provenance(sdir / "init.provenance.tsv")
+    _write_init(init, sdir / "init.npz")
     params = build_model(nmt_cfg, init, tgt_vocab, source_vocab=src_vocab)
 
     scores = []
@@ -283,6 +282,13 @@ def _run_strategy(cfg, out, strat, nmt_cfg, src_vocab, tgt_vocab, splits,
         log(f"[{strat}/{name}] corpus BLEU {report.corpus:.2f} "
             f"mean sentence BLEU {report.mean_sentence:.2f}")
     return str(strat), scores[0], scores[1]
+
+
+def _write_init(init, path):
+    """Write an init table and its provenance beside it: `init.npz` gets
+    `init.provenance.tsv`."""
+    write_embeddings(init.matrix, path)
+    init.write_provenance(Path(path).with_suffix(".provenance.tsv"))
 
 
 def _write_manifest(cfg, out, strategies, deterministic):
@@ -324,8 +330,7 @@ def _cmd_train_subword(args):
     cfg = load_config(args.config)
     sents = []
     for path in args.text:
-        with open(path, encoding="utf-8") as f:
-            sents.extend(line.split() for line in f.read().splitlines() if line)
+        sents.extend(line.split() for line in read_lines(path) if line)
     model, reports = train_skipgram(sents, _subword_config(cfg))
     model.save(args.out)
     for r in reports:
@@ -356,8 +361,7 @@ def _cmd_init_emb(args):
     mapping = load_mapping(args.mapping) if args.mapping else None
     init = build_initial_embeddings(strat, vocab, e_v=e_v, subword_model=model,
                                     mapping=mapping, dim=args.dim, seed=args.seed)
-    write_embeddings(init.matrix, args.out)
-    init.write_provenance(args.out + ".provenance.tsv")
+    _write_init(init, args.out)
 
 
 def _cmd_train_mt(args):
@@ -405,8 +409,7 @@ def _cmd_translate(args):
             raise ValidationError(
                 f"{path}: {len(vocab)} types, but {table} of checkpoint "
                 f"{args.checkpoint} has {len(params[table])} rows")
-    with open(args.src, encoding="utf-8") as f:
-        sents = [line.split() for line in f.read().splitlines()]
+    sents = [line.split() for line in read_lines(args.src)]
     translate(params, nmt_cfg, sents, src_vocab, tgt_vocab, args.out,
               beam=args.beam)
     print(f"wrote {len(sents)} hypotheses to {args.out}")

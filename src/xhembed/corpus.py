@@ -56,7 +56,9 @@ class ParallelCorpus:
         return [p[i] for p in self.pairs]
 
 
-def _read_lines(path):
+def read_lines(path):
+    """The lines of a UTF-8 text file, split on newlines only; a byte that
+    does not decode raises CorpusError naming the file and line."""
     raw = Path(path).read_bytes()
     lines = raw.split(b"\n")
     if lines and lines[-1] == b"":
@@ -73,8 +75,8 @@ def _read_lines(path):
 def load_parallel_corpus(src_path, tgt_path, name="corpus"):
     """Load two aligned one-sentence-per-line files.  Pairs that are empty on
     either side after tokenization are dropped and counted."""
-    src_lines = _read_lines(src_path)
-    tgt_lines = _read_lines(tgt_path)
+    src_lines = read_lines(src_path)
+    tgt_lines = read_lines(tgt_path)
     if len(src_lines) != len(tgt_lines):
         raise CorpusError(
             f"line count mismatch: {src_path} has {len(src_lines)} lines, "
@@ -141,7 +143,7 @@ class Vocabulary:
 
     @classmethod
     def load(cls, path):
-        return cls.from_freqs(line.split("\t") for line in _read_lines(path) if line)
+        return cls.from_freqs(line.split("\t") for line in read_lines(path) if line)
 
 
 def build_vocabulary(side, min_count=1):

@@ -1,18 +1,20 @@
 """Character n-gram subword embeddings trained with skip-gram negative
 sampling; composes vectors for arbitrary words including OOV."""
 
-import math
 import time
+from collections import Counter
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from . import artifact
-from .corpus import Vocabulary, build_vocabulary
+from .corpus import SPECIALS, Vocabulary, build_vocabulary
 from .embedstore import EmbeddingMatrix
 
 FNV_OFFSET = 2166136261
 FNV_PRIME = 16777619
+# unit rows gathered at once when composing word vectors (about 10 MB at dim 300)
+_GATHER_ROWS = 4096
 
 
 def fnv1a_32(data):
@@ -80,24 +82,53 @@ class SubwordModel:
     def dim(self):
         return self.config.dim
 
+    def unit_lists(self, words):
+        """Input-vector row indices of each word: hashed n-gram buckets, plus
+        the dedicated whole-word row when the word is in vocab.  Each
+        distinct n-gram is hashed once per call."""
+        cfg = self.config
+        bucket = {}
+        lists = []
+        for word in words:
+            grams, _ = extract_ngrams(word, cfg.minn, cfg.maxn)
+            ids = []
+            for g in grams:
+                if g not in bucket:
+                    bucket[g] = ngram_bucket(g, cfg.buckets)
+                ids.append(bucket[g])
+            if word in self.vocab:
+                ids.append(cfg.buckets + self.vocab.id(word))
+            lists.append(ids)
+        return lists
+
     def unit_ids(self, word):
-        """Input-vector row indices for a word: hashed n-gram buckets, plus
-        the dedicated whole-word row when the word is in vocab."""
-        grams, _ = extract_ngrams(word, self.config.minn, self.config.maxn)
-        ids = [ngram_bucket(g, self.config.buckets) for g in grams]
-        if word in self.vocab:
-            ids.append(self.config.buckets + self.vocab.id(word))
-        return ids
+        return self.unit_lists([word])[0]
+
+    def compose_rows(self, words):
+        """(len(words), dim) matrix whose rows are the mean unit vector of each
+        word.  Each row sums its units in unit order, as
+        `input_vectors[ids].mean(axis=0)` does, so a row does not depend on
+        which other words share the call."""
+        lists = self.unit_lists(words)
+        counts = np.array([len(ids) for ids in lists], dtype=np.int64)
+        width = int(counts.max(initial=1))
+        table = np.zeros((len(lists), width), dtype=np.int64)
+        for i, ids in enumerate(lists):
+            table[i, :len(ids)] = ids
+        live = (np.arange(width) < counts[:, None])[:, :, None]
+        sums = np.empty((len(lists), self.dim))
+        step = max(1, _GATHER_ROWS // width)
+        for a in range(0, len(lists), step):
+            np.add.reduce(self.input_vectors[table[a:a + step]], axis=1,
+                          where=live[a:a + step], out=sums[a:a + step])
+        return sums / counts[:, None]
 
     def compose(self, word):
-        ids = self.unit_ids(word)
-        return self.input_vectors[ids].mean(axis=0)
+        return self.compose_rows([word])[0]
 
     def export_matrix(self, tokens):
         """Embedding matrix whose rows are compose() of each token."""
-        rows = np.stack([self.compose(t) for t in tokens]) if tokens \
-            else np.zeros((0, self.dim))
-        return EmbeddingMatrix(list(tokens), rows)
+        return EmbeddingMatrix(list(tokens), self.compose_rows(tokens))
 
     def save(self, path):
         header = {"config": asdict(self.config),
@@ -123,29 +154,94 @@ def _sigmoid(x):
     return 1.0 / (1.0 + np.exp(-x))
 
 
+def unit_table(unit_lists):
+    """Padded (words, max distinct units) table of each word's distinct unit
+    ids and their weights c/k, where c counts the unit among the word's k
+    units: a word whose n-grams collide in one bucket gives that bucket c/k
+    of its gradient.  Padding repeats the word's last id with weight 0."""
+    counted = [Counter(ids) for ids in unit_lists]
+    width = max(map(len, counted))
+    ids = np.empty((len(counted), width), dtype=np.int64)
+    weights = np.zeros((len(counted), width))
+    for i, (count, k) in enumerate(zip(counted, map(len, unit_lists))):
+        units = list(count)
+        ids[i, :len(units)] = units
+        ids[i, len(units):] = units[-1]
+        weights[i, :len(units)] = [c / k for c in count.values()]
+    return ids, weights
+
+
+def sgns_loss_and_grads(input_vectors, output_vectors, units, unit_weights,
+                        centres, targets, scale=None):
+    """Negative-sampling loss of a batch of pairs and its gradients.
+
+    Centre c is the word vector `unit_weights[c] @ input_vectors[units[c]]`
+    (a `unit_table` row).  Pair p scores centre `centres[p]` against the
+    output rows `targets[p]`: its context, then its negatives.  Every score
+    uses the vectors as passed.  The gradients of pair p are multiplied by
+    `scale[p]` (training passes the learning rate); the loss is not.
+
+    Returns (loss, (input_rows, grad_input), (output_rows, grad_output)):
+    the summed loss, then the distinct touched rows of each matrix, sorted,
+    with one gradient row each.  Both gradients are matmuls with small
+    weight matrices that link centres to rows, so repeated rows need no
+    scatter-add."""
+    n_c = len(units)
+    in_rows, in_inv = np.unique(units.ravel(), return_inverse=True)
+    cells = np.repeat(np.arange(n_c) * len(in_rows), units.shape[1]) + in_inv
+    mix = np.bincount(cells, weights=unit_weights.ravel(),
+                      minlength=n_c * len(in_rows)).reshape(n_c, len(in_rows))
+    h = mix @ input_vectors[in_rows]
+    out_rows, out_inv = np.unique(targets.ravel(), return_inverse=True)
+    out_inv = out_inv.reshape(targets.shape)
+    o = output_vectors[out_rows]
+    s = _sigmoid((h @ o.T)[centres[:, None], out_inv])
+    p = 1.0 - s              # probability of each label: 1 for the context,
+    p[:, 0] = s[:, 0]        # 0 for the negatives
+    loss = float(-np.log(np.maximum(p, 1e-12)).sum())
+    g = s
+    g[:, 0] -= 1.0
+    if scale is not None:
+        g *= scale[:, None]
+    weight = np.bincount((out_inv * n_c + centres[:, None]).ravel(),
+                         weights=g.ravel(),
+                         minlength=len(out_rows) * n_c).reshape(len(out_rows), n_c)
+    return (loss, (in_rows, mix.T @ (weight.T @ o)), (out_rows, weight @ h))
+
+
 def pair_loss_and_grads(input_vectors, output_vectors, unit_ids, ctx_id, neg_ids):
-    """Negative-sampling loss for one (center, context, negatives) triple and
-    its gradients.  Returns (loss, grad_input_rows, grad_output_rows) where the
-    grads are dicts row_index -> gradient vector.  Used both by training and by
-    the finite-difference check."""
-    k = len(unit_ids)
-    h = input_vectors[unit_ids].mean(axis=0)
-    loss = 0.0
-    grad_h = np.zeros_like(h)
-    grad_out = {}
-    for tgt, label in [(ctx_id, 1.0)] + [(n, 0.0) for n in neg_ids]:
-        o = output_vectors[tgt]
-        s = _sigmoid(float(h @ o))
-        loss -= math.log(max(s if label else 1.0 - s, 1e-12))
-        g = s - label
-        grad_h += g * o
-        grad_out[tgt] = grad_out.get(tgt, 0.0) + g * h
-    # duplicate unit ids (hash collisions within one word) accumulate
-    counts = {}
-    for u in unit_ids:
-        counts[u] = counts.get(u, 0) + 1
-    grad_in = {u: (c / k) * grad_h for u, c in counts.items()}
-    return loss, grad_in, grad_out
+    """`sgns_loss_and_grads` for one (center, context, negatives) triple.
+    Returns (loss, grad_input_rows, grad_output_rows) where the grads are
+    dicts row_index -> gradient vector."""
+    units, weights = unit_table([unit_ids])
+    loss, (in_rows, g_in), (out_rows, g_out) = sgns_loss_and_grads(
+        input_vectors, output_vectors, units, weights, np.zeros(1, dtype=np.int64),
+        np.array([[ctx_id, *neg_ids]], dtype=np.int64))
+    return (loss, {int(r): g for r, g in zip(in_rows, g_in)},
+            {int(r): g for r, g in zip(out_rows, g_out)})
+
+
+def negative_cdf(vocab):
+    """Cumulative unigram^0.75 distribution over vocabulary ids, the table
+    negatives are drawn from; the special ids get probability 0."""
+    probs = np.array([vocab.freq[t] for t in vocab.id_to_token],
+                     dtype=np.float64) ** 0.75
+    return np.cumsum(probs / probs.sum())
+
+
+def draw_negatives(rng, neg_cdf, context, negatives):
+    """(len(context), negatives) word ids drawn from the cumulative table
+    `neg_cdf` (one entry per vocabulary id), none equal to its pair's
+    context: clashes are redrawn in bulk until none remains."""
+    def draw(size):
+        return np.minimum(np.searchsorted(neg_cdf, rng.random(size), side="right"),
+                          len(neg_cdf) - 1)
+    negs = draw((len(context), negatives))
+    clash = negs == context[:, None]
+    while clash.any():
+        negs[clash] = draw(int(clash.sum()))
+        clash = negs == context[:, None]
+    return negs
 
 
 @dataclass
@@ -164,83 +260,70 @@ class _Trainer:
     def __init__(self, sentences, config):
         self.cfg = config
         self.vocab = build_vocabulary(sentences, config.min_count)
-        if not self.vocab.tokens():
-            raise ValueError("empty vocabulary after min_count filtering")
-        # sentences as vocab ids, dropping filtered tokens
+        if len(self.vocab.tokens()) < 2:
+            raise ValueError("negative sampling needs at least two distinct words "
+                             "after min_count filtering")
+        # sentences as vocab ids, dropping filtered tokens and literal specials
         self.sentences = []
         for sent in sentences:
-            ids = [self.vocab.id(t) for t in sent if t in self.vocab]
+            ids = [self.vocab.id(t) for t in sent
+                   if t in self.vocab and t not in SPECIALS]
             if ids:
-                self.sentences.append(ids)
+                self.sentences.append(np.array(ids, dtype=np.int64))
         self.total_tokens = sum(len(s) for s in self.sentences)
-        freqs = np.array([self.vocab.freq[t] for t in self.vocab.tokens()],
+        freqs = np.array([self.vocab.freq[t] for t in self.vocab.id_to_token],
                          dtype=np.float64)
-        self.first_word_id = 4  # specials occupy 0-3 and never occur in text
-        probs = freqs ** 0.75
-        self.neg_cdf = np.cumsum(probs / probs.sum())
+        self.neg_cdf = negative_cdf(self.vocab)
         # subsampling: keep probability per word (<= 0 disables)
         t = config.subsample
-        rel = freqs / freqs.sum()
+        first = len(SPECIALS)
+        rel = freqs[first:] / freqs.sum()
+        self.keep_prob = np.ones_like(freqs)
         if t > 0:
-            self.keep_prob = np.minimum(1.0, np.sqrt(t / rel) + t / rel)
-        else:
-            self.keep_prob = np.ones_like(rel)
+            self.keep_prob[first:] = np.minimum(1.0, np.sqrt(t / rel) + t / rel)
         rng = np.random.default_rng(config.seed)
         n_in = config.buckets + len(self.vocab)
         self.input_vectors = (rng.random((n_in, config.dim)) - 0.5) / config.dim
         self.output_vectors = np.zeros((len(self.vocab), config.dim))
-        self.unit_cache = {}
         self.model = SubwordModel(self.vocab, config,
                                   self.input_vectors, self.output_vectors)
-        for wid in range(self.first_word_id, len(self.vocab)):
-            self.unit_cache[wid] = np.array(
-                self.model.unit_ids(self.vocab.token(wid)), dtype=np.int64)
+        self.units, self.unit_weights = unit_table(
+            self.model.unit_lists(self.vocab.id_to_token))
+        window = np.arange(1, config.window + 1)
+        self.offsets = np.concatenate([-window[::-1], window])
+        self.processed = 0  # kept tokens so far; drives the linear lr decay
 
-    def sample_negative(self, rng, exclude):
-        while True:
-            wid = self.first_word_id + int(
-                np.searchsorted(self.neg_cdf, rng.random()))
-            wid = min(wid, len(self.vocab) - 1)
-            if wid != exclude:
-                return wid
-
-    def run_sentences(self, sent_indices, rng, lr_state):
+    def run_sentences(self, sent_indices, rng):
+        """One update per sentence: every pair of the sentence is scored
+        against the vectors as they stood at its start."""
         cfg = self.cfg
         inp, out = self.input_vectors, self.output_vectors
         loss_sum, pair_count = 0.0, 0
         planned = max(1, cfg.epochs * self.total_tokens)
         for si in sent_indices:
             sent = self.sentences[si]
-            kept = [w for w in sent
-                    if rng.random() < self.keep_prob[w - self.first_word_id]]
-            for pos, w in enumerate(kept):
-                lr_state[1] += 1
-                lr = cfg.lr * max(1e-4, 1.0 - lr_state[1] / planned)
-                b = int(rng.integers(1, cfg.window + 1))
-                units = self.unit_cache[w]
-                k = len(units)
-                h = inp[units].mean(axis=0)
-                grad_h = np.zeros(cfg.dim)
-                touched = False
-                for cpos in range(max(0, pos - b), min(len(kept), pos + b + 1)):
-                    if cpos == pos:
-                        continue
-                    c = kept[cpos]
-                    touched = True
-                    targets = [c] + [self.sample_negative(rng, c)
-                                     for _ in range(cfg.negatives)]
-                    for j, tgt in enumerate(targets):
-                        row = out[tgt]
-                        s = _sigmoid(float(h @ row))
-                        label = 1.0 if j == 0 else 0.0
-                        loss_sum -= math.log(
-                            max(s if label else 1.0 - s, 1e-12))
-                        g = (s - label) * lr
-                        grad_h += g * row
-                        row -= g * h
-                    pair_count += 1
-                if touched:
-                    np.add.at(inp, units, (-1.0 / k) * grad_h)
+            kept = sent[rng.random(len(sent)) < self.keep_prob[sent]]
+            n = len(kept)
+            lr = cfg.lr * np.maximum(
+                1e-4, 1.0 - (self.processed + np.arange(1, n + 1)) / planned)
+            self.processed += n
+            if n < 2:
+                continue
+            b = rng.integers(1, cfg.window + 1, size=n)
+            ctx_pos = np.arange(n)[:, None] + self.offsets
+            valid = ((np.abs(self.offsets) <= b[:, None])
+                     & (ctx_pos >= 0) & (ctx_pos < n))
+            centres, slots = np.nonzero(valid)
+            context = kept[ctx_pos[centres, slots]]
+            targets = np.column_stack(
+                [context, draw_negatives(rng, self.neg_cdf, context, cfg.negatives)])
+            loss, (in_rows, g_in), (out_rows, g_out) = sgns_loss_and_grads(
+                inp, out, self.units[kept], self.unit_weights[kept],
+                centres, targets, lr[centres])
+            inp[in_rows] -= g_in
+            out[out_rows] -= g_out
+            loss_sum += loss
+            pair_count += len(centres)
         return loss_sum, pair_count
 
 
@@ -250,13 +333,12 @@ def train_skipgram(sentences, config):
     bit-identical vectors."""
     tr = _Trainer(list(sentences), config)
     reports = []
-    lr_state = [config.lr, 0]  # [unused, processed tokens]
     order = np.arange(len(tr.sentences))
     for epoch in range(1, config.epochs + 1):
         t0 = time.time()
         rng = np.random.default_rng((config.seed, epoch))
         rng.shuffle(order)
-        loss, pairs = tr.run_sentences(order.tolist(), rng, lr_state)
+        loss, pairs = tr.run_sentences(order.tolist(), rng)
         dt = max(time.time() - t0, 1e-9)
         reports.append(EpochReport(epoch, pairs,
                                    loss / max(pairs, 1),

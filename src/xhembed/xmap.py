@@ -95,9 +95,12 @@ def csls(x_mapped, z_mapped, k):
     sims = xn @ zn.T
     kx = min(k, zn.shape[0])
     kz = min(k, xn.shape[0])
-    r_x = np.sort(sims, axis=1)[:, -kx:].mean(axis=1)   # x's neighborhood in z
-    r_z = np.sort(sims, axis=0)[-kz:, :].mean(axis=0)   # z's neighborhood in x
-    return 2.0 * sims - r_x[:, None] - r_z[None, :]
+    r_x = np.partition(sims, -kx, axis=1)[:, -kx:].mean(axis=1)  # x's neighborhood in z
+    r_z = np.partition(sims, -kz, axis=0)[-kz:, :].mean(axis=0)  # z's neighborhood in x
+    sims *= 2.0
+    sims -= r_x[:, None]
+    sims -= r_z[None, :]
+    return sims
 
 
 def induce_dictionary(x_mapped, z_mapped, k=10):

@@ -177,6 +177,35 @@ class TestMalformedInput:
         assert_fails_naming(["neighbors", "--embeddings", tmp_path / "e.vec",
                              "--word", "a"], tmp_path / "e.vec", capsys)
 
+    def test_undecodable_config(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_bytes(b"subword.dim=8\n\xff=1\n")
+        assert_fails_naming(["run-all", "--config", cfg], cfg, capsys)
+
+    def test_undecodable_subword_text(self, tmp_path, capsys):
+        (tmp_path / "a.txt").write_bytes(b"hamba kahle\n\xffhamba\n")
+        assert_fails_naming(["train-subword", "--text", tmp_path / "a.txt",
+                             "--out", tmp_path / "sw.model"], tmp_path / "a.txt", capsys)
+
+    def test_undecodable_translate_source(self, tmp_path, capsys):
+        argv = tiny_translate_args(tmp_path, *tiny_model())
+        (tmp_path / "test.src").write_bytes(b"w1 \xff w3\n")
+        assert_fails_naming(argv, tmp_path / "test.src", capsys)
+
+    def test_undecodable_split_file(self, tmp_path, capsys):
+        cfg, params, sv, tv = tiny_model()
+        save_checkpoint(tmp_path / "model.ckpt", cfg, params)
+        sv.save(tmp_path / "vocab.src")
+        tv.save(tmp_path / "vocab.tgt")
+        (tmp_path / "c.train.src").write_bytes(b"w1 w2\n\xff\n")
+        (tmp_path / "c.train.tgt").write_text("v1\nv2\n")
+        assert_fails_naming(["finetune", "--checkpoint", tmp_path / "model.ckpt",
+                             "--data", tmp_path, "--name", "c",
+                             "--src-vocab", tmp_path / "vocab.src",
+                             "--tgt-vocab", tmp_path / "vocab.tgt",
+                             "--out", tmp_path / "ft.ckpt"],
+                            tmp_path / "c.train.src", capsys)
+
     def test_evaluate_line_count_mismatch(self, tmp_path, capsys):
         (tmp_path / "h.txt").write_text("a b\nc d\n")
         (tmp_path / "r.txt").write_text("a b\n")
@@ -401,7 +430,8 @@ class TestStagewise:
 
     def test_matrix_stages_reproduce_run_all(self, tmp_path, capsys):
         """map, init-emb and train-mt on run-all's own matrix files give
-        run-all's mapping, init tables and checkpoints byte for byte."""
+        run-all's mapping, init tables, provenance files and checkpoints
+        byte for byte."""
         cfg_path = write_cfg(tmp_path, micro_dataset(tmp_path))
         out = tmp_path / "out"
         assert main(["run-all", "--config", str(cfg_path), "--out", str(out),
@@ -417,8 +447,9 @@ class TestStagewise:
                          "--ev", str(out / "ev.npz"),
                          "--subword-model", str(out / "subword.model"), "--dim", "8",
                          "--out", str(sdir / "init.npz")] + extra) == 0
-            assert ((sdir / "init.npz").read_bytes()
-                    == (out / strat / "init.npz").read_bytes()), strat
+            for name in ("init.npz", "init.provenance.tsv"):
+                assert ((sdir / name).read_bytes()
+                        == (out / strat / name).read_bytes()), (strat, name)
             assert main(["train-mt", "--data", str(out), "--name", "bible",
                          "--src-vocab", str(out / "vocab.src"),
                          "--tgt-vocab", str(out / "vocab.tgt"),

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
-from xhembed.subword import (SkipgramConfig, SubwordModel, extract_ngrams,
-                             fnv1a_32, ngram_bucket, pair_loss_and_grads,
-                             train_skipgram)
+from xhembed.corpus import Vocabulary
+from xhembed.subword import (SkipgramConfig, SubwordModel, draw_negatives,
+                             extract_ngrams, fnv1a_32, negative_cdf,
+                             ngram_bucket, pair_loss_and_grads,
+                             sgns_loss_and_grads, train_skipgram, unit_table)
 
 
 class TestHashing:
@@ -115,6 +117,105 @@ class TestPairGradients:
         assert loss > 0
 
 
+def reference_sentence_grads(inp, out, unit_lists, pairs, lr):
+    """Per-pair loop over one sentence, every pair scored against the vectors
+    as they stood at the sentence start: the oracle for the batched kernel.
+    `pairs` holds (centre position, context, negatives); returns the summed
+    loss and the lr-scaled gradients as dicts row -> vector."""
+    def sigmoid(x):
+        return 1.0 / (1.0 + np.exp(-x))
+    loss, g_in, g_out = 0.0, {}, {}
+    for (pos, ctx, negs), rate in zip(pairs, lr):
+        units = unit_lists[pos]
+        h = inp[units].mean(axis=0)
+        grad_h = np.zeros_like(h)
+        for tgt, label in [(ctx, 1.0)] + [(n, 0.0) for n in negs]:
+            s = sigmoid(h @ out[tgt])
+            loss -= np.log(max(s if label else 1.0 - s, 1e-12))
+            g = (s - label) * rate
+            grad_h += g * out[tgt]
+            g_out[tgt] = g_out.get(tgt, 0.0) + g * h
+        for u in units:
+            g_in[u] = g_in.get(u, 0.0) + grad_h / len(units)
+    return loss, g_in, g_out
+
+
+class TestBatchedKernel:
+    def test_sentence_matches_per_pair_loop(self):
+        rng = np.random.default_rng(4)
+        inp = rng.normal(scale=0.5, size=(20, 7))
+        out = rng.normal(scale=0.5, size=(9, 7))
+        # one sentence of five tokens; "word" 2 occurs twice, and the unit
+        # lists repeat rows across words and inside one word (a collision)
+        unit_lists = [[0, 5, 11], [1, 5, 5, 12], [2, 6, 13], [1, 5, 5, 12], [3, 14]]
+        words = [4, 5, 6, 5, 7]
+        pairs, lr = [], []
+        for pos in range(5):
+            for cpos in (pos - 2, pos - 1, pos + 1, pos + 2):
+                if 0 <= cpos < 5:
+                    negs = [int(n) for n in rng.integers(4, 9, 3)]
+                    pairs.append((pos, words[cpos], negs))
+                    lr.append(0.05 * (1 - pos / 10))
+        ref_loss, ref_in, ref_out = reference_sentence_grads(inp, out, unit_lists,
+                                                             pairs, lr)
+        units, weights = unit_table(unit_lists)
+        loss, (in_rows, g_in), (out_rows, g_out) = sgns_loss_and_grads(
+            inp, out, units, weights, np.array([p[0] for p in pairs]),
+            np.array([[p[1], *p[2]] for p in pairs]), np.array(lr))
+        assert loss == pytest.approx(ref_loss, rel=0, abs=1e-12)
+        for rows, grads, ref in ((in_rows, g_in, ref_in), (out_rows, g_out, ref_out)):
+            assert sorted(ref) == list(rows)
+            for r, g in zip(rows, grads):
+                assert np.allclose(g, ref[r], rtol=0, atol=1e-12)
+
+    def test_collision_gets_count_over_k_of_input_gradient(self):
+        # buckets=1 hashes every n-gram of a word into bucket 0
+        model, _ = train_skipgram(tiny_corpus(20), quick_config(buckets=1, epochs=1))
+        ids = model.unit_ids("hambile")
+        k = len(ids)
+        assert ids.count(0) == k - 1
+        units, weights = unit_table([ids])
+        assert list(units[0]) == [0, ids[-1]]
+        assert list(weights[0]) == [(k - 1) / k, 1 / k]
+        inp, out = model.input_vectors, model.output_vectors
+        _, (in_rows, g_in), _ = sgns_loss_and_grads(
+            inp, out, units, weights, np.array([0]), np.array([[4, 5, 6]]))
+        h = inp[ids].mean(axis=0)
+        s = 1.0 / (1.0 + np.exp(-(out[[4, 5, 6]] @ h)))
+        grad_h = (s - [1.0, 0.0, 0.0]) @ out[[4, 5, 6]]
+        assert np.allclose(g_in[0], (k - 1) / k * grad_h, rtol=0, atol=1e-15)
+        assert np.allclose(g_in[1], grad_h / k, rtol=0, atol=1e-15)
+
+
+class TestNegatives:
+    COUNTS = {"a": 50, "b": 30, "c": 20, "d": 10, "e": 5, "f": 3, "g": 2, "h": 1}
+
+    def test_never_own_context(self):
+        rng = np.random.default_rng(0)
+        context = rng.integers(4, 12, 20_000)
+        negs = draw_negatives(rng, negative_cdf(Vocabulary(self.COUNTS)), context, 5)
+        assert negs.shape == (20_000, 5)
+        assert not (negs == context[:, None]).any()
+        assert negs.min() >= 4 and negs.max() <= 11
+
+    def test_unigram_three_quarter_frequencies(self):
+        """10^5 draws against the most frequent word "a": every other word w
+        comes with probability p_w / (1 - p_a), p ~ count^0.75.  Pearson's
+        statistic must stay under the 0.999 quantile of chi-square with 6
+        degrees of freedom (22.46), which a correct sampler exceeds once in
+        1000 seeds."""
+        vocab = Vocabulary(self.COUNTS)
+        ids = [vocab.id(w) for w in self.COUNTS]
+        negs = draw_negatives(np.random.default_rng(1), negative_cdf(vocab),
+                              np.full(20_000, ids[0]), 5)
+        observed = np.bincount(negs.ravel(), minlength=len(vocab))
+        assert observed[:4].sum() == 0 and observed[ids[0]] == 0
+        p = np.array([self.COUNTS[w] for w in self.COUNTS][1:]) ** 0.75
+        expected = negs.size * p / p.sum()
+        chi2 = float(((observed[ids[1:]] - expected) ** 2 / expected).sum())
+        assert chi2 < 22.46
+
+
 class TestTraining:
     def test_loss_decreases(self):
         _, reports = train_skipgram(tiny_corpus(), quick_config())
@@ -141,6 +242,22 @@ class TestTraining:
     def test_empty_vocab_rejected(self):
         with pytest.raises(ValueError):
             train_skipgram([["a"]], quick_config(min_count=5))
+
+    def test_one_word_vocab_rejected(self):
+        """No negative can differ from the context when only one word is left."""
+        with pytest.raises(ValueError, match="two distinct words"):
+            train_skipgram([["a", "a", "a"]], quick_config())
+
+    def test_special_token_text_is_not_trained(self):
+        """A literal "<unk>" in the text maps to a special id; it is dropped."""
+        _, reports = train_skipgram([["a", "<unk>", "b", "c"]] * 3,
+                                    quick_config(window=1, epochs=1))
+        assert reports[0].pairs == 3 * 2 * 2
+
+    def test_window_one_pairs_every_neighbour(self):
+        sents = tiny_corpus(40)
+        _, reports = train_skipgram(sents, quick_config(window=1, epochs=2))
+        assert [r.pairs for r in reports] == [sum(2 * (len(s) - 1) for s in sents)] * 2
 
     def test_more_than_one_worker_rejected(self):
         with pytest.raises(ValueError, match="workers must be 1"):
