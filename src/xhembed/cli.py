@@ -11,8 +11,8 @@ from . import corpus as corpus_mod
 from . import metrics
 from .combine import (STRATEGY_ORDER, InitStrategy, build_initial_embeddings)
 from .corpus import (SplitSpec, Vocabulary, build_vocabulary, corpus_stats,
-                     load_parallel_corpus, read_lines, split_corpus,
-                     write_splits)
+                     load_parallel_corpus, read_aligned_lines, read_lines,
+                     split_corpus, write_splits)
 from .embedstore import nearest_neighbors, read_embeddings, write_embeddings
 from .lexproject import build_projected_matrix, read_lexicon
 from .nmt import (Seq2SeqConfig, TrainConfig, build_model, fine_tune,
@@ -139,8 +139,8 @@ def _train_config(cfg, section="train"):
 
 
 def _read_split_pairs(out_dir, name, part):
-    src = read_lines(Path(out_dir) / f"{name}.{part}.src")
-    tgt = read_lines(Path(out_dir) / f"{name}.{part}.tgt")
+    src, tgt = read_aligned_lines(Path(out_dir) / f"{name}.{part}.src",
+                                  Path(out_dir) / f"{name}.{part}.tgt")
     return [(s.split(), t.split()) for s, t in zip(src, tgt)]
 
 

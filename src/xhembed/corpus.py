@@ -72,15 +72,22 @@ def read_lines(path):
     return out
 
 
-def load_parallel_corpus(src_path, tgt_path, name="corpus"):
-    """Load two aligned one-sentence-per-line files.  Pairs that are empty on
-    either side after tokenization are dropped and counted."""
+def read_aligned_lines(src_path, tgt_path):
+    """The lines of two aligned files; raises CorpusError naming both files
+    if their line counts differ."""
     src_lines = read_lines(src_path)
     tgt_lines = read_lines(tgt_path)
     if len(src_lines) != len(tgt_lines):
         raise CorpusError(
             f"line count mismatch: {src_path} has {len(src_lines)} lines, "
             f"{tgt_path} has {len(tgt_lines)}")
+    return src_lines, tgt_lines
+
+
+def load_parallel_corpus(src_path, tgt_path, name="corpus"):
+    """Load two aligned one-sentence-per-line files.  Pairs that are empty on
+    either side after tokenization are dropped and counted."""
+    src_lines, tgt_lines = read_aligned_lines(src_path, tgt_path)
     pairs = []
     dropped = 0
     for s, t in zip(src_lines, tgt_lines):

@@ -6,7 +6,10 @@ Each GRU is three tensors, `{prefix}_W` (I, 3H), `{prefix}_U` (H, 3H) and
 `{prefix}_b` (3H), whose column blocks are the update, reset and candidate
 gates in that order, [z|r|c].  `param_names` lists the tensors of a config;
 checkpoints with any other set of names (such as the nine per-gate tensors
-per GRU of earlier versions) are rejected when loaded."""
+per GRU of earlier versions) are rejected when loaded.
+
+`gru_forward` runs one GRU, or both directions of an encoder layer, in one
+time-major loop of `_gru_step`, the step `decoder_step` also takes."""
 
 from dataclasses import dataclass
 
@@ -99,102 +102,147 @@ def zero_grads(params):
     return {k: np.zeros_like(v) for k, v in params.items()}
 
 
-def _sigmoid(x):
-    return 1.0 / (1.0 + np.exp(-x))
+def _cat(p, prefixes, name):
+    """The `name` tensors of the GRUs in `prefixes`, side by side."""
+    return np.concatenate([p[f"{q}_{name}"] for q in prefixes], axis=-1)
 
 
-def _gru_input(p, prefix, x):
-    """x @ W + b for every leading position of x (..., I) at once, as one 2-D
-    matmul: a 3-D matmul on a strided view does not reach BLAS."""
-    w = p[f"{prefix}_W"]
-    return (x.reshape(-1, w.shape[0]) @ w + p[f"{prefix}_b"]).reshape(
-        *x.shape[:-1], w.shape[1])
+def _split_dirs(a, n_dir):
+    """(B, D*H) states side by side -> (D, B, H) view."""
+    return a.reshape(a.shape[0], n_dir, -1).swapaxes(0, 1)
 
 
-def _gru_step(u, xw_t, h_prev):
-    """One step from the input projection xw_t (B,3H) and h_prev (B,H).
-    Returns (h, [z|r], c)."""
-    hid = h_prev.shape[1]
-    zr = _sigmoid(xw_t[:, :2 * hid] + h_prev @ u[:, :2 * hid])
-    z, r = zr[:, :hid], zr[:, hid:]
-    c = np.tanh(xw_t[:, 2 * hid:] + (r * h_prev) @ u[:, 2 * hid:])
-    h = (1.0 - z) * h_prev + z * c
-    return h, zr, c
+def _join_dirs(a):
+    """(D, B, H) -> (B, D*H), the inverse of _split_dirs."""
+    return a.swapaxes(0, 1).reshape(a.shape[1], -1)
 
 
-def gru_forward(p, prefix, x, mask, h0, reverse=False):
-    """Run a GRU over (B,T,I) input.  Masked positions carry the previous
-    state through unchanged.  Returns (hs (B,T,H), h_last, cache)."""
-    xw = _gru_input(p, prefix, x)
-    if reverse:
-        xw = xw[:, ::-1]
-        mask = mask[:, ::-1]
-    u = p[f"{prefix}_U"]
+def _dir_time(a, d):
+    """(T, ...) array `a` in the time order of direction d: the backward
+    direction (d = 1) of an encoder layer reads time reversed."""
+    return a[::-1] if d else a
+
+
+def _gru_step(u_zr, u_c, xw_zr, xw_c, h_prev, zr, rh, c, h):
+    """One step of a GRU, or of D stacked GRUs at once: h_prev (..., B, H)
+    -> h, written into the buffers zr ([z|r], (..., B, 2H)), rh (r * h_prev),
+    c (candidate) and h.  xw_zr and xw_c are the step's [z|r] and candidate
+    columns of x @ W + b; u_zr and u_c the same blocks of U."""
+    hid = h_prev.shape[-1]
+    np.matmul(h_prev, u_zr, out=zr)
+    zr += xw_zr
+    np.negative(zr, out=zr)            # sigmoid(a) = 1 / (1 + exp(-a))
+    np.exp(zr, out=zr)
+    zr += 1.0
+    np.reciprocal(zr, out=zr)
+    np.multiply(zr[..., hid:], h_prev, out=rh)
+    np.matmul(rh, u_c, out=c)
+    c += xw_c
+    np.tanh(c, out=c)
+    np.subtract(c, h_prev, out=h)      # h = h_prev + z (c - h_prev)
+    h *= zr[..., :hid]
+    h += h_prev
+
+
+def gru_forward(p, prefixes, x, mask, h0):
+    """Run the GRUs named in `prefixes` over (B,T,I) input in one time loop:
+    one GRU, or the forward and backward direction of an encoder layer, the
+    latter reading the input time-reversed.  h0 (B, D*H) holds the D initial
+    states side by side.  A position where mask (B,T) is 0 carries the state
+    through unchanged; mask None means no padding.  Returns (hs (B,T,D*H),
+    every direction in the original time order, h_last (B,D*H), cache)."""
+    n_dir = len(prefixes)
     b, t_len, _ = x.shape
-    hid = u.shape[0]
-    hs = np.empty((b, t_len, hid))
-    zrs = np.empty((b, t_len, 2 * hid))
-    cs = np.empty_like(hs)
-    h_prevs = np.empty_like(hs)
-    h = h0
+    u = np.stack([p[f"{q}_U"] for q in prefixes])
+    hid = u.shape[1]
+    # x @ W + b, written time-major in each direction's time order; the
+    # matmul runs one BLAS call per time step on (B, I) rows
+    xw = np.empty((t_len, n_dir, b, 3 * hid))
+    for d, q in enumerate(prefixes):
+        np.matmul(_dir_time(x.swapaxes(0, 1), d), p[f"{q}_W"], out=xw[:, d])
+    xw += _cat(p, prefixes, "b").reshape(n_dir, 1, 3 * hid)
+    if mask is not None:
+        # z = 0 at a padded position keeps h = h_prev there, and zeroes the
+        # position's factors in gru_backward
+        pad = (mask == 0).T
+        for d in range(n_dir):
+            xw[:, d, :, :hid][_dir_time(pad, d)] = -np.inf
+    u_zr, u_c = u[..., :2 * hid], u[..., 2 * hid:]
+    hs = np.empty((t_len + 1, n_dir, b, hid))        # hs[t] is step t's h_prev
+    hs[0] = _split_dirs(h0, n_dir)
+    zrs = np.empty((t_len, n_dir, b, 2 * hid))
+    rhs = np.empty((t_len, n_dir, b, hid))
+    cs = np.empty_like(rhs)
+    xw_zr, xw_c = xw[..., :2 * hid], xw[..., 2 * hid:]
     for t in range(t_len):
-        m = mask[:, t:t + 1]
-        h_prevs[:, t] = h
-        h_new, zrs[:, t], cs[:, t] = _gru_step(u, xw[:, t], h)
-        h = m * h_new + (1.0 - m) * h
-        hs[:, t] = h
-    cache = (x, mask, h_prevs, zrs, cs, reverse)
-    out = hs[:, ::-1] if reverse else hs
-    return out, h, cache
+        _gru_step(u_zr, u_c, xw_zr[t], xw_c[t], hs[t], zrs[t], rhs[t], cs[t],
+                  hs[t + 1])
+    out = np.concatenate([_dir_time(hs[1:, d], d).swapaxes(0, 1)
+                          for d in range(n_dir)], axis=2)
+    return out, _join_dirs(hs[-1]), (prefixes, x, hs, zrs, rhs, cs)
 
 
-def gru_backward(p, prefix, cache, dhs, dh_last, grads):
-    """Backward through gru_forward.  dhs: (B,T,H) grads on outputs in
-    original time order; dh_last: (B,H) extra grad on the final state.
-    The time loop only carries the recurrent terms and stores the gate
-    pre-activation grads; the weight grads and dx are taken after it.
-    Returns (dx in original order, dh0)."""
-    x, mask, h_prevs, zrs, cs, reverse = cache
-    u = p[f"{prefix}_U"]
-    b, t_len, hid = h_prevs.shape
-    if dhs is None:
-        dhs = np.zeros_like(h_prevs)
-    elif reverse:
-        dhs = dhs[:, ::-1]
-    u_zr, u_c = u[:, :2 * hid], u[:, 2 * hid:]
-    da = np.empty((b, t_len, 3 * hid))       # [z|r|c] pre-activation grads
-    dh = dh_last.copy()
+def gru_backward(p, cache, dhs, dh_last, grads):
+    """Backward through gru_forward.  dhs (B,T,D*H): grads on its outputs;
+    dh_last (B,D*H): extra grads on the final states.  Every factor that
+    depends only on the forward pass is taken for all steps before the time
+    loop, which carries only the recurrent terms; the weight grads and dx are
+    taken after it.  Returns (dx (B,T,I), summed over the directions, dh0
+    (B,D*H))."""
+    prefixes, x, hs, zrs, rhs, cs = cache
+    t_len, n_dir, b, hid = cs.shape
+    h_prev = hs[:-1]
+    z, r = zrs[..., :hid], zrs[..., hid:]
+    # per-step factors: da_z = dh f_z, da_c = dh f_c, da_r = d(r h_prev) f_r,
+    # and dh reaches h_prev directly through (1 - z).  z = 0 at a padded
+    # position zeroes f_z and f_c there, so dh passes it unchanged.
+    one_minus_z = 1.0 - z
+    f_z = cs - h_prev
+    f_z *= z
+    f_z *= one_minus_z
+    f_c = cs * cs
+    np.subtract(1.0, f_c, out=f_c)
+    f_c *= z
+    f_r = 1.0 - r
+    f_r *= r
+    f_r *= h_prev
+    dhs_t = np.empty((t_len, n_dir, b, hid))
+    for d in range(n_dir):
+        dhs_t[:, d] = _dir_time(dhs[:, :, d * hid:(d + 1) * hid].swapaxes(0, 1), d)
+    u = np.stack([p[f"{q}_U"] for q in prefixes])
+    u_zr_t = np.ascontiguousarray(u[..., :2 * hid].swapaxes(1, 2))
+    u_c_t = np.ascontiguousarray(u[..., 2 * hid:].swapaxes(1, 2))
+    da = np.empty((t_len, n_dir, b, 3 * hid))         # [z|r|c] pre-activations
+    da_z, da_r, da_c = da[..., :hid], da[..., hid:2 * hid], da[..., 2 * hid:]
+    da_zr = da[..., :2 * hid]
+    dh = _split_dirs(dh_last, n_dir).copy()
     for t in range(t_len - 1, -1, -1):
-        m = mask[:, t:t + 1]
-        h_prev, c = h_prevs[:, t], cs[:, t]
-        z, r = zrs[:, t, :hid], zrs[:, t, hid:]
-        dh_total = dh + dhs[:, t]
-        dh_new = dh_total * m
-        dh_prev = dh_total * (1.0 - m)
-        dz = dh_new * (c - h_prev)
-        dc = dh_new * z
-        dh_prev = dh_prev + dh_new * (1.0 - z)
-        dac = dc * (1.0 - c * c)
-        drh = dac @ u_c.T
-        dr = drh * h_prev
-        dh_prev = dh_prev + drh * r
-        da[:, t, :hid] = dz * z * (1.0 - z)
-        da[:, t, hid:2 * hid] = dr * r * (1.0 - r)
-        da[:, t, 2 * hid:] = dac
-        dh = dh_prev + da[:, t, :2 * hid] @ u_zr.T
-    h_flat = h_prevs.reshape(-1, hid)
-    r_flat = zrs.reshape(-1, 2 * hid)[:, hid:]
-    da_flat = da.reshape(-1, 3 * hid)
-    g_u = grads[f"{prefix}_U"]
-    g_u[:, :2 * hid] += h_flat.T @ da_flat[:, :2 * hid]
-    g_u[:, 2 * hid:] += (r_flat * h_flat).T @ da_flat[:, 2 * hid:]
-    if reverse:  # x, dx and the returned order are the original time order
-        da_flat = da[:, ::-1].reshape(-1, 3 * hid)
-    w = p[f"{prefix}_W"]
-    grads[f"{prefix}_W"] += x.reshape(-1, w.shape[0]).T @ da_flat
-    grads[f"{prefix}_b"] += da_flat.sum(axis=0)
+        dh += dhs_t[t]
+        np.multiply(dh, f_z[t], out=da_z[t])
+        np.multiply(dh, f_c[t], out=da_c[t])
+        drh = np.matmul(da_c[t], u_c_t)
+        np.multiply(drh, f_r[t], out=da_r[t])
+        dh *= one_minus_z[t]
+        drh *= r[t]
+        dh += drh
+        dh += np.matmul(da_zr[t], u_zr_t)
+    for d, q in enumerate(prefixes):
+        g_u = grads[f"{q}_U"]
+        g_u[:, :2 * hid] += (h_prev[:, d].reshape(-1, hid).T
+                             @ da_zr[:, d].reshape(-1, 2 * hid))
+        g_u[:, 2 * hid:] += rhs[:, d].reshape(-1, hid).T @ da_c[:, d].reshape(-1, hid)
+    # back to (B,T) rows in the original time order, directions side by side
+    da_flat = np.concatenate([_dir_time(da[:, d], d).swapaxes(0, 1)
+                              for d in range(n_dir)], axis=2).reshape(b * t_len, -1)
+    w = _cat(p, prefixes, "W")
+    g_w = x.reshape(-1, w.shape[0]).T @ da_flat
+    g_b = da_flat.sum(axis=0)
+    for d, q in enumerate(prefixes):
+        cols = slice(3 * hid * d, 3 * hid * (d + 1))
+        grads[f"{q}_W"] += g_w[:, cols]
+        grads[f"{q}_b"] += g_b[cols]
     dx = (da_flat @ w.T).reshape(x.shape)
-    return dx, dh
+    return dx, _join_dirs(dh)
 
 
 class _Dropout:
@@ -220,19 +268,15 @@ class _Dropout:
 
 def encode(params, cfg, src_ids, src_mask, drop):
     """Returns (encoder outputs (B,S,H), per-layer final states, cache)."""
-    x = params["src_emb"][src_ids]
-    x = drop.apply(x)
+    x = drop.apply(params["src_emb"][src_ids])
+    h0 = np.zeros((src_ids.shape[0], cfg.hidden))
     layer_caches = []
     finals = []
-    h2 = cfg.hidden // 2
-    b = src_ids.shape[0]
-    h0 = np.zeros((b, h2))
     for l in range(cfg.enc_layers):
-        hf, hf_last, cf = gru_forward(params, f"enc_{l}_f", x, src_mask, h0)
-        hb, hb_last, cb = gru_forward(params, f"enc_{l}_b", x, src_mask, h0, reverse=True)
-        out = np.concatenate([hf, hb], axis=2)
-        finals.append(np.concatenate([hf_last, hb_last], axis=1))
-        layer_caches.append((cf, cb))
+        out, h_last, cache = gru_forward(params, (f"enc_{l}_f", f"enc_{l}_b"),
+                                         x, src_mask, h0)
+        finals.append(h_last)
+        layer_caches.append(cache)
         if l < cfg.enc_layers - 1:
             x = drop.apply(out)
         else:
@@ -303,17 +347,14 @@ def forward_loss(params, cfg, batch, dropout_on=False, rng=None,
 
     x = params["tgt_emb"][y_in]
     x = drop.apply(x)
-    in_mask = np.ones_like(y_in, dtype=np.float64)
     dec_caches = []
-    dec_inputs = [x]
     for l in range(cfg.dec_layers):
-        hs, _, c = gru_forward(params, f"dec_{l}", x, in_mask, dec_h0[l])
+        hs, _, c = gru_forward(params, (f"dec_{l}",), x, None, dec_h0[l])
         dec_caches.append(c)
         if l < cfg.dec_layers - 1:
             x = drop.apply(hs)
         else:
             x = hs
-        dec_inputs.append(x)
     h_top = x
 
     a, att_cache = attention_output(params, h_top, h_enc, src_mask)
@@ -349,7 +390,7 @@ def forward_loss(params, cfg, batch, dropout_on=False, rng=None,
     dx_upper = dh_top
     d_h0 = [None] * cfg.dec_layers
     for l in range(cfg.dec_layers - 1, -1, -1):
-        dx, dh0 = gru_backward(params, f"dec_{l}", dec_caches[l], dx_upper,
+        dx, dh0 = gru_backward(params, dec_caches[l], dx_upper,
                                np.zeros_like(dec_h0[l]), grads)
         d_h0[l] = dh0
         if l > 0:
@@ -369,14 +410,9 @@ def forward_loss(params, cfg, batch, dropout_on=False, rng=None,
         d_enc_finals[min(l, len(enc_finals) - 1)] += dpre @ params[f"bridge_{l}_W"].T
 
     # encoder stack, top down
-    h2 = cfg.hidden // 2
     dout = dh_enc
     for l in range(cfg.enc_layers - 1, -1, -1):
-        cf, cb = enc_caches[l]
-        dff, dfb = d_enc_finals[l][:, :h2], d_enc_finals[l][:, h2:]
-        dxf, _ = gru_backward(params, f"enc_{l}_f", cf, dout[:, :, :h2], dff, grads)
-        dxb, _ = gru_backward(params, f"enc_{l}_b", cb, dout[:, :, h2:], dfb, grads)
-        dx = dxf + dxb
+        dx, _ = gru_backward(params, enc_caches[l], dout, d_enc_finals[l], grads)
         if l > 0:
             dout = drop.backward(l, dx)
         else:
@@ -386,15 +422,20 @@ def forward_loss(params, cfg, batch, dropout_on=False, rng=None,
 
 
 def decoder_step(params, cfg, state, y_prev, h_enc, src_mask):
-    """One decode step for a (B,) batch of previous tokens.  Returns
-    (log_probs (B,Vt), new per-layer states)."""
+    """One decode step for a (B,) batch of previous tokens, through the
+    _gru_step that training runs.  Returns (log_probs (B,Vt), new per-layer
+    states)."""
     x = params["tgt_emb"][y_prev]
     new_state = []
     for l in range(cfg.dec_layers):
-        h, _, _ = _gru_step(params[f"dec_{l}_U"],
-                            _gru_input(params, f"dec_{l}", x), state[l])
-        new_state.append(h)
-        x = h
+        u, h_prev = params[f"dec_{l}_U"], state[l]
+        b, hid = h_prev.shape
+        xw = x @ params[f"dec_{l}_W"] + params[f"dec_{l}_b"]
+        zr = np.empty((b, 2 * hid))
+        rh, c, x = np.empty((3, b, hid))
+        _gru_step(u[:, :2 * hid], u[:, 2 * hid:], xw[:, :2 * hid],
+                  xw[:, 2 * hid:], h_prev, zr, rh, c, x)
+        new_state.append(x)
     h_top = x[:, None, :]
     a, _ = attention_output(params, h_top, h_enc, src_mask)
     logits = a[:, 0] @ params["out_W"] + params["out_b"]

@@ -106,9 +106,10 @@ class SubwordModel:
 
     def compose_rows(self, words):
         """(len(words), dim) matrix whose rows are the mean unit vector of each
-        word.  Each row sums its units in unit order, as
-        `input_vectors[ids].mean(axis=0)` does, so a row does not depend on
-        which other words share the call."""
+        word; a word with no units (out of vocabulary, and shorter than minn
+        with its brackets) gets a zero row, as in fastText.  Each row sums its
+        units in unit order, as `input_vectors[ids].mean(axis=0)` does, so a
+        row does not depend on which other words share the call."""
         lists = self.unit_lists(words)
         counts = np.array([len(ids) for ids in lists], dtype=np.int64)
         width = int(counts.max(initial=1))
@@ -121,7 +122,7 @@ class SubwordModel:
         for a in range(0, len(lists), step):
             np.add.reduce(self.input_vectors[table[a:a + step]], axis=1,
                           where=live[a:a + step], out=sums[a:a + step])
-        return sums / counts[:, None]
+        return sums / np.maximum(counts, 1)[:, None]
 
     def compose(self, word):
         return self.compose_rows([word])[0]

@@ -206,6 +206,23 @@ class TestMalformedInput:
                              "--out", tmp_path / "ft.ckpt"],
                             tmp_path / "c.train.src", capsys)
 
+    def test_split_line_count_mismatch(self, tmp_path, capsys):
+        cfg, params, sv, tv = tiny_model()
+        save_checkpoint(tmp_path / "model.ckpt", cfg, params)
+        sv.save(tmp_path / "vocab.src")
+        tv.save(tmp_path / "vocab.tgt")
+        (tmp_path / "c.train.src").write_text("w1 w2\nw3\nw4 w5\n")
+        (tmp_path / "c.train.tgt").write_text("v1\n")
+        (tmp_path / "c.dev.src").write_text("w1\n")
+        (tmp_path / "c.dev.tgt").write_text("v1\n")
+        argv = ["finetune", "--checkpoint", tmp_path / "model.ckpt",
+                "--data", tmp_path, "--name", "c",
+                "--src-vocab", tmp_path / "vocab.src",
+                "--tgt-vocab", tmp_path / "vocab.tgt", "--out", tmp_path / "ft.ckpt"]
+        assert_fails_naming(argv, tmp_path / "c.train.src", capsys)
+        assert_fails_naming(argv, tmp_path / "c.train.tgt", capsys)
+        assert not (tmp_path / "ft.ckpt").exists()
+
     def test_evaluate_line_count_mismatch(self, tmp_path, capsys):
         (tmp_path / "h.txt").write_text("a b\nc d\n")
         (tmp_path / "r.txt").write_text("a b\n")

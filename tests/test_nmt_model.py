@@ -10,8 +10,9 @@ from xhembed.nmt.checkpoint import expected_shapes
 from xhembed.nmt.data import Batch, encode_pairs, make_batch, make_batches
 from xhembed.nmt.gradcheck import gradient_check
 from xhembed.nmt.model import (_Dropout, attention_backward, attention_output,
-                               bridge, encode, forward_loss, gru_backward,
-                               gru_forward, param_names, zero_grads)
+                               bridge, decoder_step, encode, encode_for_decoding,
+                               forward_loss, gru_backward, gru_forward,
+                               param_names, zero_grads)
 
 from conftest import random_pairs, tiny_model, vocab_of
 
@@ -192,6 +193,170 @@ class TestGradients:
         assert self.gradcheck_error(dropout=0.3) < 1e-4
 
 
+class TestDecoderStep:
+    def test_chained_steps_give_forward_loss(self):
+        """Teacher-forced decoder_step calls score the gold tokens as the
+        training loss does: one GRU step formula for both."""
+        cfg, params, sv, tv = tiny_model()
+        batch = make_batch([([4, 5, 6, 7], [BOS, 4, 9, 5, 6, EOS])])
+        loss, _ = forward_loss(params, cfg, batch, compute_grads=False)
+        h_enc, state = encode_for_decoding(params, cfg, batch.src_ids,
+                                           batch.src_mask)
+        gold = []
+        tgt = batch.tgt_ids[0]
+        for prev, want in zip(tgt[:-1], tgt[1:]):
+            lp, state = decoder_step(params, cfg, state, np.array([prev]),
+                                     h_enc, batch.src_mask)
+            gold.append(lp[0, want])
+        assert abs(loss - (-np.mean(gold))) <= 1e-12
+
+
+def _sigmoid(x):
+    return 1.0 / (1.0 + np.exp(-x))
+
+
+def reference_gru_step(u, xw_t, h_prev):
+    """One step from the input projection xw_t (B,3H) and h_prev (B,H).
+    Returns (h, [z|r], c)."""
+    hid = h_prev.shape[1]
+    zr = _sigmoid(xw_t[:, :2 * hid] + h_prev @ u[:, :2 * hid])
+    z, r = zr[:, :hid], zr[:, hid:]
+    c = np.tanh(xw_t[:, 2 * hid:] + (r * h_prev) @ u[:, 2 * hid:])
+    h = (1.0 - z) * h_prev + z * c
+    return h, zr, c
+
+
+def reference_gru_forward(p, prefix, x, mask, h0, reverse=False):
+    """One GRU over (B,T,I) input, one step per call of reference_gru_step;
+    masked positions carry the previous state through.  The per-step GRU
+    the fused time loop replaced, kept as its oracle.  Returns (hs (B,T,H),
+    h_last, cache)."""
+    xw = x @ p[f"{prefix}_W"] + p[f"{prefix}_b"]
+    if reverse:
+        xw = xw[:, ::-1]
+        mask = mask[:, ::-1]
+    u = p[f"{prefix}_U"]
+    b, t_len, _ = x.shape
+    hid = u.shape[0]
+    hs = np.empty((b, t_len, hid))
+    zrs = np.empty((b, t_len, 2 * hid))
+    cs = np.empty_like(hs)
+    h_prevs = np.empty_like(hs)
+    h = h0
+    for t in range(t_len):
+        m = mask[:, t:t + 1]
+        h_prevs[:, t] = h
+        h_new, zrs[:, t], cs[:, t] = reference_gru_step(u, xw[:, t], h)
+        h = m * h_new + (1.0 - m) * h
+        hs[:, t] = h
+    cache = (x, mask, h_prevs, zrs, cs, reverse)
+    out = hs[:, ::-1] if reverse else hs
+    return out, h, cache
+
+
+def reference_gru_backward(p, prefix, cache, dhs, dh_last, grads):
+    """Backward through reference_gru_forward, step by step.  Returns (dx in
+    original order, dh0)."""
+    x, mask, h_prevs, zrs, cs, reverse = cache
+    u = p[f"{prefix}_U"]
+    b, t_len, hid = h_prevs.shape
+    if reverse:
+        dhs = dhs[:, ::-1]
+    u_zr, u_c = u[:, :2 * hid], u[:, 2 * hid:]
+    da = np.empty((b, t_len, 3 * hid))
+    dh = dh_last.copy()
+    for t in range(t_len - 1, -1, -1):
+        m = mask[:, t:t + 1]
+        h_prev, c = h_prevs[:, t], cs[:, t]
+        z, r = zrs[:, t, :hid], zrs[:, t, hid:]
+        dh_total = dh + dhs[:, t]
+        dh_new = dh_total * m
+        dh_prev = dh_total * (1.0 - m)
+        dz = dh_new * (c - h_prev)
+        dc = dh_new * z
+        dh_prev = dh_prev + dh_new * (1.0 - z)
+        dac = dc * (1.0 - c * c)
+        drh = dac @ u_c.T
+        dr = drh * h_prev
+        dh_prev = dh_prev + drh * r
+        da[:, t, :hid] = dz * z * (1.0 - z)
+        da[:, t, hid:2 * hid] = dr * r * (1.0 - r)
+        da[:, t, 2 * hid:] = dac
+        dh = dh_prev + da[:, t, :2 * hid] @ u_zr.T
+    h_flat = h_prevs.reshape(-1, hid)
+    r_flat = zrs.reshape(-1, 2 * hid)[:, hid:]
+    da_flat = da.reshape(-1, 3 * hid)
+    g_u = grads[f"{prefix}_U"]
+    g_u[:, :2 * hid] += h_flat.T @ da_flat[:, :2 * hid]
+    g_u[:, 2 * hid:] += (r_flat * h_flat).T @ da_flat[:, 2 * hid:]
+    if reverse:
+        da_flat = da[:, ::-1].reshape(-1, 3 * hid)
+    w = p[f"{prefix}_W"]
+    grads[f"{prefix}_W"] += x.reshape(-1, w.shape[0]).T @ da_flat
+    grads[f"{prefix}_b"] += da_flat.sum(axis=0)
+    dx = (da_flat @ w.T).reshape(x.shape)
+    return dx, dh
+
+
+def assert_close(got, want, what):
+    err = np.abs(got - want).max() / max(np.abs(want).max(), 1e-300)
+    assert err <= 1e-12, (what, err)
+
+
+class TestGruScan:
+    """The one-loop GRU scan against the per-step reference GRU."""
+
+    @staticmethod
+    def check(params, prefixes, x, mask, seed):
+        rng = np.random.default_rng(seed)
+        b, t_len, _ = x.shape
+        hid = params[f"{prefixes[0]}_U"].shape[0]
+        n = len(prefixes)
+        h0 = rng.normal(size=(b, n * hid))
+        dhs = rng.normal(size=(b, t_len, n * hid))
+        dh_last = rng.normal(size=(b, n * hid))
+        ref_mask = np.ones((b, t_len)) if mask is None else mask
+        want_grads, grads = zero_grads(params), zero_grads(params)
+        outs, lasts, dxs, dh0s = [], [], [], []
+        for d, q in enumerate(prefixes):
+            cols = slice(d * hid, (d + 1) * hid)
+            out, last, cache = reference_gru_forward(
+                params, q, x, ref_mask, h0[:, cols], reverse=d == 1)
+            dx, dh0 = reference_gru_backward(params, q, cache, dhs[:, :, cols],
+                                             dh_last[:, cols], want_grads)
+            outs.append(out)
+            lasts.append(last)
+            dxs.append(dx)
+            dh0s.append(dh0)
+
+        out, last, cache = gru_forward(params, prefixes, x, mask, h0)
+        dx, dh0 = gru_backward(params, cache, dhs, dh_last, grads)
+        assert_close(out, np.concatenate(outs, axis=2), "outputs")
+        assert_close(last, np.concatenate(lasts, axis=1), "final states")
+        assert_close(dx, sum(dxs), "dx")
+        assert_close(dh0, np.concatenate(dh0s, axis=1), "dh0")
+        for q in prefixes:
+            for name in "WUb":
+                key = f"{q}_{name}"
+                assert np.any(want_grads[key] != 0), key
+                assert_close(grads[key], want_grads[key], key)
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_one_direction_without_mask(self, seed):
+        cfg, params, _, _ = tiny_model(seed=seed)
+        x = np.random.default_rng(seed).normal(size=(3, 5, cfg.emb_dim))
+        self.check(params, ("dec_0",), x, None, seed)
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_bidirectional_pair_on_ragged_batch(self, seed):
+        cfg, params, _, _ = tiny_model(seed=seed)
+        rng = np.random.default_rng(seed)
+        lens = [6, 2, 4, 1]
+        x = rng.normal(size=(len(lens), max(lens), cfg.emb_dim))
+        mask = (np.arange(max(lens)) < np.array(lens)[:, None]).astype(np.float64)
+        self.check(params, ("enc_0_f", "enc_0_b"), x, mask, seed)
+
+
 def unfused_forward_loss(params, cfg, batch, dropout_on=False, rng=None):
     """forward_loss as it was before the output layer was fused: separate
     log-prob, prob and dlogits arrays and 3-D output matmuls.  The oracle for
@@ -206,10 +371,9 @@ def unfused_forward_loss(params, cfg, batch, dropout_on=False, rng=None):
     n_enc_drops = len(drop.masks)
     dec_h0, bridge_cache = bridge(params, cfg, enc_finals)
     x = drop.apply(params["tgt_emb"][y_in])
-    in_mask = np.ones_like(y_in, dtype=np.float64)
     dec_caches = []
     for l in range(cfg.dec_layers):
-        hs, _, c = gru_forward(params, f"dec_{l}", x, in_mask, dec_h0[l])
+        hs, _, c = gru_forward(params, (f"dec_{l}",), x, None, dec_h0[l])
         dec_caches.append(c)
         x = drop.apply(hs) if l < cfg.dec_layers - 1 else hs
     h_top = x
@@ -239,7 +403,7 @@ def unfused_forward_loss(params, cfg, batch, dropout_on=False, rng=None):
     dx_upper = dh_top
     d_h0 = [None] * cfg.dec_layers
     for l in range(cfg.dec_layers - 1, -1, -1):
-        dx, d_h0[l] = gru_backward(params, f"dec_{l}", dec_caches[l], dx_upper,
+        dx, d_h0[l] = gru_backward(params, dec_caches[l], dx_upper,
                                    np.zeros_like(dec_h0[l]), grads)
         if l > 0:
             dx_upper = drop.backward(n_enc_drops + l, dx)
@@ -252,17 +416,13 @@ def unfused_forward_loss(params, cfg, batch, dropout_on=False, rng=None):
         grads[f"bridge_{l}_W"] += src.T @ dpre
         grads[f"bridge_{l}_b"] += dpre.sum(axis=0)
         d_enc_finals[min(l, len(enc_finals) - 1)] += dpre @ params[f"bridge_{l}_W"].T
-    h2 = cfg.hidden // 2
     dout = dh_enc
     for l in range(cfg.enc_layers - 1, -1, -1):
-        cf, cb = enc_caches[l]
-        dff, dfb = d_enc_finals[l][:, :h2], d_enc_finals[l][:, h2:]
-        dxf, _ = gru_backward(params, f"enc_{l}_f", cf, dout[:, :, :h2], dff, grads)
-        dxb, _ = gru_backward(params, f"enc_{l}_b", cb, dout[:, :, h2:], dfb, grads)
+        dx, _ = gru_backward(params, enc_caches[l], dout, d_enc_finals[l], grads)
         if l > 0:
-            dout = drop.backward(l, dxf + dxb)
+            dout = drop.backward(l, dx)
         else:
-            np.add.at(grads["src_emb"], src_ids, drop.backward(0, dxf + dxb))
+            np.add.at(grads["src_emb"], src_ids, drop.backward(0, dx))
     return loss, grads
 
 

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -306,6 +308,19 @@ class TestModelApi:
         mat = model.export_matrix(toks)
         for t in toks:
             assert np.array_equal(mat.get(t), model.compose(t))
+
+    def test_word_without_units_gets_zero_row(self):
+        model = train_skipgram(tiny_corpus(80), quick_config(epochs=1, minn=4))[0]
+        assert model.unit_ids("z") == []
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            row = model.compose("z")
+            words = model.vocab.tokens()[:5] + ["unseenx"]
+            mat = model.export_matrix(words + ["z"])
+        assert np.all(np.isfinite(row)) and not np.any(row)
+        want = model.export_matrix(words)
+        for w in words:
+            assert np.array_equal(mat.get(w), want.get(w))
 
     def test_save_load_roundtrip(self, model, tmp_path):
         model.save(tmp_path / "m.txt")
