@@ -33,6 +33,9 @@ class InitStrategy(enum.Enum):
 STRATEGY_ORDER = [InitStrategy.RANDOM, InitStrategy.VECMAP, InitStrategy.XH_SUB,
                   InitStrategy.XH_PRE, InitStrategy.XH_META]
 
+# random rows are drawn uniform in [-INIT_RANGE, INIT_RANGE)
+INIT_RANGE = 0.1
+
 
 @dataclass
 class InitializedEmbeddings:
@@ -53,7 +56,8 @@ def unk_vector(e_v):
 
 
 def meta_embedding(ev_vec, em_vec):
-    """Elementwise arithmetic mean of the two source vectors."""
+    """Elementwise arithmetic mean of the two source vectors, or of two
+    matrices row by row."""
     ev_vec = np.asarray(ev_vec, dtype=np.float64)
     em_vec = np.asarray(em_vec, dtype=np.float64)
     if ev_vec.shape != em_vec.shape:
@@ -61,20 +65,13 @@ def meta_embedding(ev_vec, em_vec):
     return (ev_vec + em_vec) / 2.0
 
 
-def _pad_to(vec, dim):
-    if len(vec) == dim:
-        return vec
-    out = np.zeros(dim)
-    out[:len(vec)] = vec
-    return out
-
-
 def build_initial_embeddings(strategy, task_vocab, e_v=None, subword_model=None,
-                             mapping=None, dim=None, seed=0, init_range=0.1):
+                             mapping=None, dim=None, seed=0):
     """One row and one provenance tag per task-vocabulary token.
 
-    Specials are always random-initialized (PAD is all zeros).  E_V and E_M
-    rows of unequal width are zero-padded to the larger before combining.
+    Specials, and every row under Random, come from one uniform draw in id
+    order (PAD is all zeros); `_word_rows` gives the other strategies' rows.
+    Rows are zero-padded to `dim`, which may not be narrower than a source.
     """
     needs = {
         InitStrategy.RANDOM: [],
@@ -93,41 +90,48 @@ def build_initial_embeddings(strategy, task_vocab, e_v=None, subword_model=None,
         if not dims:
             raise ValueError("Random strategy needs an explicit dim")
         dim = max(dims)
+    for name in ("e_v", "subword_model"):
+        if name in needs and have[name].dim > dim:
+            raise ValueError(f"dim {dim} is narrower than {name} "
+                             f"(dim {have[name].dim})")
 
-    rng = np.random.default_rng(seed)
     tokens = list(task_vocab.id_to_token)
-    rows = np.empty((len(tokens), dim))
-    provenance = {}
-    centroid = None
-    for i, tok in enumerate(tokens):
-        if tok in SPECIALS:
-            row = np.zeros(dim) if i == PAD else rng.uniform(-init_range, init_range, dim)
-            tag = "random"
-        elif strategy == InitStrategy.RANDOM:
-            row, tag = rng.uniform(-init_range, init_range, dim), "random"
-        elif strategy == InitStrategy.XH_SUB:
-            row, tag = _pad_to(subword_model.compose(tok), dim), "fromEM"
-        elif strategy == InitStrategy.XH_PRE:
-            if tok in e_v:
-                row, tag = _pad_to(e_v.get(tok), dim), "fromEV"
-            else:
-                row, tag = _pad_to(subword_model.compose(tok), dim), "fromEM"
-        elif strategy == InitStrategy.VECMAP:
-            if tok in e_v:
-                row, tag = _pad_to(mapping.map_x(e_v.get(tok)), dim), "fromEV"
-            else:
-                row, tag = _pad_to(mapping.map_z(subword_model.compose(tok)), dim), "fromEM"
-        elif strategy == InitStrategy.XH_META:
-            em_row = _pad_to(subword_model.compose(tok), dim)
-            if tok in e_v:
-                ev_row, tag = _pad_to(e_v.get(tok), dim), "fromEV"
-            else:
-                if centroid is None:
-                    centroid = unk_vector(e_v)
-                ev_row, tag = _pad_to(centroid, dim), "unkSubstituted"
-            row = meta_embedding(ev_row, em_row)
-        else:  # pragma: no cover - exhaustive enum
-            raise AssertionError(strategy)
-        rows[i] = row
-        provenance[tok] = tag
-    return InitializedEmbeddings(EmbeddingMatrix(tokens, rows), provenance)
+    special = np.array([tok in SPECIALS for tok in tokens])
+    drawn = special | (strategy is InitStrategy.RANDOM)
+    drawn[PAD] = False
+    rows = np.zeros((len(tokens), dim))
+    rng = np.random.default_rng(seed)
+    rows[drawn] = rng.uniform(-INIT_RANGE, INIT_RANGE, (int(drawn.sum()), dim))
+    tags = np.full(len(tokens), "random", dtype=object)
+    if strategy is not InitStrategy.RANDOM:
+        words = np.flatnonzero(~special)
+        table, tags[words] = _word_rows(strategy, [tokens[i] for i in words],
+                                        e_v, subword_model, mapping)
+        rows[words, :table.shape[1]] = table
+    return InitializedEmbeddings(EmbeddingMatrix(tokens, rows), dict(zip(tokens, tags)))
+
+
+def _word_rows(strategy, words, e_v, subword_model, mapping):
+    """Rows and provenance tags of `words` under a strategy other than Random.
+    XhPre and VecMap (in the common space) take a word's E_V row if it has
+    one, else its E_M row; XhMeta averages the E_M row with the E_V row or
+    the E_V centroid.  The narrower of E_V and E_M is zero-padded."""
+    em = subword_model.compose_rows(words)
+    if strategy is InitStrategy.XH_SUB:
+        return em, ["fromEM"] * len(words)
+    has = np.array([w in e_v for w in words], dtype=bool)
+    ev = e_v.rows[[e_v.index[w] for w in words if w in e_v]]
+    if strategy is InitStrategy.VECMAP:
+        em, ev = mapping.map_z(em), mapping.map_x(ev)
+    width = max(em.shape[1], ev.shape[1])
+    em_side = np.zeros((len(words), width))
+    em_side[:, :em.shape[1]] = em
+    ev_side = np.zeros((len(words), width))
+    ev_side[has, :ev.shape[1]] = ev
+    if strategy is InitStrategy.XH_META:
+        if not has.all():
+            ev_side[~has, :e_v.dim] = unk_vector(e_v)
+        return (meta_embedding(ev_side, em_side),
+                np.where(has, "fromEV", "unkSubstituted").tolist())
+    return (np.where(has[:, None], ev_side, em_side),
+            np.where(has, "fromEV", "fromEM").tolist())

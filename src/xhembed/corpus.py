@@ -150,7 +150,20 @@ class Vocabulary:
 
     @classmethod
     def load(cls, path):
-        return cls.from_freqs(line.split("\t") for line in read_lines(path) if line)
+        """Read `save`'s `token<TAB>count` lines; a malformed line, a repeated
+        token or a special token raises CorpusError naming file and line."""
+        counts = {}
+        for i, line in enumerate(read_lines(path), start=1):
+            if not line:
+                continue
+            tok, sep, count = line.partition("\t")
+            if not (tok and sep and count.strip().isdecimal()):
+                raise CorpusError(f"{path}:{i}: expected token<TAB>count, "
+                                  f"got {line!r}")
+            if tok in counts or tok in SPECIALS:
+                raise CorpusError(f"{path}:{i}: repeated or special token {tok!r}")
+            counts[tok] = int(count)
+        return cls.from_freqs(counts.items())
 
 
 def build_vocabulary(side, min_count=1):

@@ -123,8 +123,9 @@ def unit_normalize(v):
 
 
 def normalize_rows(rows):
+    """Rows of a matrix, or one vector, scaled to L2 norm 1; zero rows stay zero."""
     rows = np.asarray(rows, dtype=np.float64)
-    norms = np.linalg.norm(rows, axis=1, keepdims=True)
+    norms = np.linalg.norm(rows, axis=-1, keepdims=True)
     safe = np.where(norms == 0, 1.0, norms)
     return rows / safe
 

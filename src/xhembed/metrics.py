@@ -2,7 +2,9 @@
 
 import math
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+
+from .corpus import read_lines
 
 
 class BleuError(ValueError):
@@ -108,11 +110,6 @@ class BleuReport:
         return "\n".join(lines) + "\n"
 
 
-def _read_tokenized(path):
-    with open(path, encoding="utf-8") as f:
-        return [line.split() for line in f.read().splitlines()]
-
-
 def score_corpus(hyps, refs):
     c, precisions, bp, hl, rl = corpus_bleu(hyps, refs, return_parts=True)
     if hyps:
@@ -125,8 +122,8 @@ def score_corpus(hyps, refs):
 def evaluate_translations(hyp_path, ref_path):
     """Score aligned hypothesis/reference files; emits both corpus BLEU and
     mean sentence BLEU."""
-    hyps = _read_tokenized(hyp_path)
-    refs = _read_tokenized(ref_path)
+    hyps = [line.split() for line in read_lines(hyp_path)]
+    refs = [line.split() for line in read_lines(ref_path)]
     if len(hyps) != len(refs):
         raise BleuError(
             f"line count mismatch: {hyp_path} has {len(hyps)}, {ref_path} has {len(refs)}")

@@ -4,8 +4,8 @@ numpy so gradients can be verified by finite differences.
 
 Each GRU is three tensors, `{prefix}_W` (I, 3H), `{prefix}_U` (H, 3H) and
 `{prefix}_b` (3H), whose column blocks are the update, reset and candidate
-gates in that order, [z|r|c].  `param_names` lists the tensors of a config;
-checkpoints with any other set of names (such as the nine per-gate tensors
+gates in that order, [z|r|c].  `param_shapes` lists the tensors of a config;
+checkpoints with any other names or shapes (such as the nine per-gate tensors
 per GRU of earlier versions) are rejected when loaded.
 
 `gru_forward` runs one GRU, or both directions of an encoder layer, in one
@@ -50,19 +50,33 @@ def _init_gru(params, rng, prefix, in_dim, hid, scale):
     params[f"{prefix}_b"] = np.zeros(3 * hid)
 
 
+def param_shapes(cfg, n_src, n_tgt):
+    """The shape of every tensor build_model creates for `cfg` with source and
+    target vocabularies of n_src and n_tgt types, in build_model's order."""
+    h, h2, e = cfg.hidden, cfg.hidden // 2, cfg.emb_dim
+    shapes = {"src_emb": (n_src, e), "tgt_emb": (n_tgt, e)}
+
+    def gru(prefix, in_dim, hid):
+        shapes.update({f"{prefix}_W": (in_dim, 3 * hid),
+                       f"{prefix}_U": (hid, 3 * hid), f"{prefix}_b": (3 * hid,)})
+
+    for l in range(cfg.enc_layers):
+        for d in "fb":
+            gru(f"enc_{l}_{d}", e if l == 0 else h, h2)
+    for l in range(cfg.dec_layers):
+        gru(f"dec_{l}", e if l == 0 else h, h)
+        shapes.update({f"bridge_{l}_W": (h, h), f"bridge_{l}_b": (h,)})
+    shapes.update({"att_W": (h, h), "comb_W": (2 * h, h), "comb_b": (h,),
+                   "out_W": (h, n_tgt), "out_b": (n_tgt,)})
+    return shapes
+
+
 def param_names(cfg):
     """The tensor names build_model creates for `cfg`, in its order."""
-    gru = ("W", "U", "b")
-    names = ["src_emb", "tgt_emb"]
-    for l in range(cfg.enc_layers):
-        names += [f"enc_{l}_{d}_{n}" for d in "fb" for n in gru]
-    for l in range(cfg.dec_layers):
-        names += [f"dec_{l}_{n}" for n in gru] + [f"bridge_{l}_W", f"bridge_{l}_b"]
-    return names + ["att_W", "comb_W", "comb_b", "out_W", "out_b"]
+    return list(param_shapes(cfg, 0, 0))
 
 
-def build_model(cfg, source_init, target_vocab, seed=None, init_scale=0.1,
-                source_vocab=None):
+def build_model(cfg, source_init, target_vocab, init_scale=0.1, source_vocab=None):
     """Create the parameter dict.  The source embedding table is copied from
     `source_init` (an InitializedEmbeddings or EmbeddingMatrix) whose row
     order must match the source vocabulary ids; everything else is seeded
@@ -75,7 +89,7 @@ def build_model(cfg, source_init, target_vocab, seed=None, init_scale=0.1,
     if source_vocab is not None and matrix.tokens != source_vocab.id_to_token:
         raise ValueError("source init does not cover the source vocabulary "
                          "in id order")
-    rng = np.random.default_rng(cfg.seed if seed is None else seed)
+    rng = np.random.default_rng(cfg.seed)
     h, h2, e = cfg.hidden, cfg.hidden // 2, cfg.emb_dim
     vt = len(target_vocab)
     params = {}

@@ -15,50 +15,41 @@ class PreprocessRecord:
     column_means: np.ndarray
     zero_rows: list = field(default_factory=list)
 
-    def apply(self, vec):
-        """Apply the recorded chain to a new vector."""
-        v = np.asarray(vec, dtype=np.float64)
-        n = np.linalg.norm(v)
-        if n:
-            v = v / n
-        v = v - self.column_means
-        n = np.linalg.norm(v)
-        if n:
-            v = v / n
-        return v
+    def apply(self, rows):
+        """Apply the recorded chain to a vector or to each row of a matrix:
+        unit-normalize, subtract the column means, unit-normalize again.
+        A row that is zero at either step is left at zero."""
+        return normalize_rows(normalize_rows(rows) - self.column_means)
 
 
 def preprocess(matrix):
-    """Unit-normalize rows, mean-center columns, unit-normalize rows again.
-    Zero rows (before or after centering) are flagged and left at zero."""
+    """Fit the chain's column means (those of the unit-normalized rows) and
+    apply the chain to `matrix`.  Rows that are zero after centering are
+    flagged."""
     x = np.asarray(matrix, dtype=np.float64)
     if x.size == 0:
         raise ValueError("empty matrix")
-    x = normalize_rows(x)
-    means = x.mean(axis=0)
-    x = x - means
-    norms = np.linalg.norm(x, axis=1)
-    zero_rows = [int(i) for i in np.nonzero(norms == 0)[0]]
-    x = normalize_rows(x)
-    return x, PreprocessRecord(means, zero_rows)
+    record = PreprocessRecord(normalize_rows(x).mean(axis=0))
+    x = record.apply(x)
+    record.zero_rows = [int(i) for i in np.flatnonzero(np.linalg.norm(x, axis=1) == 0)]
+    return x, record
 
 
 @dataclass
 class MappingModel:
-    """Pair of orthogonal matrices taking two spaces into a common space."""
+    """Pair of orthogonal matrices taking two spaces into a common space;
+    map_x and map_z take a vector or the rows of a matrix."""
     w_x: np.ndarray
     w_z: np.ndarray
     pre_x: PreprocessRecord | None = None
     pre_z: PreprocessRecord | None = None
     objective: float = float("nan")
 
-    def map_x(self, vec, preprocess_input=True):
-        v = self.pre_x.apply(vec) if (preprocess_input and self.pre_x) else np.asarray(vec)
-        return v @ self.w_x
+    def map_x(self, rows):
+        return (self.pre_x.apply(rows) if self.pre_x else np.asarray(rows)) @ self.w_x
 
-    def map_z(self, vec, preprocess_input=True):
-        v = self.pre_z.apply(vec) if (preprocess_input and self.pre_z) else np.asarray(vec)
-        return v @ self.w_z
+    def map_z(self, rows):
+        return (self.pre_z.apply(rows) if self.pre_z else np.asarray(rows)) @ self.w_z
 
 
 def fit_orthogonal_mapping(x, z, pairs, pre_x=None, pre_z=None):

@@ -259,6 +259,9 @@ def test_criterion_9_composition_algebra():
             r = np.random.default_rng(abs(hash(word)) % 2 ** 31)
             return r.normal(size=12)
 
+        def compose_rows(self, words):
+            return np.array([self.compose(w) for w in words]).reshape(len(words), 12)
+
     vocab = vocab_of([w for w, _ in entries])
     e_v_half = EmbeddingMatrix([w for w, _ in entries[:500]], mat.rows[:500])
     coverage_ok = True

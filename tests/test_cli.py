@@ -8,6 +8,7 @@ from xhembed.cli import (CONFIG_KEYS, ValidationError, load_config, main,
 from xhembed.combine import InitStrategy
 from xhembed.embedstore import read_embeddings
 from xhembed.nmt import load_checkpoint, save_checkpoint
+from xhembed.subword import SkipgramConfig, SubwordModel
 
 from conftest import tiny_model, vocab_of
 
@@ -222,6 +223,45 @@ class TestMalformedInput:
         assert_fails_naming(argv, tmp_path / "c.train.src", capsys)
         assert_fails_naming(argv, tmp_path / "c.train.tgt", capsys)
         assert not (tmp_path / "ft.ckpt").exists()
+
+    BAD_VOCABS = [(b"w1\t5\nw2\n", 2), (b"w1\tx\n", 1), (b"w1\t5\nw1\t3\n", 2),
+                  (b"w1\t5\n\n<unk>\t2\n", 3)]
+
+    @pytest.mark.parametrize("text,line", BAD_VOCABS)
+    def test_init_emb_bad_vocabulary(self, tmp_path, capsys, text, line):
+        vocab = tmp_path / "vocab.src"
+        vocab.write_bytes(text)
+        assert_fails_naming(["init-emb", "--strategy", "Random", "--vocab", vocab,
+                             "--dim", "4", "--out", tmp_path / "init.npz"],
+                            f"{vocab}:{line}:", capsys)
+
+    @pytest.mark.parametrize("text,line", BAD_VOCABS)
+    def test_translate_bad_source_vocabulary(self, tmp_path, capsys, text, line):
+        argv = tiny_translate_args(tmp_path, *tiny_model())
+        (tmp_path / "vocab.src").write_bytes(text)
+        assert_fails_naming(argv, f"{tmp_path / 'vocab.src'}:{line}:", capsys)
+
+    def test_undecodable_hypotheses(self, tmp_path, capsys):
+        (tmp_path / "h.txt").write_bytes(b"a b\nc d\xff\n")
+        (tmp_path / "r.txt").write_text("a b\nc d\n")
+        assert_fails_naming(["evaluate", "--hyp", tmp_path / "h.txt",
+                             "--ref", tmp_path / "r.txt"],
+                            tmp_path / "h.txt", capsys)
+
+    def test_init_dim_narrower_than_subword_model(self, tmp_path, capsys):
+        vocab = vocab_of(["toza", "meka"])
+        vocab.save(tmp_path / "vocab.src")
+        cfg = SkipgramConfig(dim=16, buckets=10)
+        SubwordModel(vocab, cfg, np.zeros((10 + len(vocab), 16)),
+                     np.zeros((len(vocab), 16))).save(tmp_path / "sw.model")
+        capsys.readouterr()
+        assert main(["init-emb", "--strategy", "XhSub",
+                     "--vocab", str(tmp_path / "vocab.src"),
+                     "--subword-model", str(tmp_path / "sw.model"), "--dim", "4",
+                     "--out", str(tmp_path / "init.npz")]) == 1
+        err = capsys.readouterr().err
+        assert "dim 4" in err and "dim 16" in err and "Traceback" not in err
+        assert not (tmp_path / "init.npz").exists()
 
     def test_evaluate_line_count_mismatch(self, tmp_path, capsys):
         (tmp_path / "h.txt").write_text("a b\nc d\n")

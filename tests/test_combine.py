@@ -6,7 +6,8 @@ from xhembed.combine import (STRATEGY_ORDER, InitStrategy,
                              unk_vector)
 from xhembed.corpus import PAD, SPECIALS
 from xhembed.embedstore import EmbeddingMatrix
-from xhembed.xmap import MappingModel
+from xhembed.subword import SkipgramConfig, train_skipgram
+from xhembed.xmap import MappingModel, fit_mapping
 
 from conftest import vocab_of
 
@@ -20,6 +21,9 @@ class FakeSubword:
     def compose(self, word):
         rng = np.random.default_rng(abs(hash(word)) % (2 ** 31))
         return rng.normal(size=self.dim)
+
+    def compose_rows(self, words):
+        return np.array([self.compose(w) for w in words]).reshape(len(words), self.dim)
 
 
 def ev_of(entries, dim=4):
@@ -73,7 +77,7 @@ class TestBuild:
 
     def test_random_shape_and_range(self):
         init = build_initial_embeddings(InitStrategy.RANDOM, self.vocab, dim=6,
-                                        seed=1, init_range=0.1)
+                                        seed=1)
         assert init.matrix.rows.shape == (7, 6)
         assert np.all(np.abs(init.matrix.rows) <= 0.1)
         assert all(init.provenance[t] == "random" for t in init.matrix.tokens)
@@ -157,3 +161,126 @@ class TestBuild:
         assert len(lines) == 7
         assert lines[0] == "<pad>\trandom"
         assert any(line == "indoda\tfromEM" for line in lines)
+
+
+def reference_map(record, w, vec):
+    """One vector through the preprocessing chain, the per-vector way, then
+    through the orthogonal map `w`."""
+    v = np.asarray(vec, dtype=np.float64)
+    if record is not None:
+        n = np.linalg.norm(v)
+        if n:
+            v = v / n
+        v = v - record.column_means
+        n = np.linalg.norm(v)
+        if n:
+            v = v / n
+    return v @ w
+
+
+def reference_build_initial_embeddings(strategy, task_vocab, e_v=None,
+                                       subword_model=None, mapping=None,
+                                       dim=None, seed=0):
+    """Oracle: one row per token, one `compose` per word."""
+    if dim is None:
+        dim = max(m.dim for m in (e_v, subword_model) if m is not None)
+
+    def pad_to(vec):
+        out = np.zeros(dim)
+        out[:len(vec)] = vec
+        return out
+
+    rng = np.random.default_rng(seed)
+    tokens = list(task_vocab.id_to_token)
+    rows = np.empty((len(tokens), dim))
+    provenance = {}
+    centroid = None
+    for i, tok in enumerate(tokens):
+        if tok in SPECIALS:
+            row = np.zeros(dim) if i == PAD else rng.uniform(-0.1, 0.1, dim)
+            tag = "random"
+        elif strategy == InitStrategy.RANDOM:
+            row, tag = rng.uniform(-0.1, 0.1, dim), "random"
+        elif strategy == InitStrategy.XH_SUB:
+            row, tag = pad_to(subword_model.compose(tok)), "fromEM"
+        elif strategy == InitStrategy.XH_PRE:
+            if tok in e_v:
+                row, tag = pad_to(e_v.get(tok)), "fromEV"
+            else:
+                row, tag = pad_to(subword_model.compose(tok)), "fromEM"
+        elif strategy == InitStrategy.VECMAP:
+            if tok in e_v:
+                row = pad_to(reference_map(mapping.pre_x, mapping.w_x, e_v.get(tok)))
+                tag = "fromEV"
+            else:
+                row = pad_to(reference_map(mapping.pre_z, mapping.w_z,
+                                           subword_model.compose(tok)))
+                tag = "fromEM"
+        else:
+            em_row = pad_to(subword_model.compose(tok))
+            if tok in e_v:
+                ev_row, tag = pad_to(e_v.get(tok)), "fromEV"
+            else:
+                if centroid is None:
+                    centroid = unk_vector(e_v)
+                ev_row, tag = pad_to(centroid), "unkSubstituted"
+            row = meta_embedding(ev_row, em_row)
+        rows[i] = row
+        provenance[tok] = tag
+    return rows, provenance
+
+
+MICRO_WORDS = ["toza", "tozile", "meka", "mekile", "vusa", "vusile", "hamba",
+               "hambile", "bona", "bonile"]
+
+
+@pytest.fixture(scope="module")
+def micro_sources():
+    """A 4-d subword model trained on a micro corpus (minn 4, so an unseen
+    one-letter word has no units), a 4-d E_V over half its words, and the
+    mapping fitted between them."""
+    rng = np.random.default_rng(0)
+    corpus = [[MICRO_WORDS[int(rng.integers(len(MICRO_WORDS)))] for _ in range(4)]
+              for _ in range(60)]
+    cfg = SkipgramConfig(dim=4, epochs=1, buckets=200, subsample=0, minn=4, maxn=5)
+    model = train_skipgram(corpus, cfg)[0]
+    e_m = model.export_matrix(model.vocab.tokens())
+    ev_words = MICRO_WORDS[::2]
+    e_v = EmbeddingMatrix(ev_words, rng.normal(size=(len(ev_words), 4)))
+    return model, e_v, fit_mapping(e_v, e_m)
+
+
+class TestAgainstReference:
+    """The whole-matrix builder against the per-token oracle: task words with
+    and without E_V rows, unseen words, and a word with no subword units."""
+
+    vocab = vocab_of(MICRO_WORDS + ["tozisa", "mekisa", "z"])
+
+    @pytest.mark.parametrize("strategy", list(InitStrategy))
+    @pytest.mark.parametrize("dim", [None, 11])
+    def test_same_rows_and_provenance(self, micro_sources, strategy, dim):
+        model, e_v, mapping = micro_sources
+        assert model.compose_rows(["z"]).tolist() == [[0.0] * 4]
+        kwargs = dict(e_v=e_v, subword_model=model, mapping=mapping, dim=dim, seed=3)
+        got = build_initial_embeddings(strategy, self.vocab, **kwargs)
+        rows, provenance = reference_build_initial_embeddings(strategy, self.vocab,
+                                                              **kwargs)
+        assert got.provenance == provenance
+        if strategy is InitStrategy.VECMAP:
+            assert np.abs(got.matrix.rows - rows).max() <= 1e-13
+        else:
+            assert np.array_equal(got.matrix.rows, rows)
+
+    @pytest.mark.parametrize("strategy", [InitStrategy.XH_PRE, InitStrategy.XH_META])
+    @pytest.mark.parametrize("ev_dim", [3, 6])
+    def test_unequal_source_widths(self, micro_sources, strategy, ev_dim):
+        model, e_v, _ = micro_sources
+        e_v = EmbeddingMatrix(e_v.tokens, np.random.default_rng(ev_dim).normal(
+            size=(len(e_v), ev_dim)))
+        got = build_initial_embeddings(strategy, self.vocab, e_v=e_v,
+                                       subword_model=model, seed=3)
+        rows, provenance = reference_build_initial_embeddings(
+            strategy, self.vocab, e_v=e_v, subword_model=model, seed=3)
+        assert got.matrix.dim == max(ev_dim, 4)
+        assert got.provenance == provenance
+        assert np.array_equal(got.matrix.rows, rows)

@@ -6,13 +6,12 @@ import pytest
 from xhembed.corpus import BOS, EOS, PAD
 from xhembed.embedstore import EmbeddingMatrix
 from xhembed.nmt import Seq2SeqConfig, build_model, gradcheck
-from xhembed.nmt.checkpoint import expected_shapes
 from xhembed.nmt.data import Batch, encode_pairs, make_batch, make_batches
 from xhembed.nmt.gradcheck import gradient_check
 from xhembed.nmt.model import (_Dropout, attention_backward, attention_output,
                                bridge, decoder_step, encode, encode_for_decoding,
                                forward_loss, gru_backward, gru_forward,
-                               param_names, zero_grads)
+                               param_names, param_shapes, zero_grads)
 
 from conftest import random_pairs, tiny_model, vocab_of
 
@@ -65,7 +64,7 @@ class TestBuildModel:
     def test_checkpoint_shapes_are_build_model_shapes(self, layers):
         cfg, params, sv, tv = tiny_model(n_src=11, n_tgt=13, emb=6, hidden=10,
                                          enc_layers=layers[0], dec_layers=layers[1])
-        assert expected_shapes(cfg, len(sv), len(tv)) == \
+        assert param_shapes(cfg, len(sv), len(tv)) == \
             {name: t.shape for name, t in params.items()}
 
     def test_stacked_gru_tensors(self):

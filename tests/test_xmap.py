@@ -32,6 +32,19 @@ class TestPreprocess:
         for i in range(6):
             assert np.allclose(rec.apply(raw[i]), x[i], atol=1e-12)
 
+    def test_apply_on_matrix_equals_per_row(self):
+        raw = np.random.default_rng(5).normal(size=(40, 7)) * 3.0
+        raw[4] = 0.0
+        _, rec = preprocess(raw[::2])
+        rows = rec.apply(raw)
+        per_row = np.array([rec.apply(v) for v in raw])
+        assert np.abs(rows - per_row).max() <= 1e-14
+
+    def test_preprocess_is_apply_with_its_record(self):
+        raw = np.random.default_rng(6).normal(size=(30, 5))
+        x, rec = preprocess(raw)
+        assert np.array_equal(x, rec.apply(raw))
+
     def test_zero_row_flagged_and_kept_zero(self):
         raw = np.random.default_rng(3).normal(size=(5, 3))
         raw[2] = 0.0
