@@ -5,11 +5,10 @@ import argparse
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import corpus as corpus_mod
 from . import metrics
-from .combine import (STRATEGY_ORDER, InitStrategy, build_initial_embeddings)
+from .combine import (STRATEGY_INPUTS, STRATEGY_ORDER, InitStrategy,
+                      build_initial_embeddings)
 from .corpus import (SplitSpec, Vocabulary, build_vocabulary, corpus_stats,
                      load_parallel_corpus, read_aligned_lines, read_lines,
                      split_corpus, write_splits)
@@ -138,10 +137,60 @@ def _train_config(cfg, section="train"):
         patience=cfg[f"{section}.patience"], seed=cfg["train.seed"])
 
 
-def _read_split_pairs(out_dir, name, part):
-    src, tgt = read_aligned_lines(Path(out_dir) / f"{name}.{part}.src",
-                                  Path(out_dir) / f"{name}.{part}.tgt")
-    return [(s.split(), t.split()) for s, t in zip(src, tgt)]
+def _read_train_dev(args):
+    """The train and dev token pairs of the split `--name` under `--data`."""
+    base = Path(args.data) / args.name
+    pairs = []
+    for part in ("train", "dev"):
+        src, tgt = read_aligned_lines(f"{base}.{part}.src", f"{base}.{part}.tgt")
+        pairs.append([(s.split(), t.split()) for s, t in zip(src, tgt)])
+    return pairs
+
+
+# --------------------------------------------------------------------------
+# stages: each takes loaded inputs, writes the stage's files and returns what
+# its caller prints or logs; its subcommand and `run_pipeline` both call it
+
+def stage_split(corp, cfg, out_dir):
+    parts = split_corpus(corp, SplitSpec(
+        (cfg["split.train"], cfg["split.dev"], cfg["split.test"]), cfg["split.seed"]))
+    write_splits(parts, out_dir, corp.name)
+    return parts
+
+
+def stage_train_subword(sents, cfg, out):
+    model, reports = train_skipgram(sents, _subword_config(cfg))
+    model.save(out)
+    return model, reports
+
+
+def stage_build_ev(lex, e_hr, out):
+    e_v, report = build_projected_matrix(lex, e_hr)
+    write_embeddings(e_v, out)
+    return e_v, report
+
+
+def stage_map(e_v, e_m, out):
+    mapping = fit_mapping(e_v, e_m)
+    save_mapping(mapping, out)
+    return mapping
+
+
+def stage_init_emb(strategy, vocab, e_v, subword_model, mapping, dim, seed, out):
+    """Build and write an init table; `init.npz` gets `init.provenance.tsv`."""
+    init = build_initial_embeddings(strategy, vocab, e_v, subword_model, mapping,
+                                    dim, seed)
+    write_embeddings(init.matrix, out)
+    init.write_provenance(Path(out).with_suffix(".provenance.tsv"))
+    return init
+
+
+def stage_train_mt(fit, params, nmt_cfg, train_dev, src_vocab, tgt_vocab, hyper, out):
+    """`fit` (`train` or `fine_tune`) on the train and dev token pairs."""
+    train_pairs, dev_pairs = (encode_pairs(p, src_vocab, tgt_vocab) for p in train_dev)
+    params, hist = fit(params, nmt_cfg, train_pairs, dev_pairs, hyper)
+    save_checkpoint(out, nmt_cfg, params, hist)
+    return params, hist
 
 
 def run_pipeline(cfg, out_dir, strategies, deterministic=True, log=print):
@@ -151,25 +200,22 @@ def run_pipeline(cfg, out_dir, strategies, deterministic=True, log=print):
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     strategies = [s for s in STRATEGY_ORDER if s in strategies]
+    needs = {name for s in strategies for name in STRATEGY_INPUTS[s]}
     stage = "validate"
     _require(cfg, "data.bible_src", "data.bible_tgt", "data.corpus2_src",
              "data.corpus2_tgt", "data.hr_embeddings")
-    if s_needs_lexicon(strategies):
+    if "e_v" in needs:
         _require(cfg, "data.lexicon")
     try:
         stage = "stats+split"
-        spec = SplitSpec((cfg["split.train"], cfg["split.dev"], cfg["split.test"]),
-                         cfg["split.seed"])
         splits = {}
-        for name, sk, tk in (("bible", "data.bible_src", "data.bible_tgt"),
-                             ("corpus2", "data.corpus2_src", "data.corpus2_tgt")):
-            corp = load_parallel_corpus(cfg[sk], cfg[tk], name)
-            stats = corpus_stats(corp)
-            (out / f"{name}.stats.txt").write_text(_stats_text(stats), encoding="utf-8")
+        for name in ("bible", "corpus2"):
+            corp = load_parallel_corpus(cfg[f"data.{name}_src"], cfg[f"data.{name}_tgt"],
+                                        name)
+            (out / f"{name}.stats.txt").write_text(_stats_text(corpus_stats(corp)),
+                                                   encoding="utf-8")
             (out / f"{name}.load.txt").write_text(str(corp.report), encoding="utf-8")
-            parts = split_corpus(corp, spec)
-            write_splits(parts, out, name)
-            splits[name] = parts
+            parts = splits[name] = stage_split(corp, cfg, out)
             log(f"[{name}] {len(corp)} pairs -> "
                 f"{len(parts[0])}/{len(parts[1])}/{len(parts[2])}")
 
@@ -182,50 +228,59 @@ def run_pipeline(cfg, out_dir, strategies, deterministic=True, log=print):
         tgt_vocab.save(out / "vocab.tgt")
 
         stage = "train-subword"
-        subword_sents = (splits["bible"][0].side("src")
-                         + splits["corpus2"][0].side("src"))
-        sw_cfg = _subword_config(cfg)
-        model, reports = train_skipgram(subword_sents, sw_cfg)
-        model.save(out / "subword.model")
+        model, reports = stage_train_subword(
+            splits["bible"][0].side("src") + splits["corpus2"][0].side("src"),
+            cfg, out / "subword.model")
         (out / "subword.report.txt").write_text(
             "\n".join(str(r) for r in reports) + "\n", encoding="utf-8")
         e_m = model.export_matrix(src_vocab.tokens())
         write_embeddings(e_m, out / "em.npz")
-        log(f"[subword] trained dim={sw_cfg.dim} over {len(model.vocab)} words")
+        log(f"[subword] trained dim={model.dim} over {len(model.vocab)} words")
 
-        e_v = None
-        if s_needs_lexicon(strategies):
+        e_v = mapping = None
+        if "e_v" in needs:
             stage = "build-ev"
             lex = read_lexicon(cfg["data.lexicon"])
-            e_hr = read_embeddings(cfg["data.hr_embeddings"])
-            e_v, report = build_projected_matrix(lex, e_hr)
-            write_embeddings(e_v, out / "ev.npz")
+            e_v, report = stage_build_ev(lex, read_embeddings(cfg["data.hr_embeddings"]),
+                                         out / "ev.npz")
             (out / "ev.report.txt").write_text(report.to_text(), encoding="utf-8")
             log(f"[build-ev] covered {report.covered}/{len(lex)} entries")
 
-        mapping = None
-        if InitStrategy.VECMAP in strategies:
+        if "mapping" in needs:
             stage = "map"
-            mapping = fit_mapping(e_v, e_m)
-            save_mapping(mapping, out / "mapping.npz")
+            mapping = stage_map(e_v, e_m, out / "mapping.npz")
             log(f"[map] objective {mapping.objective:.4f}")
 
         stage = "mt"
         nmt_cfg = _nmt_config(cfg)
         results = []
         for strat in strategies:
-            row = _run_strategy(cfg, out, strat, nmt_cfg, src_vocab, tgt_vocab,
-                                splits, e_v, model, mapping, log)
-            results.append(row)
+            sdir = out / str(strat)
+            sdir.mkdir(exist_ok=True)
+            init = stage_init_emb(strat, src_vocab, e_v, model, mapping,
+                                  nmt_cfg.emb_dim, nmt_cfg.seed, sdir / "init.npz")
+            params = build_model(nmt_cfg, init, tgt_vocab, source_vocab=src_vocab)
+            row = str(strat)
+            for name, fit, section in (("bible", train, "train"),
+                                       ("corpus2", fine_tune, "finetune")):
+                parts = splits[name]
+                params, _ = stage_train_mt(
+                    fit, params, nmt_cfg, [parts[0].pairs, parts[1].pairs], src_vocab,
+                    tgt_vocab, _train_config(cfg, section), sdir / f"{name}.ckpt")
+                hyp = sdir / f"{name}.test.hyp"
+                translate(params, nmt_cfg, parts[2].side("src"), src_vocab, tgt_vocab, hyp)
+                report = metrics.evaluate_translations(hyp, out / f"{name}.test.tgt")
+                (sdir / f"{name}.bleu.tsv").write_text(report.to_tsv(), encoding="utf-8")
+                row += f"\t{report.corpus:.4f}\t{report.mean_sentence:.4f}"
+                log(f"[{strat}/{name}] corpus BLEU {report.corpus:.2f} "
+                    f"mean sentence BLEU {report.mean_sentence:.2f}")
+            results.append(row + "\n")
 
         stage = "report"
-        header = ("strategy\tbible_corpus_bleu\tbible_mean_sentence_bleu\t"
-                  "corpus2_corpus_bleu\tcorpus2_mean_sentence_bleu\n")
         with open(out / "results.tsv", "w", encoding="utf-8") as f:
-            f.write(header)
-            for strat, b, c in results:
-                f.write(f"{strat}\t{b.corpus:.4f}\t{b.mean_sentence:.4f}\t"
-                        f"{c.corpus:.4f}\t{c.mean_sentence:.4f}\n")
+            f.write("strategy\tbible_corpus_bleu\tbible_mean_sentence_bleu\t"
+                    "corpus2_corpus_bleu\tcorpus2_mean_sentence_bleu\n")
+            f.writelines(results)
         _write_manifest(cfg, out, strategies, deterministic)
         log(f"[done] results at {out / 'results.tsv'}")
         return out / "results.tsv"
@@ -235,11 +290,6 @@ def run_pipeline(cfg, out_dir, strategies, deterministic=True, log=print):
         raise StageError(stage, e) from e
 
 
-def s_needs_lexicon(strategies):
-    return any(s in (InitStrategy.XH_PRE, InitStrategy.VECMAP, InitStrategy.XH_META)
-               for s in strategies)
-
-
 def _stats_text(stats):
     lines = [f"sentences\t{stats.sentences}"]
     for side, st in (("src", stats.src), ("tgt", stats.tgt)):
@@ -247,48 +297,6 @@ def _stats_text(stats):
         lines.append(f"{side}.std_len\t{st.std_len:.4f}")
         lines.append(f"{side}.total_tokens\t{st.total_tokens}")
     return "\n".join(lines) + "\n"
-
-
-def _run_strategy(cfg, out, strat, nmt_cfg, src_vocab, tgt_vocab, splits,
-                  e_v, sw_model, mapping, log):
-    sdir = out / str(strat)
-    sdir.mkdir(exist_ok=True)
-    init = build_initial_embeddings(
-        strat, src_vocab, e_v=e_v, subword_model=sw_model, mapping=mapping,
-        dim=nmt_cfg.emb_dim, seed=nmt_cfg.seed)
-    _write_init(init, sdir / "init.npz")
-    params = build_model(nmt_cfg, init, tgt_vocab, source_vocab=src_vocab)
-
-    scores = []
-    for ci, name in enumerate(("bible", "corpus2")):
-        parts = splits[name]
-        train_pairs = encode_pairs(parts[0].pairs, src_vocab, tgt_vocab)
-        dev_pairs = encode_pairs(parts[1].pairs, src_vocab, tgt_vocab)
-        if ci == 0:
-            hyper = _train_config(cfg, "train")
-            params, hist = train(params, nmt_cfg, train_pairs, dev_pairs, hyper)
-        else:
-            hyper = _train_config(cfg, "finetune")
-            params, hist = fine_tune(params, nmt_cfg, train_pairs, dev_pairs, hyper)
-        save_checkpoint(sdir / f"{name}.ckpt", nmt_cfg, params, hist)
-        hyp_path = sdir / f"{name}.test.hyp"
-        translate(params, nmt_cfg, parts[2].side("src"), src_vocab, tgt_vocab,
-                  hyp_path, beam=nmt_cfg.beam)
-        report = metrics.score_corpus(
-            [l.split() for l in hyp_path.read_text(encoding="utf-8").splitlines()],
-            parts[2].side("tgt"))
-        (sdir / f"{name}.bleu.tsv").write_text(report.to_tsv(), encoding="utf-8")
-        scores.append(report)
-        log(f"[{strat}/{name}] corpus BLEU {report.corpus:.2f} "
-            f"mean sentence BLEU {report.mean_sentence:.2f}")
-    return str(strat), scores[0], scores[1]
-
-
-def _write_init(init, path):
-    """Write an init table and its provenance beside it: `init.npz` gets
-    `init.provenance.tsv`."""
-    write_embeddings(init.matrix, path)
-    init.write_provenance(Path(path).with_suffix(".provenance.tsv"))
 
 
 def _write_manifest(cfg, out, strategies, deterministic):
@@ -318,11 +326,10 @@ def _cmd_stats(args):
 
 def _cmd_split(args):
     cfg = load_config(args.config)
+    if args.seed is not None:
+        cfg["split.seed"] = args.seed
     corp = load_parallel_corpus(args.src, args.tgt, args.name)
-    spec = SplitSpec((cfg["split.train"], cfg["split.dev"], cfg["split.test"]),
-                     args.seed if args.seed is not None else cfg["split.seed"])
-    parts = split_corpus(corp, spec)
-    write_splits(parts, args.out, args.name)
+    parts = stage_split(corp, cfg, args.out)
     print(f"split {len(corp)} -> {len(parts[0])}/{len(parts[1])}/{len(parts[2])}")
 
 
@@ -331,26 +338,20 @@ def _cmd_train_subword(args):
     sents = []
     for path in args.text:
         sents.extend(line.split() for line in read_lines(path) if line)
-    model, reports = train_skipgram(sents, _subword_config(cfg))
-    model.save(args.out)
+    _, reports = stage_train_subword(sents, cfg, args.out)
     for r in reports:
         print(r)
 
 
 def _cmd_build_ev(args):
-    lex = read_lexicon(args.lexicon)
-    e_hr = read_embeddings(args.hr_embeddings)
-    e_v, report = build_projected_matrix(lex, e_hr)
-    write_embeddings(e_v, args.out)
+    _, report = stage_build_ev(read_lexicon(args.lexicon),
+                               read_embeddings(args.hr_embeddings), args.out)
     print(report.to_text(), end="")
 
 
 def _cmd_map(args):
-    e_v = read_embeddings(args.ev)
-    e_m = read_embeddings(args.em)
-    model = fit_mapping(e_v, e_m)
-    save_mapping(model, args.out)
-    print(f"mapping objective {model.objective:.6f}")
+    mapping = stage_map(read_embeddings(args.ev), read_embeddings(args.em), args.out)
+    print(f"mapping objective {mapping.objective:.6f}")
 
 
 def _cmd_init_emb(args):
@@ -359,9 +360,13 @@ def _cmd_init_emb(args):
     e_v = read_embeddings(args.ev) if args.ev else None
     model = SubwordModel.load(args.subword_model) if args.subword_model else None
     mapping = load_mapping(args.mapping) if args.mapping else None
-    init = build_initial_embeddings(strat, vocab, e_v=e_v, subword_model=model,
-                                    mapping=mapping, dim=args.dim, seed=args.seed)
-    _write_init(init, args.out)
+    if mapping is not None and e_v is not None and model is not None:
+        dim = mapping.w_x.shape[0]
+        if (e_v.dim, model.dim) != (dim, dim):
+            raise ValidationError(
+                f"{args.mapping}: mapping dim {dim} does not match E_V dim "
+                f"{e_v.dim} ({args.ev}) and E_M dim {model.dim} ({args.subword_model})")
+    stage_init_emb(strat, vocab, e_v, model, mapping, args.dim, args.seed, args.out)
 
 
 def _cmd_train_mt(args):
@@ -370,14 +375,13 @@ def _cmd_train_mt(args):
     src_vocab = Vocabulary.load(args.src_vocab)
     tgt_vocab = Vocabulary.load(args.tgt_vocab)
     init = read_embeddings(args.init)
-    params = build_model(nmt_cfg, init, tgt_vocab, source_vocab=src_vocab)
-    train_pairs = encode_pairs(_read_split_pairs(args.data, args.name, "train"),
-                               src_vocab, tgt_vocab)
-    dev_pairs = encode_pairs(_read_split_pairs(args.data, args.name, "dev"),
-                             src_vocab, tgt_vocab)
-    params, hist = train(params, nmt_cfg, train_pairs, dev_pairs,
-                         _train_config(cfg, "train"))
-    save_checkpoint(args.out, nmt_cfg, params, hist)
+    try:
+        params = build_model(nmt_cfg, init, tgt_vocab, source_vocab=src_vocab)
+    except ValueError as e:
+        raise ValidationError(
+            f"{args.init} (source vocabulary {args.src_vocab}): {e}") from e
+    _, hist = stage_train_mt(train, params, nmt_cfg, _read_train_dev(args), src_vocab,
+                             tgt_vocab, _train_config(cfg, "train"), args.out)
     for rec in hist:
         print(f"epoch {rec.epoch}\tloss {rec.train_loss:.4f}\tdev_ppl {rec.dev_ppl:.4f}")
 
@@ -387,13 +391,8 @@ def _cmd_finetune(args):
     nmt_cfg, params, _ = load_checkpoint(args.checkpoint)
     src_vocab = Vocabulary.load(args.src_vocab)
     tgt_vocab = Vocabulary.load(args.tgt_vocab)
-    train_pairs = encode_pairs(_read_split_pairs(args.data, args.name, "train"),
-                               src_vocab, tgt_vocab)
-    dev_pairs = encode_pairs(_read_split_pairs(args.data, args.name, "dev"),
-                             src_vocab, tgt_vocab)
-    params, hist = fine_tune(params, nmt_cfg, train_pairs, dev_pairs,
-                             _train_config(cfg, "finetune"))
-    save_checkpoint(args.out, nmt_cfg, params, hist)
+    _, hist = stage_train_mt(fine_tune, params, nmt_cfg, _read_train_dev(args), src_vocab,
+                             tgt_vocab, _train_config(cfg, "finetune"), args.out)
     for rec in hist:
         print(f"epoch {rec.epoch}\tloss {rec.train_loss:.4f}\tdev_ppl {rec.dev_ppl:.4f}")
 

@@ -33,6 +33,16 @@ class InitStrategy(enum.Enum):
 STRATEGY_ORDER = [InitStrategy.RANDOM, InitStrategy.VECMAP, InitStrategy.XH_SUB,
                   InitStrategy.XH_PRE, InitStrategy.XH_META]
 
+# the inputs each strategy's init table is built from, by their parameter
+# names in `build_initial_embeddings`
+STRATEGY_INPUTS = {
+    InitStrategy.RANDOM: (),
+    InitStrategy.XH_PRE: ("e_v", "subword_model"),
+    InitStrategy.XH_SUB: ("subword_model",),
+    InitStrategy.VECMAP: ("e_v", "subword_model", "mapping"),
+    InitStrategy.XH_META: ("e_v", "subword_model"),
+}
+
 # random rows are drawn uniform in [-INIT_RANGE, INIT_RANGE)
 INIT_RANGE = 0.1
 
@@ -73,13 +83,7 @@ def build_initial_embeddings(strategy, task_vocab, e_v=None, subword_model=None,
     order (PAD is all zeros); `_word_rows` gives the other strategies' rows.
     Rows are zero-padded to `dim`, which may not be narrower than a source.
     """
-    needs = {
-        InitStrategy.RANDOM: [],
-        InitStrategy.XH_PRE: ["e_v", "subword_model"],
-        InitStrategy.XH_SUB: ["subword_model"],
-        InitStrategy.VECMAP: ["e_v", "subword_model", "mapping"],
-        InitStrategy.XH_META: ["e_v", "subword_model"],
-    }[strategy]
+    needs = STRATEGY_INPUTS[strategy]
     have = {"e_v": e_v, "subword_model": subword_model, "mapping": mapping}
     for name in needs:
         if have[name] is None:

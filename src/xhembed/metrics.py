@@ -127,4 +127,7 @@ def evaluate_translations(hyp_path, ref_path):
     if len(hyps) != len(refs):
         raise BleuError(
             f"line count mismatch: {hyp_path} has {len(hyps)}, {ref_path} has {len(refs)}")
+    for ln, ref in enumerate(refs, start=1):
+        if not ref:
+            raise BleuError(f"{ref_path}:{ln}: empty reference")
     return score_corpus(hyps, refs)

@@ -118,10 +118,7 @@ def train(params, cfg, train_pairs, dev_pairs, hyper):
     return best, history
 
 
-def fine_tune(params, cfg, new_train_pairs, new_dev_pairs, hyper=None):
-    """Continue training on a new domain at a reduced learning rate (1e-4
-    default); tokens outside the original vocabularies arrive as UNK ids."""
-    hyper = hyper or TrainConfig(lr=1e-4)
-    if hyper.epochs == 0:
-        return {k: v.copy() for k, v in params.items()}, []
+def fine_tune(params, cfg, new_train_pairs, new_dev_pairs, hyper):
+    """Continue training on a new domain, at the lower learning rate `hyper`
+    gives; tokens outside the original vocabularies arrive as UNK ids."""
     return train(params, cfg, new_train_pairs, new_dev_pairs, hyper)

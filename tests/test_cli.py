@@ -6,9 +6,10 @@ import pytest
 from xhembed.cli import (CONFIG_KEYS, ValidationError, load_config, main,
                          run_pipeline)
 from xhembed.combine import InitStrategy
-from xhembed.embedstore import read_embeddings
+from xhembed.embedstore import EmbeddingMatrix, read_embeddings, write_embeddings
 from xhembed.nmt import load_checkpoint, save_checkpoint
 from xhembed.subword import SkipgramConfig, SubwordModel
+from xhembed.xmap import MappingModel, save_mapping
 
 from conftest import tiny_model, vocab_of
 
@@ -17,6 +18,10 @@ def write_cfg(tmp_path, text, name="run.cfg"):
     p = tmp_path / name
     p.write_text(text, encoding="utf-8")
     return p
+
+
+def cli(*argv):
+    return main([str(a) for a in argv])
 
 
 def assert_fails_naming(argv, path, capsys):
@@ -270,6 +275,64 @@ class TestMalformedInput:
                              "--ref", tmp_path / "r.txt"],
                             tmp_path / "h.txt", capsys)
 
+    def test_evaluate_blank_reference_line(self, tmp_path, capsys):
+        (tmp_path / "h.txt").write_text("a b\nc d\n")
+        (tmp_path / "r.txt").write_text("a b\n\n")
+        assert_fails_naming(["evaluate", "--hyp", tmp_path / "h.txt",
+                             "--ref", tmp_path / "r.txt"],
+                            f"{tmp_path / 'r.txt'}:2: empty reference", capsys)
+
+    def test_init_emb_mapping_narrower_than_spaces(self, tmp_path, capsys):
+        """An 8-d mapping against 16-d E_V and E_M."""
+        vocab = vocab_of(["toza", "meka"])
+        vocab.save(tmp_path / "vocab.src")
+        SubwordModel(vocab, SkipgramConfig(dim=16, buckets=10),
+                     np.zeros((10 + len(vocab), 16)),
+                     np.zeros((len(vocab), 16))).save(tmp_path / "sw.model")
+        write_embeddings(EmbeddingMatrix(["toza"], np.ones((1, 16))), tmp_path / "ev.npz")
+        save_mapping(MappingModel(np.eye(8), np.eye(8)), tmp_path / "mapping.npz")
+        capsys.readouterr()
+        assert cli("init-emb", "--strategy", "VecMap", "--vocab", tmp_path / "vocab.src",
+                   "--ev", tmp_path / "ev.npz", "--subword-model", tmp_path / "sw.model",
+                   "--mapping", tmp_path / "mapping.npz",
+                   "--out", tmp_path / "init.npz") == 1
+        err = capsys.readouterr().err
+        for part in (str(tmp_path / "mapping.npz"), "mapping dim 8", "E_V dim 16",
+                     "E_M dim 16"):
+            assert part in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "init.npz").exists()
+
+    def train_mt_on_init(self, tmp_path, capsys, words, dim):
+        """Exit code and stderr of `train-mt` at emb_dim 4 with source
+        vocabulary w1 w2 and an init table of `words` rows, `dim` wide."""
+        vocab_of(["w1", "w2"]).save(tmp_path / "vocab.src")
+        vocab_of(["v1"]).save(tmp_path / "vocab.tgt")
+        tokens = vocab_of(words).id_to_token
+        write_embeddings(EmbeddingMatrix(tokens, np.ones((len(tokens), dim))),
+                         tmp_path / "init.npz")
+        for part in ("train", "dev"):
+            (tmp_path / f"c.{part}.src").write_text("w1 w2\n")
+            (tmp_path / f"c.{part}.tgt").write_text("v1\n")
+        cfg = write_cfg(tmp_path, "nmt.emb_dim=4\nnmt.hidden=4\n")
+        capsys.readouterr()
+        rc = cli("train-mt", "--data", tmp_path, "--name", "c",
+                 "--src-vocab", tmp_path / "vocab.src", "--tgt-vocab", tmp_path / "vocab.tgt",
+                 "--init", tmp_path / "init.npz", "--out", tmp_path / "model.ckpt",
+                 "--config", cfg)
+        assert not (tmp_path / "model.ckpt").exists()
+        return rc, capsys.readouterr().err
+
+    def test_train_mt_init_rows_not_the_source_vocabulary(self, tmp_path, capsys):
+        rc, err = self.train_mt_on_init(tmp_path, capsys, ["w1", "w3"], 4)
+        assert rc == 1 and "Traceback" not in err
+        assert str(tmp_path / "init.npz") in err and str(tmp_path / "vocab.src") in err
+
+    def test_train_mt_init_width_not_emb_dim(self, tmp_path, capsys):
+        rc, err = self.train_mt_on_init(tmp_path, capsys, ["w1", "w2"], 6)
+        assert rc == 1 and "Traceback" not in err
+        assert str(tmp_path / "init.npz") in err and "dim 6" in err
+
 
 def tiny_translate_args(tmp_path, cfg, params, sv, tv):
     """`translate` arguments for a checkpoint of (cfg, params) and one
@@ -467,41 +530,74 @@ class TestTranslate:
 
 class TestStagewise:
     def test_stages_reproduce_run_all(self, tmp_path, capsys):
-        """Decoding a run-all checkpoint and rebuilding an init from the saved
-        subword model give run-all's own files byte for byte."""
+        """stats, split, train-subword, init-emb, finetune, translate and
+        evaluate, each run on the files of the stage before it, give
+        run-all's own files and reports byte for byte."""
         cfg_path = write_cfg(tmp_path, micro_dataset(tmp_path))
         out = tmp_path / "out"
         assert main(["run-all", "--config", str(cfg_path), "--out", str(out),
                      "--deterministic", "--strategies", "Random,XhSub"]) == 0
-        hyp = tmp_path / "corpus2.test.hyp"
-        assert main(["translate", "--checkpoint", str(out / "Random" / "corpus2.ckpt"),
-                     "--src", str(out / "corpus2.test.src"),
-                     "--src-vocab", str(out / "vocab.src"),
-                     "--tgt-vocab", str(out / "vocab.tgt"), "--out", str(hyp)]) == 0
-        assert hyp.read_bytes() == (out / "Random" / "corpus2.test.hyp").read_bytes()
+        capsys.readouterr()
+        splits = tmp_path / "splits"
+        for name, stem in (("bible", "b"), ("corpus2", "c")):
+            src, tgt = tmp_path / f"{stem}.src", tmp_path / f"{stem}.tgt"
+            assert cli("stats", "--src", src, "--tgt", tgt) == 0
+            assert capsys.readouterr().out == (out / f"{name}.stats.txt").read_text()
+            assert cli("split", "--src", src, "--tgt", tgt, "--name", name,
+                       "--out", splits, "--config", cfg_path) == 0
+            capsys.readouterr()
+            for part in ("train", "dev", "test"):
+                for side in ("src", "tgt"):
+                    f = f"{name}.{part}.{side}"
+                    assert (splits / f).read_bytes() == (out / f).read_bytes(), f
+        model = tmp_path / "subword.model"
+        assert cli("train-subword", "--text", splits / "bible.train.src",
+                   splits / "corpus2.train.src", "--config", cfg_path, "--out", model) == 0
+        assert model.read_bytes() == (out / "subword.model").read_bytes()
         init = tmp_path / "init.npz"
-        assert main(["init-emb", "--strategy", "XhSub", "--vocab", str(out / "vocab.src"),
-                     "--subword-model", str(out / "subword.model"), "--dim", "8",
-                     "--seed", "0", "--out", str(init)]) == 0
+        assert cli("init-emb", "--strategy", "XhSub", "--vocab", out / "vocab.src",
+                   "--subword-model", model, "--dim", "8", "--seed", "0",
+                   "--out", init) == 0
         assert init.read_bytes() == (out / "XhSub" / "init.npz").read_bytes()
 
+        vocabs = ["--src-vocab", out / "vocab.src", "--tgt-vocab", out / "vocab.tgt"]
+        ckpt = tmp_path / "corpus2.ckpt"
+        assert cli("finetune", "--checkpoint", out / "Random" / "bible.ckpt",
+                   "--data", splits, "--name", "corpus2", *vocabs, "--out", ckpt,
+                   "--config", cfg_path) == 0
+        assert ckpt.read_bytes() == (out / "Random" / "corpus2.ckpt").read_bytes()
+        hyp = tmp_path / "corpus2.test.hyp"
+        assert cli("translate", "--checkpoint", ckpt, "--src", splits / "corpus2.test.src",
+                   *vocabs, "--out", hyp) == 0
+        assert hyp.read_bytes() == (out / "Random" / "corpus2.test.hyp").read_bytes()
+        capsys.readouterr()
+        assert cli("evaluate", "--hyp", hyp, "--ref", splits / "corpus2.test.tgt") == 0
+        assert (capsys.readouterr().out
+                == (out / "Random" / "corpus2.bleu.tsv").read_text())
+
     def test_matrix_stages_reproduce_run_all(self, tmp_path, capsys):
-        """map, init-emb and train-mt on run-all's own matrix files give
-        run-all's mapping, init tables, provenance files and checkpoints
-        byte for byte."""
+        """build-ev, map, init-emb and train-mt, each run on the files of the
+        stage before it, give run-all's E_V and projection report, mapping,
+        init tables, provenance files and checkpoints byte for byte."""
         cfg_path = write_cfg(tmp_path, micro_dataset(tmp_path))
         out = tmp_path / "out"
         assert main(["run-all", "--config", str(cfg_path), "--out", str(out),
                      "--strategies", "Random,VecMap,XhMeta"]) == 0
+        ev = tmp_path / "ev.npz"
+        capsys.readouterr()
+        assert cli("build-ev", "--lexicon", tmp_path / "lex.tsv",
+                   "--hr-embeddings", tmp_path / "hr.vec", "--out", ev) == 0
+        assert capsys.readouterr().out == (out / "ev.report.txt").read_text()
+        assert ev.read_bytes() == (out / "ev.npz").read_bytes()
         mapping = tmp_path / "mapping.npz"
-        assert main(["map", "--ev", str(out / "ev.npz"), "--em", str(out / "em.npz"),
+        assert main(["map", "--ev", str(ev), "--em", str(out / "em.npz"),
                      "--out", str(mapping)]) == 0
         assert mapping.read_bytes() == (out / "mapping.npz").read_bytes()
         for strat, extra in (("VecMap", ["--mapping", str(mapping)]), ("XhMeta", [])):
             sdir = tmp_path / strat
             sdir.mkdir()
             assert main(["init-emb", "--strategy", strat, "--vocab", str(out / "vocab.src"),
-                         "--ev", str(out / "ev.npz"),
+                         "--ev", str(ev),
                          "--subword-model", str(out / "subword.model"), "--dim", "8",
                          "--out", str(sdir / "init.npz")] + extra) == 0
             for name in ("init.npz", "init.provenance.tsv"):
