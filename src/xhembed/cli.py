@@ -5,7 +5,6 @@ import argparse
 import sys
 from pathlib import Path
 
-from . import corpus as corpus_mod
 from . import metrics
 from .combine import (STRATEGY_INPUTS, STRATEGY_ORDER, InitStrategy,
                       build_initial_embeddings)
@@ -203,9 +202,9 @@ def run_pipeline(cfg, out_dir, strategies, deterministic=True, log=print):
     needs = {name for s in strategies for name in STRATEGY_INPUTS[s]}
     stage = "validate"
     _require(cfg, "data.bible_src", "data.bible_tgt", "data.corpus2_src",
-             "data.corpus2_tgt", "data.hr_embeddings")
+             "data.corpus2_tgt")
     if "e_v" in needs:
-        _require(cfg, "data.lexicon")
+        _require(cfg, "data.lexicon", "data.hr_embeddings")
     try:
         stage = "stats+split"
         splits = {}

@@ -4,6 +4,7 @@ word2vec-style text read from outside), normalization and cosine retrieval."""
 import numpy as np
 
 from . import artifact
+from .corpus import read_lines
 
 KIND = "embedding matrix"
 
@@ -63,11 +64,7 @@ def _read_text(path):
     """Header ("N D" first line) or headerless text embeddings.  Duplicate
     tokens keep the first occurrence; the count of dropped duplicates is
     returned on the matrix as .duplicates_dropped."""
-    try:
-        with open(path, encoding="utf-8") as f:
-            lines = f.read().splitlines()
-    except UnicodeDecodeError as e:
-        raise EmbeddingFormatError(f"{path}: undecodable bytes: {e}") from e
+    lines = read_lines(path)
     start = 0
     dim = None
     if lines:

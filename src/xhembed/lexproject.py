@@ -5,6 +5,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .corpus import read_lines
 from .embedstore import EmbeddingMatrix, unit_normalize
 
 
@@ -25,12 +26,7 @@ def read_lexicon(path):
     Blank lines skipped; duplicate source words rejected."""
     entries = []
     seen = {}
-    try:
-        with open(path, encoding="utf-8") as f:
-            lines = f.read().splitlines()
-    except UnicodeDecodeError as e:
-        raise LexiconError(f"{path}: undecodable bytes: {e}") from e
-    for ln, line in enumerate(lines, start=1):
+    for ln, line in enumerate(read_lines(path), start=1):
         if not line.strip():
             continue
         parts = line.split("\t")

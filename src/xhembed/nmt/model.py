@@ -4,12 +4,16 @@ numpy so gradients can be verified by finite differences.
 
 Each GRU is three tensors, `{prefix}_W` (I, 3H), `{prefix}_U` (H, 3H) and
 `{prefix}_b` (3H), whose column blocks are the update, reset and candidate
-gates in that order, [z|r|c].  `param_shapes` lists the tensors of a config;
-checkpoints with any other names or shapes (such as the nine per-gate tensors
-per GRU of earlier versions) are rejected when loaded.
+gates in that order, [z|r|c].  `param_shapes` is the one statement of the
+tensors of a config: `build_model` draws them from it, and checkpoints with
+any other names or shapes (such as the nine per-gate tensors per GRU of
+earlier versions) are rejected when loaded.
 
 `gru_forward` runs one GRU, or both directions of an encoder layer, in one
-time-major loop of `_gru_step`, the step `decoder_step` also takes."""
+time-major loop of `_gru_step`, the step `decoder_step` also takes.
+`stack_forward` and `stack_backward` run a stack of such layers, the encoder
+and the decoder alike.  Dropout applies to the input of each GRU layer and to
+the attention output."""
 
 from dataclasses import dataclass
 
@@ -38,21 +42,11 @@ class Seq2SeqConfig:
             raise ValueError("max_decode_len must be >= 1")
 
 
-def _init_gru(params, rng, prefix, in_dim, hid, scale):
-    """Stacked gate blocks [z|r|c]: W (in_dim, 3*hid), U (hid, 3*hid),
-    b (3*hid).  Blocks are drawn in the order W_z, U_z, W_r, U_r, W_c, U_c."""
-    ws, us = [], []
-    for _ in range(3):
-        ws.append(rng.uniform(-scale, scale, (in_dim, hid)))
-        us.append(rng.uniform(-scale, scale, (hid, hid)))
-    params[f"{prefix}_W"] = np.concatenate(ws, axis=1)
-    params[f"{prefix}_U"] = np.concatenate(us, axis=1)
-    params[f"{prefix}_b"] = np.zeros(3 * hid)
-
-
 def param_shapes(cfg, n_src, n_tgt):
-    """The shape of every tensor build_model creates for `cfg` with source and
-    target vocabularies of n_src and n_tgt types, in build_model's order."""
+    """The name and shape of every tensor of the model for `cfg` with source
+    and target vocabularies of n_src and n_tgt types: the one statement of its
+    layout, which build_model draws in this order and load_checkpoint checks
+    against."""
     h, h2, e = cfg.hidden, cfg.hidden // 2, cfg.emb_dim
     shapes = {"src_emb": (n_src, e), "tgt_emb": (n_tgt, e)}
 
@@ -77,9 +71,10 @@ def param_names(cfg):
 
 
 def build_model(cfg, source_init, target_vocab, init_scale=0.1, source_vocab=None):
-    """Create the parameter dict.  The source embedding table is copied from
-    `source_init` (an InitializedEmbeddings or EmbeddingMatrix) whose row
-    order must match the source vocabulary ids; everything else is seeded
+    """Create the parameter dict, one tensor per entry of param_shapes.  The
+    source embedding table is copied from `source_init` (an
+    InitializedEmbeddings or EmbeddingMatrix) whose row order must match the
+    source vocabulary ids; biases are zero and everything else is seeded
     uniform +/-init_scale."""
     matrix = getattr(source_init, "matrix", source_init)
     if matrix.dim != cfg.emb_dim:
@@ -90,25 +85,24 @@ def build_model(cfg, source_init, target_vocab, init_scale=0.1, source_vocab=Non
         raise ValueError("source init does not cover the source vocabulary "
                          "in id order")
     rng = np.random.default_rng(cfg.seed)
-    h, h2, e = cfg.hidden, cfg.hidden // 2, cfg.emb_dim
-    vt = len(target_vocab)
+    shapes = param_shapes(cfg, len(matrix), len(target_vocab))
     params = {}
-    params["src_emb"] = matrix.rows.copy()
-    params["tgt_emb"] = rng.uniform(-init_scale, init_scale, (vt, e))
-    for l in range(cfg.enc_layers):
-        in_dim = e if l == 0 else h
-        _init_gru(params, rng, f"enc_{l}_f", in_dim, h2, init_scale)
-        _init_gru(params, rng, f"enc_{l}_b", in_dim, h2, init_scale)
-    for l in range(cfg.dec_layers):
-        in_dim = e if l == 0 else h
-        _init_gru(params, rng, f"dec_{l}", in_dim, h, init_scale)
-        params[f"bridge_{l}_W"] = rng.uniform(-init_scale, init_scale, (h, h))
-        params[f"bridge_{l}_b"] = np.zeros(h)
-    params["att_W"] = rng.uniform(-init_scale, init_scale, (h, h))
-    params["comb_W"] = rng.uniform(-init_scale, init_scale, (2 * h, h))
-    params["comb_b"] = np.zeros(h)
-    params["out_W"] = rng.uniform(-init_scale, init_scale, (h, vt))
-    params["out_b"] = np.zeros(vt)
+    for name, shape in shapes.items():
+        if name in params:                 # a GRU's _U, drawn with its _W
+            continue
+        if name == "src_emb":
+            params[name] = matrix.rows.copy()
+        elif name.endswith("_b"):
+            params[name] = np.zeros(shape)
+        elif name.endswith("_W") and f"{name[:-2]}_U" in shapes:
+            # gate blocks drawn in the order W_z, U_z, W_r, U_r, W_c, U_c
+            in_dim, hid = shape[0], shape[1] // 3
+            blocks = [rng.uniform(-init_scale, init_scale, (d, hid))
+                      for _ in range(3) for d in (in_dim, hid)]
+            params[name] = np.concatenate(blocks[0::2], axis=1)
+            params[f"{name[:-2]}_U"] = np.concatenate(blocks[1::2], axis=1)
+        else:
+            params[name] = rng.uniform(-init_scale, init_scale, shape)
     return params
 
 
@@ -259,43 +253,44 @@ def gru_backward(p, cache, dhs, dh_last, grads):
     return dx, _join_dirs(dh)
 
 
-class _Dropout:
-    """Inverted dropout; a None rng or zero rate means identity."""
-
-    def __init__(self, rate, rng):
-        self.rate = rate
-        self.rng = rng
-        self.masks = []
-
-    def apply(self, x):
-        if self.rng is None or self.rate <= 0.0:
-            self.masks.append(None)
-            return x
-        m = (self.rng.random(x.shape) >= self.rate) / (1.0 - self.rate)
-        self.masks.append(m)
-        return x * m
-
-    def backward(self, i, dx):
-        m = self.masks[i]
-        return dx if m is None else dx * m
+def _dropout(x, rate, rng):
+    """Inverted dropout: (x * mask, mask), or (x, None) when rng is None or
+    rate is zero."""
+    if rng is None or rate <= 0.0:
+        return x, None
+    m = (rng.random(x.shape) >= rate) / (1.0 - rate)
+    return x * m, m
 
 
-def encode(params, cfg, src_ids, src_mask, drop):
-    """Returns (encoder outputs (B,S,H), per-layer final states, cache)."""
-    x = drop.apply(params["src_emb"][src_ids])
-    h0 = np.zeros((src_ids.shape[0], cfg.hidden))
-    layer_caches = []
-    finals = []
-    for l in range(cfg.enc_layers):
-        out, h_last, cache = gru_forward(params, (f"enc_{l}_f", f"enc_{l}_b"),
-                                         x, src_mask, h0)
+def _encoder_layers(cfg):
+    return [(f"enc_{l}_f", f"enc_{l}_b") for l in range(cfg.enc_layers)]
+
+
+def stack_forward(params, layers, x, mask, h0s, rate, rng):
+    """Run a stack of GRU layers over (B,T,I) input x, each layer named by
+    its tuple of prefixes as in gru_forward and started from its entry of
+    h0s.  Dropout at `rate` applies to the input of every layer.  Returns
+    (top layer outputs (B,T,D*H), each layer's final state, cache)."""
+    finals, cache = [], []
+    for prefixes, h0 in zip(layers, h0s):
+        x, drop_mask = _dropout(x, rate, rng)
+        x, h_last, gru_cache = gru_forward(params, prefixes, x, mask, h0)
         finals.append(h_last)
-        layer_caches.append(cache)
-        if l < cfg.enc_layers - 1:
-            x = drop.apply(out)
-        else:
-            x = out
-    return x, finals, layer_caches
+        cache.append((drop_mask, gru_cache))
+    return x, finals, cache
+
+
+def stack_backward(params, cache, dtop, dh_lasts, grads):
+    """Backward through stack_forward.  dtop: grads on the top layer's
+    outputs; dh_lasts: grads on each layer's final state.  Returns (dx on the
+    stack's input before dropout, each layer's dh0)."""
+    dx, dh0s = dtop, [None] * len(cache)
+    for l in range(len(cache) - 1, -1, -1):
+        drop_mask, gru_cache = cache[l]
+        dx, dh0s[l] = gru_backward(params, gru_cache, dx, dh_lasts[l], grads)
+        if drop_mask is not None:
+            dx = dx * drop_mask
+    return dx, dh0s
 
 
 def bridge(params, cfg, enc_finals):
@@ -346,8 +341,7 @@ def forward_loss(params, cfg, batch, dropout_on=False, rng=None,
                  compute_grads=True):
     """Mean token cross-entropy over non-PAD target positions, with gradients
     for every parameter.  Teacher-forced decoding with per-step attention."""
-    drop = _Dropout(cfg.dropout if dropout_on else 0.0,
-                    rng if dropout_on else None)
+    rate, rng = (cfg.dropout, rng) if dropout_on else (0.0, None)
     src_ids, src_mask = batch.src_ids, batch.src_mask
     y_in, y_out = batch.tgt_ids[:, :-1], batch.tgt_ids[:, 1:]
     out_mask = (y_out != PAD).astype(np.float64)
@@ -355,24 +349,17 @@ def forward_loss(params, cfg, batch, dropout_on=False, rng=None,
     if n_tokens == 0:
         raise ValueError("batch has no target tokens")
 
-    h_enc, enc_finals, enc_caches = encode(params, cfg, src_ids, src_mask, drop)
-    n_enc_drops = len(drop.masks)
+    h0 = np.zeros((src_ids.shape[0], cfg.hidden))
+    h_enc, enc_finals, enc_cache = stack_forward(
+        params, _encoder_layers(cfg), params["src_emb"][src_ids], src_mask,
+        [h0] * cfg.enc_layers, rate, rng)
     dec_h0, bridge_cache = bridge(params, cfg, enc_finals)
-
-    x = params["tgt_emb"][y_in]
-    x = drop.apply(x)
-    dec_caches = []
-    for l in range(cfg.dec_layers):
-        hs, _, c = gru_forward(params, (f"dec_{l}",), x, None, dec_h0[l])
-        dec_caches.append(c)
-        if l < cfg.dec_layers - 1:
-            x = drop.apply(hs)
-        else:
-            x = hs
-    h_top = x
+    h_top, _, dec_cache = stack_forward(
+        params, [(f"dec_{l}",) for l in range(cfg.dec_layers)],
+        params["tgt_emb"][y_in], None, dec_h0, rate, rng)
 
     a, att_cache = attention_output(params, h_top, h_enc, src_mask)
-    a_d = drop.apply(a)
+    a_d, a_mask = _dropout(a, rate, rng)
     # The output layer works on (B*T, .) rows, so each matmul is one 2-D BLAS
     # call, and on one (B*T, V) buffer: the logits, then their exponents,
     # then dlogits, each in place.
@@ -396,23 +383,12 @@ def forward_loss(params, cfg, batch, dropout_on=False, rng=None,
     grads["out_W"] += a_flat.T @ buf
     grads["out_b"] += buf.sum(axis=0)
     da_d = (buf @ params["out_W"].T).reshape(a_d.shape)
-    da = drop.backward(len(drop.masks) - 1, da_d)
+    da = da_d if a_mask is None else da_d * a_mask
     dh_top, dh_enc = attention_backward(params, att_cache, h_top, h_enc, da, grads)
 
-    # decoder GRU stack, top down
-    dec_drop_base = n_enc_drops  # index of the tgt-emb dropout mask
-    dx_upper = dh_top
-    d_h0 = [None] * cfg.dec_layers
-    for l in range(cfg.dec_layers - 1, -1, -1):
-        dx, dh0 = gru_backward(params, dec_caches[l], dx_upper,
-                               np.zeros_like(dec_h0[l]), grads)
-        d_h0[l] = dh0
-        if l > 0:
-            # dx is the grad on the dropped output of layer l-1
-            dx_upper = drop.backward(dec_drop_base + l, dx)
-        else:
-            demb = drop.backward(dec_drop_base, dx)
-            np.add.at(grads["tgt_emb"], y_in, demb)
+    demb, d_h0 = stack_backward(params, dec_cache, dh_top,
+                                [np.zeros_like(h) for h in dec_h0], grads)
+    np.add.at(grads["tgt_emb"], y_in, demb)
 
     # bridge
     d_enc_finals = [np.zeros_like(f) for f in enc_finals]
@@ -423,15 +399,8 @@ def forward_loss(params, cfg, batch, dropout_on=False, rng=None,
         grads[f"bridge_{l}_b"] += dpre.sum(axis=0)
         d_enc_finals[min(l, len(enc_finals) - 1)] += dpre @ params[f"bridge_{l}_W"].T
 
-    # encoder stack, top down
-    dout = dh_enc
-    for l in range(cfg.enc_layers - 1, -1, -1):
-        dx, _ = gru_backward(params, enc_caches[l], dout, d_enc_finals[l], grads)
-        if l > 0:
-            dout = drop.backward(l, dx)
-        else:
-            demb = drop.backward(0, dx)
-            np.add.at(grads["src_emb"], src_ids, demb)
+    demb, _ = stack_backward(params, enc_cache, dh_enc, d_enc_finals, grads)
+    np.add.at(grads["src_emb"], src_ids, demb)
     return loss, grads
 
 
@@ -459,7 +428,9 @@ def decoder_step(params, cfg, state, y_prev, h_enc, src_mask):
 
 
 def encode_for_decoding(params, cfg, src_ids, src_mask):
-    drop = _Dropout(0.0, None)
-    h_enc, finals, _ = encode(params, cfg, src_ids, src_mask, drop)
+    h0 = np.zeros((src_ids.shape[0], cfg.hidden))
+    h_enc, finals, _ = stack_forward(params, _encoder_layers(cfg),
+                                     params["src_emb"][src_ids], src_mask,
+                                     [h0] * cfg.enc_layers, 0.0, None)
     state, _ = bridge(params, cfg, finals)
     return h_enc, state

@@ -93,6 +93,14 @@ class TestValidation:
             with pytest.raises(ValidationError, match="data.lexicon"):
                 run_pipeline(cfg, tmp_path / "out", [strat])
 
+    def test_hr_embeddings_required_for_projection_strategies(self, tmp_path):
+        cfg = self.base_cfg(tmp_path)
+        (tmp_path / "lexicon").write_text("x\ty\n")
+        cfg["data.lexicon"] = str(tmp_path / "lexicon")
+        cfg["data.hr_embeddings"] = None
+        with pytest.raises(ValidationError, match="data.hr_embeddings"):
+            run_pipeline(cfg, tmp_path / "out", [InitStrategy.XH_PRE])
+
     def test_nonexistent_data_path(self, tmp_path):
         cfg = self.base_cfg(tmp_path)
         cfg["data.bible_src"] = str(tmp_path / "missing.src")
@@ -176,6 +184,17 @@ class TestMalformedInput:
                              "--hr-embeddings", tmp_path / "hr.vec",
                              "--out", tmp_path / "ev.npz"],
                             tmp_path / "lex.tsv", capsys)
+
+    @pytest.mark.parametrize("bad", ["lex.tsv", "hr.vec"])
+    def test_build_ev_undecodable_input(self, tmp_path, capsys, bad):
+        (tmp_path / "lex.tsv").write_text("indoda\tman\n")
+        (tmp_path / "hr.vec").write_text("man 3 4\n")
+        with open(tmp_path / bad, "ab") as f:
+            f.write(b"\xff\n")
+        assert_fails_naming(["build-ev", "--lexicon", tmp_path / "lex.tsv",
+                             "--hr-embeddings", tmp_path / "hr.vec",
+                             "--out", tmp_path / "ev.npz"],
+                            f"{tmp_path / bad}: undecodable bytes at line 2", capsys)
 
     @pytest.mark.parametrize("vec", [b"a 1 0\nb 0\n", b"a 1 0\n\xff 0 1\n"])
     def test_neighbors_bad_vec(self, tmp_path, capsys, vec):
@@ -407,7 +426,8 @@ class TestPipeline:
     def test_xhsub_only_needs_no_lexicon(self, tmp_path):
         text = micro_dataset(tmp_path)
         text = "\n".join(l for l in text.splitlines()
-                         if not l.startswith("data.lexicon")) + "\n"
+                         if not l.startswith(("data.lexicon",
+                                              "data.hr_embeddings"))) + "\n"
         cfg_path = write_cfg(tmp_path, text)
         out = tmp_path / "out2"
         rc = main(["run-all", "--config", str(cfg_path), "--out", str(out),

@@ -8,10 +8,10 @@ from xhembed.embedstore import EmbeddingMatrix
 from xhembed.nmt import Seq2SeqConfig, build_model, gradcheck
 from xhembed.nmt.data import Batch, encode_pairs, make_batch, make_batches
 from xhembed.nmt.gradcheck import gradient_check
-from xhembed.nmt.model import (_Dropout, attention_backward, attention_output,
-                               bridge, decoder_step, encode, encode_for_decoding,
-                               forward_loss, gru_backward, gru_forward,
-                               param_names, param_shapes, zero_grads)
+from xhembed.nmt.model import (attention_backward, attention_output, bridge,
+                               decoder_step, encode_for_decoding, forward_loss,
+                               gru_backward, gru_forward, param_names,
+                               param_shapes, zero_grads)
 
 from conftest import random_pairs, tiny_model, vocab_of
 
@@ -41,6 +41,38 @@ class TestData:
         assert all(np.array_equal(x.src_ids, y.src_ids) for x, y in zip(a, b))
 
 
+def per_tensor_build_model(cfg, src_emb, vt, scale):
+    """build_model as it was written tensor by tensor before it drew from
+    param_shapes: the oracle for its names, order and random draws."""
+    rng = np.random.default_rng(cfg.seed)
+    h, h2, e = cfg.hidden, cfg.hidden // 2, cfg.emb_dim
+    params = {"src_emb": src_emb.copy(),
+              "tgt_emb": rng.uniform(-scale, scale, (vt, e))}
+
+    def gru(prefix, in_dim, hid):
+        ws, us = [], []
+        for _ in range(3):                  # W_z, U_z, W_r, U_r, W_c, U_c
+            ws.append(rng.uniform(-scale, scale, (in_dim, hid)))
+            us.append(rng.uniform(-scale, scale, (hid, hid)))
+        params[f"{prefix}_W"] = np.concatenate(ws, axis=1)
+        params[f"{prefix}_U"] = np.concatenate(us, axis=1)
+        params[f"{prefix}_b"] = np.zeros(3 * hid)
+
+    for l in range(cfg.enc_layers):
+        gru(f"enc_{l}_f", e if l == 0 else h, h2)
+        gru(f"enc_{l}_b", e if l == 0 else h, h2)
+    for l in range(cfg.dec_layers):
+        gru(f"dec_{l}", e if l == 0 else h, h)
+        params[f"bridge_{l}_W"] = rng.uniform(-scale, scale, (h, h))
+        params[f"bridge_{l}_b"] = np.zeros(h)
+    params["att_W"] = rng.uniform(-scale, scale, (h, h))
+    params["comb_W"] = rng.uniform(-scale, scale, (2 * h, h))
+    params["comb_b"] = np.zeros(h)
+    params["out_W"] = rng.uniform(-scale, scale, (h, vt))
+    params["out_b"] = np.zeros(vt)
+    return params
+
+
 class TestBuildModel:
     def test_odd_hidden_rejected(self):
         with pytest.raises(ValueError):
@@ -66,6 +98,14 @@ class TestBuildModel:
                                          enc_layers=layers[0], dec_layers=layers[1])
         assert param_shapes(cfg, len(sv), len(tv)) == \
             {name: t.shape for name, t in params.items()}
+
+    @pytest.mark.parametrize("layers", [(1, 1), (2, 2), (3, 2)])
+    def test_draws_as_written_per_tensor(self, layers):
+        cfg, params, sv, tv = tiny_model(enc_layers=layers[0], dec_layers=layers[1])
+        want = per_tensor_build_model(cfg, params["src_emb"], len(tv), 0.5)
+        assert list(params) == list(want)
+        for name, t in want.items():
+            assert np.array_equal(params[name], t), name
 
     def test_stacked_gru_tensors(self):
         cfg, params, _, _ = tiny_model()
@@ -356,10 +396,51 @@ class TestGruScan:
         self.check(params, ("enc_0_f", "enc_0_b"), x, mask, seed)
 
 
+class _Dropout:
+    """Inverted dropout; a None rng or zero rate means identity."""
+
+    def __init__(self, rate, rng):
+        self.rate = rate
+        self.rng = rng
+        self.masks = []
+
+    def apply(self, x):
+        if self.rng is None or self.rate <= 0.0:
+            self.masks.append(None)
+            return x
+        m = (self.rng.random(x.shape) >= self.rate) / (1.0 - self.rate)
+        self.masks.append(m)
+        return x * m
+
+    def backward(self, i, dx):
+        m = self.masks[i]
+        return dx if m is None else dx * m
+
+
+def encode(params, cfg, src_ids, src_mask, drop):
+    """Returns (encoder outputs (B,S,H), per-layer final states, cache)."""
+    x = drop.apply(params["src_emb"][src_ids])
+    h0 = np.zeros((src_ids.shape[0], cfg.hidden))
+    layer_caches = []
+    finals = []
+    for l in range(cfg.enc_layers):
+        out, h_last, cache = gru_forward(params, (f"enc_{l}_f", f"enc_{l}_b"),
+                                         x, src_mask, h0)
+        finals.append(h_last)
+        layer_caches.append(cache)
+        if l < cfg.enc_layers - 1:
+            x = drop.apply(out)
+        else:
+            x = out
+    return x, finals, layer_caches
+
+
 def unfused_forward_loss(params, cfg, batch, dropout_on=False, rng=None):
     """forward_loss as it was before the output layer was fused: separate
     log-prob, prob and dlogits arrays and 3-D output matmuls.  The oracle for
-    the fused, in-place output layer."""
+    the fused, in-place output layer, and, through its own encoder loop and
+    dropout masks found by position in one list, for the GRU stacks of
+    stack_forward and stack_backward."""
     drop = _Dropout(cfg.dropout if dropout_on else 0.0,
                     rng if dropout_on else None)
     src_ids, src_mask = batch.src_ids, batch.src_mask
@@ -425,13 +506,22 @@ def unfused_forward_loss(params, cfg, batch, dropout_on=False, rng=None):
     return loss, grads
 
 
+# (dropout on, (encoder, decoder) layers); the 2+2 cases keep the ids they had
+# before the test covered other depths
+UNFUSED_CASES = [pytest.param(on, layers, id=f"{on}" if layers == (2, 2)
+                              else f"{on}-{layers[0]}x{layers[1]}")
+                 for layers in [(2, 2), (3, 1), (1, 3)] for on in (False, True)]
+
+
 class TestFusedOutputLayer:
-    """The in-place output layer against the unfused one it replaced."""
+    """The in-place output layer and the GRU stacks against the unfused
+    forward_loss and its per-stack loops."""
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
-    @pytest.mark.parametrize("dropout_on", [False, True])
-    def test_matches_unfused(self, seed, dropout_on):
-        cfg, params, sv, tv = tiny_model(seed=seed, dropout=0.3)
+    @pytest.mark.parametrize("dropout_on,layers", UNFUSED_CASES)
+    def test_matches_unfused(self, seed, dropout_on, layers):
+        cfg, params, sv, tv = tiny_model(seed=seed, dropout=0.3,
+                                         enc_layers=layers[0], dec_layers=layers[1])
         rng = np.random.default_rng(seed)
         batch = make_batch(encode_pairs(random_pairs(sv, tv, 6, rng), sv, tv))
         loss, grads = forward_loss(params, cfg, batch, dropout_on=dropout_on,
