@@ -17,7 +17,8 @@ def save_checkpoint(path, cfg, params, history=None):
 
 def load_checkpoint(path):
     """Returns (cfg, params, history).  Every tensor must have the shape the
-    config gives it, with the vocabulary sizes taken from the embedding rows."""
+    config gives it, with the vocabulary sizes taken from the embedding rows,
+    and all must share one floating dtype, which the model then runs in."""
     def decode(header, arrays):
         cfg = Seq2SeqConfig(**header["config"])
         expected, found = set(param_names(cfg)), set(header["tensors"])
@@ -29,6 +30,12 @@ def load_checkpoint(path):
         shapes = param_shapes(cfg, len(arrays["src_emb"]), len(arrays["tgt_emb"]))
         params = {name: artifact.require_shape(arrays, name, shapes[name])
                   for name in header["tensors"]}
+        first = next(iter(params))
+        for name, t in params.items():
+            if t.dtype.kind != "f" or t.dtype != params[first].dtype:
+                want = (f"{params[first].dtype} as {first!r}" if name != first
+                        else "a floating dtype")
+                raise ValueError(f"tensor {name!r} has dtype {t.dtype}, expected {want}")
         history = [EpochRecord(**rec) for rec in header["history"]]
         return cfg, params, history
     return artifact.load(path, "checkpoint", decode)

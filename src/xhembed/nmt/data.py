@@ -10,7 +10,7 @@ from ..corpus import PAD, BOS, EOS
 @dataclass
 class Batch:
     src_ids: np.ndarray    # (B, S) padded
-    src_mask: np.ndarray   # (B, S) float 0/1
+    src_mask: np.ndarray   # (B, S) float32 0/1, exact in any model dtype
     src_lens: np.ndarray
     tgt_ids: np.ndarray    # (B, T) BOS ... EOS padded
     tgt_lens: np.ndarray   # framed lengths
@@ -38,7 +38,7 @@ def make_batch(id_pairs):
         src[i, :len(s)] = s
         tgt[i, :len(t)] = t
         s_lens[i], t_lens[i] = len(s), len(t)
-    mask = (np.arange(s_max)[None, :] < s_lens[:, None]).astype(np.float64)
+    mask = (np.arange(s_max)[None, :] < s_lens[:, None]).astype(np.float32)
     return Batch(src, mask, s_lens, tgt, t_lens)
 
 

@@ -79,7 +79,12 @@ def best_hypothesis(params, cfg, src_ids, beam=None, max_len=None):
         lp, state = _step_logprobs(
             params, cfg, state, [hyp.tokens[-1] for hyp in live],
             np.repeat(h_enc, n, axis=0), np.repeat(batch.src_mask, n, axis=0))
-        top = np.argsort(-lp, axis=1)[:, :beam]
+        # each row's `beam` best tokens, best first, without sorting the
+        # whole target vocabulary
+        k = min(beam, lp.shape[1])
+        top = np.argpartition(-lp, k - 1, axis=1)[:, :k]
+        order = np.argsort(-np.take_along_axis(lp, top, axis=1), axis=1)
+        top = np.take_along_axis(top, order, axis=1)
         candidates = []
         for i, hyp in enumerate(live):
             for tok in top[i]:

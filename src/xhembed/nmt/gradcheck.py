@@ -13,7 +13,9 @@ def gradient_check(params, cfg, batch, sample_size=100, seed=0):
     keeps the rounding error of the loss small next to gradients near 1e-8,
     and the extrapolation cancels the O(h^2) error the large step brings.
     Returns the max relative error; a zero analytic gradient with zero
-    finite difference counts as error 0."""
+    finite difference counts as error 0.  The check runs on a float64 copy of
+    `params`, whatever their dtype, and leaves them untouched."""
+    params = {name: t.astype(np.float64) for name, t in params.items()}
     rng = np.random.default_rng(seed)
     _, grads = forward_loss(params, cfg, batch, dropout_on=False)
     names = sorted(params)

@@ -13,7 +13,11 @@ earlier versions) are rejected when loaded.
 time-major loop of `_gru_step`, the step `decoder_step` also takes.
 `stack_forward` and `stack_backward` run a stack of such layers, the encoder
 and the decoder alike.  Dropout applies to the input of each GRU layer and to
-the attention output."""
+the attention output.
+
+`build_model` makes float32 tensors, the precision training and decoding run
+in.  Every kernel allocates in its parameters' dtype, so a float64 model (a
+checkpoint written in float64, or the tests' cast) runs in float64 throughout."""
 
 from dataclasses import dataclass
 
@@ -75,7 +79,8 @@ def build_model(cfg, source_init, target_vocab, init_scale=0.1, source_vocab=Non
     source embedding table is copied from `source_init` (an
     InitializedEmbeddings or EmbeddingMatrix) whose row order must match the
     source vocabulary ids; biases are zero and everything else is seeded
-    uniform +/-init_scale."""
+    uniform +/-init_scale.  Every tensor is float32; the draws and the init
+    table are float64 until the one cast at the end."""
     matrix = getattr(source_init, "matrix", source_init)
     if matrix.dim != cfg.emb_dim:
         raise ValueError(f"source init dim {matrix.dim} != config emb_dim {cfg.emb_dim}")
@@ -103,7 +108,7 @@ def build_model(cfg, source_init, target_vocab, init_scale=0.1, source_vocab=Non
             params[f"{name[:-2]}_U"] = np.concatenate(blocks[1::2], axis=1)
         else:
             params[name] = rng.uniform(-init_scale, init_scale, shape)
-    return params
+    return {name: t.astype(np.float32) for name, t in params.items()}
 
 
 def zero_grads(params):
@@ -162,13 +167,14 @@ def gru_forward(p, prefixes, x, mask, h0):
     n_dir = len(prefixes)
     b, t_len, _ = x.shape
     u = np.stack([p[f"{q}_U"] for q in prefixes])
-    hid = u.shape[1]
-    # x @ W + b, written time-major in each direction's time order; the
-    # matmul runs one BLAS call per time step on (B, I) rows
-    xw = np.empty((t_len, n_dir, b, 3 * hid))
+    hid, dtype = u.shape[1], u.dtype
+    # x @ W + b, written time-major in each direction's time order; x @ W is
+    # one 2-D BLAS call on (B*T, I) rows per direction
+    xw = np.empty((t_len, n_dir, b, 3 * hid), dtype)
+    x_rows = x.reshape(b * t_len, -1)
     for d, q in enumerate(prefixes):
-        np.matmul(_dir_time(x.swapaxes(0, 1), d), p[f"{q}_W"], out=xw[:, d])
-    xw += _cat(p, prefixes, "b").reshape(n_dir, 1, 3 * hid)
+        x_w = (x_rows @ p[f"{q}_W"]).reshape(b, t_len, 3 * hid).swapaxes(0, 1)
+        np.add(_dir_time(x_w, d), p[f"{q}_b"], out=xw[:, d])
     if mask is not None:
         # z = 0 at a padded position keeps h = h_prev there, and zeroes the
         # position's factors in gru_backward
@@ -176,10 +182,10 @@ def gru_forward(p, prefixes, x, mask, h0):
         for d in range(n_dir):
             xw[:, d, :, :hid][_dir_time(pad, d)] = -np.inf
     u_zr, u_c = u[..., :2 * hid], u[..., 2 * hid:]
-    hs = np.empty((t_len + 1, n_dir, b, hid))        # hs[t] is step t's h_prev
+    hs = np.empty((t_len + 1, n_dir, b, hid), dtype)  # hs[t] is step t's h_prev
     hs[0] = _split_dirs(h0, n_dir)
-    zrs = np.empty((t_len, n_dir, b, 2 * hid))
-    rhs = np.empty((t_len, n_dir, b, hid))
+    zrs = np.empty((t_len, n_dir, b, 2 * hid), dtype)
+    rhs = np.empty((t_len, n_dir, b, hid), dtype)
     cs = np.empty_like(rhs)
     xw_zr, xw_c = xw[..., :2 * hid], xw[..., 2 * hid:]
     for t in range(t_len):
@@ -214,13 +220,13 @@ def gru_backward(p, cache, dhs, dh_last, grads):
     f_r = 1.0 - r
     f_r *= r
     f_r *= h_prev
-    dhs_t = np.empty((t_len, n_dir, b, hid))
+    dhs_t = np.empty_like(cs)
     for d in range(n_dir):
         dhs_t[:, d] = _dir_time(dhs[:, :, d * hid:(d + 1) * hid].swapaxes(0, 1), d)
     u = np.stack([p[f"{q}_U"] for q in prefixes])
     u_zr_t = np.ascontiguousarray(u[..., :2 * hid].swapaxes(1, 2))
     u_c_t = np.ascontiguousarray(u[..., 2 * hid:].swapaxes(1, 2))
-    da = np.empty((t_len, n_dir, b, 3 * hid))         # [z|r|c] pre-activations
+    da = np.empty((t_len, n_dir, b, 3 * hid), cs.dtype)  # [z|r|c] pre-activations
     da_z, da_r, da_c = da[..., :hid], da[..., hid:2 * hid], da[..., 2 * hid:]
     da_zr = da[..., :2 * hid]
     dh = _split_dirs(dh_last, n_dir).copy()
@@ -254,11 +260,11 @@ def gru_backward(p, cache, dhs, dh_last, grads):
 
 
 def _dropout(x, rate, rng):
-    """Inverted dropout: (x * mask, mask), or (x, None) when rng is None or
-    rate is zero."""
+    """Inverted dropout: (x * mask, mask in x's dtype), or (x, None) when rng
+    is None or rate is zero."""
     if rng is None or rate <= 0.0:
         return x, None
-    m = (rng.random(x.shape) >= rate) / (1.0 - rate)
+    m = np.divide(rng.random(x.shape) >= rate, 1.0 - rate, dtype=x.dtype)
     return x * m, m
 
 
@@ -339,17 +345,19 @@ def attention_backward(params, cache, h_top, h_enc, da, grads):
 
 def forward_loss(params, cfg, batch, dropout_on=False, rng=None,
                  compute_grads=True):
-    """Mean token cross-entropy over non-PAD target positions, with gradients
-    for every parameter.  Teacher-forced decoding with per-step attention."""
+    """Mean token cross-entropy over non-PAD target positions, as a Python
+    float, with gradients in the parameters' dtype for every parameter.
+    Teacher-forced decoding with per-step attention."""
     rate, rng = (cfg.dropout, rng) if dropout_on else (0.0, None)
+    dtype = params["src_emb"].dtype
     src_ids, src_mask = batch.src_ids, batch.src_mask
     y_in, y_out = batch.tgt_ids[:, :-1], batch.tgt_ids[:, 1:]
-    out_mask = (y_out != PAD).astype(np.float64)
+    out_mask = (y_out != PAD).astype(dtype)
     n_tokens = out_mask.sum()
     if n_tokens == 0:
         raise ValueError("batch has no target tokens")
 
-    h0 = np.zeros((src_ids.shape[0], cfg.hidden))
+    h0 = np.zeros((src_ids.shape[0], cfg.hidden), dtype)
     h_enc, enc_finals, enc_cache = stack_forward(
         params, _encoder_layers(cfg), params["src_emb"][src_ids], src_mask,
         [h0] * cfg.enc_layers, rate, rng)
@@ -372,7 +380,7 @@ def forward_loss(params, cfg, batch, dropout_on=False, rng=None,
     np.exp(buf, out=buf)
     z = buf.sum(axis=1)
     gold_log_probs = (gold - np.log(z)).reshape(bsz, t_len)
-    loss = -(gold_log_probs * out_mask).sum() / n_tokens
+    loss = float(-(gold_log_probs * out_mask).sum() / n_tokens)
     if not compute_grads:
         return loss, None
 
@@ -414,8 +422,8 @@ def decoder_step(params, cfg, state, y_prev, h_enc, src_mask):
         u, h_prev = params[f"dec_{l}_U"], state[l]
         b, hid = h_prev.shape
         xw = x @ params[f"dec_{l}_W"] + params[f"dec_{l}_b"]
-        zr = np.empty((b, 2 * hid))
-        rh, c, x = np.empty((3, b, hid))
+        zr = np.empty((b, 2 * hid), u.dtype)
+        rh, c, x = np.empty((3, b, hid), u.dtype)
         _gru_step(u[:, :2 * hid], u[:, 2 * hid:], xw[:, :2 * hid],
                   xw[:, 2 * hid:], h_prev, zr, rh, c, x)
         new_state.append(x)
@@ -428,7 +436,7 @@ def decoder_step(params, cfg, state, y_prev, h_enc, src_mask):
 
 
 def encode_for_decoding(params, cfg, src_ids, src_mask):
-    h0 = np.zeros((src_ids.shape[0], cfg.hidden))
+    h0 = np.zeros((src_ids.shape[0], cfg.hidden), params["src_emb"].dtype)
     h_enc, finals, _ = stack_forward(params, _encoder_layers(cfg),
                                      params["src_emb"][src_ids], src_mask,
                                      [h0] * cfg.enc_layers, 0.0, None)

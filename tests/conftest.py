@@ -12,7 +12,8 @@ def vocab_of(words):
 
 def tiny_model(n_src=16, n_tgt=16, emb=8, hidden=8, seed=1, init_scale=0.5,
                **cfg_kwargs):
-    """Small double-precision seq2seq at a random (non-degenerate) point."""
+    """Small seq2seq at a random (non-degenerate) point, its float32 tensors
+    cast to float64 so the oracle tests can hold 1e-12 tolerances."""
     rng = np.random.default_rng(seed)
     sv = vocab_of([f"w{i}" for i in range(n_src)])
     tv = vocab_of([f"v{i}" for i in range(n_tgt)])
@@ -21,6 +22,7 @@ def tiny_model(n_src=16, n_tgt=16, emb=8, hidden=8, seed=1, init_scale=0.5,
     init = EmbeddingMatrix(sv.id_to_token,
                            rng.uniform(-init_scale, init_scale, (len(sv), emb)))
     params = build_model(cfg, init, tv, init_scale=init_scale, source_vocab=sv)
+    params = {name: t.astype(np.float64) for name, t in params.items()}
     return cfg, params, sv, tv
 
 

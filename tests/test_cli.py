@@ -512,6 +512,21 @@ class TestMalformedArtifacts:
         argv = tiny_translate_args(tmp_path, replace(cfg, hidden=16), params, sv, tv)
         assert_fails_naming(argv, tmp_path / "model.ckpt", capsys)
 
+    @pytest.mark.parametrize("name, dtype", [("src_emb", np.int64),
+                                             ("att_W", np.int64),
+                                             ("att_W", np.float32)])
+    def test_tensor_dtypes_not_one_float(self, tmp_path, capsys, name, dtype):
+        """An integer tensor, or a float32 tensor among float64 ones, is
+        rejected when loaded; the message names the file and the tensor."""
+        cfg, params, sv, tv = tiny_model()
+        params[name] = params[name].astype(dtype)
+        argv = tiny_translate_args(tmp_path, cfg, params, sv, tv)
+        capsys.readouterr()
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert str(tmp_path / "model.ckpt") in err and "Traceback" not in err
+        assert f"{name!r} has dtype {np.dtype(dtype)}" in err
+
     def test_garbage_mapping(self, tmp_path, capsys):
         out = self.artifacts(tmp_path)
         mapping = tmp_path / "mapping.txt"

@@ -105,7 +105,7 @@ class TestBuildModel:
         want = per_tensor_build_model(cfg, params["src_emb"], len(tv), 0.5)
         assert list(params) == list(want)
         for name, t in want.items():
-            assert np.array_equal(params[name], t), name
+            assert np.array_equal(params[name], t.astype(np.float32)), name
 
     def test_stacked_gru_tensors(self):
         cfg, params, _, _ = tiny_model()
@@ -197,6 +197,20 @@ class TestGradients:
         batch = make_batch(encode_pairs(random_pairs(sv, tv, 4, rng), sv, tv))
         err = gradient_check(params, cfg, batch, sample_size=100, seed=0)
         assert err < 1e-4
+
+    def test_float32_model_checked_in_float64(self):
+        """A float32 model is checked on a float64 copy: the same error as
+        the check of that copy, and the model left as it was."""
+        cfg, params, sv, tv = tiny_model()
+        p32 = {k: v.astype(np.float32) for k, v in params.items()}
+        before = {k: v.copy() for k, v in p32.items()}
+        rng = np.random.default_rng(4)
+        batch = make_batch(encode_pairs(random_pairs(sv, tv, 4, rng), sv, tv))
+        err = gradient_check(p32, cfg, batch, sample_size=30, seed=0)
+        assert err == gradient_check(params, cfg, batch, sample_size=30, seed=0)
+        assert err < 1e-4
+        for name, t in p32.items():
+            assert t.dtype == np.float32 and np.array_equal(t, before[name]), name
 
     def test_every_tensor_gets_nonzero_grad(self):
         cfg, params, sv, tv = tiny_model()
