@@ -111,6 +111,11 @@ def _require(cfg, *keys):
             raise ValidationError(f"config key {key!r}: path {cfg[key]!r} does not exist")
 
 
+def _split_spec(cfg):
+    return SplitSpec((cfg["split.train"], cfg["split.dev"], cfg["split.test"]),
+                     cfg["split.seed"])
+
+
 def _subword_config(cfg):
     return SkipgramConfig(
         dim=cfg["subword.dim"], window=cfg["subword.window"],
@@ -150,15 +155,14 @@ def _read_train_dev(args):
 # stages: each takes loaded inputs, writes the stage's files and returns what
 # its caller prints or logs; its subcommand and `run_pipeline` both call it
 
-def stage_split(corp, cfg, out_dir):
-    parts = split_corpus(corp, SplitSpec(
-        (cfg["split.train"], cfg["split.dev"], cfg["split.test"]), cfg["split.seed"]))
+def stage_split(corp, spec, out_dir):
+    parts = split_corpus(corp, spec)
     write_splits(parts, out_dir, corp.name)
     return parts
 
 
-def stage_train_subword(sents, cfg, out):
-    model, reports = train_skipgram(sents, _subword_config(cfg))
+def stage_train_subword(sents, sg_cfg, out):
+    model, reports = train_skipgram(sents, sg_cfg)
     model.save(out)
     return model, reports
 
@@ -205,6 +209,11 @@ def run_pipeline(cfg, out_dir, strategies, deterministic=True, log=print):
              "data.corpus2_tgt")
     if "e_v" in needs:
         _require(cfg, "data.lexicon", "data.hr_embeddings")
+    # every config is built here, so a bad value fails before any stage runs
+    split_spec = _split_spec(cfg)
+    sg_cfg = _subword_config(cfg)
+    nmt_cfg = _nmt_config(cfg)
+    hypers = {section: _train_config(cfg, section) for section in ("train", "finetune")}
     try:
         stage = "stats+split"
         splits = {}
@@ -214,7 +223,7 @@ def run_pipeline(cfg, out_dir, strategies, deterministic=True, log=print):
             (out / f"{name}.stats.txt").write_text(_stats_text(corpus_stats(corp)),
                                                    encoding="utf-8")
             (out / f"{name}.load.txt").write_text(str(corp.report), encoding="utf-8")
-            parts = splits[name] = stage_split(corp, cfg, out)
+            parts = splits[name] = stage_split(corp, split_spec, out)
             log(f"[{name}] {len(corp)} pairs -> "
                 f"{len(parts[0])}/{len(parts[1])}/{len(parts[2])}")
 
@@ -229,7 +238,7 @@ def run_pipeline(cfg, out_dir, strategies, deterministic=True, log=print):
         stage = "train-subword"
         model, reports = stage_train_subword(
             splits["bible"][0].side("src") + splits["corpus2"][0].side("src"),
-            cfg, out / "subword.model")
+            sg_cfg, out / "subword.model")
         (out / "subword.report.txt").write_text(
             "\n".join(str(r) for r in reports) + "\n", encoding="utf-8")
         e_m = model.export_matrix(src_vocab.tokens())
@@ -251,7 +260,6 @@ def run_pipeline(cfg, out_dir, strategies, deterministic=True, log=print):
             log(f"[map] objective {mapping.objective:.4f}")
 
         stage = "mt"
-        nmt_cfg = _nmt_config(cfg)
         results = []
         for strat in strategies:
             sdir = out / str(strat)
@@ -265,7 +273,7 @@ def run_pipeline(cfg, out_dir, strategies, deterministic=True, log=print):
                 parts = splits[name]
                 params, _ = stage_train_mt(
                     fit, params, nmt_cfg, [parts[0].pairs, parts[1].pairs], src_vocab,
-                    tgt_vocab, _train_config(cfg, section), sdir / f"{name}.ckpt")
+                    tgt_vocab, hypers[section], sdir / f"{name}.ckpt")
                 hyp = sdir / f"{name}.test.hyp"
                 translate(params, nmt_cfg, parts[2].side("src"), src_vocab, tgt_vocab, hyp)
                 report = metrics.evaluate_translations(hyp, out / f"{name}.test.tgt")
@@ -328,7 +336,7 @@ def _cmd_split(args):
     if args.seed is not None:
         cfg["split.seed"] = args.seed
     corp = load_parallel_corpus(args.src, args.tgt, args.name)
-    parts = stage_split(corp, cfg, args.out)
+    parts = stage_split(corp, _split_spec(cfg), args.out)
     print(f"split {len(corp)} -> {len(parts[0])}/{len(parts[1])}/{len(parts[2])}")
 
 
@@ -337,7 +345,7 @@ def _cmd_train_subword(args):
     sents = []
     for path in args.text:
         sents.extend(line.split() for line in read_lines(path) if line)
-    _, reports = stage_train_subword(sents, cfg, args.out)
+    _, reports = stage_train_subword(sents, _subword_config(cfg), args.out)
     for r in reports:
         print(r)
 
@@ -434,7 +442,7 @@ def _cmd_run_all(args):
     strategies = [InitStrategy.parse(s) for s in
                   (args.strategies or cfg["run.strategies"]).split(",")]
     out = args.out or cfg["run.out"]
-    run_pipeline(cfg, out, strategies, deterministic=args.deterministic)
+    run_pipeline(cfg, out, strategies)
 
 
 def build_parser():
@@ -463,8 +471,6 @@ def build_parser():
     sp.add_argument("--text", nargs="+", required=True)
     sp.add_argument("--out", required=True)
     sp.add_argument("--config")
-    sp.add_argument("--deterministic", action="store_true",
-                    help="accepted for compatibility; training is always deterministic")
     sp.set_defaults(func=_cmd_train_subword)
 
     sp = sub.add_parser("build-ev", help="project lexicon into HR space")
@@ -534,8 +540,6 @@ def build_parser():
     sp.add_argument("--config", required=True)
     sp.add_argument("--out")
     sp.add_argument("--seed", type=int)
-    sp.add_argument("--deterministic", action="store_true",
-                    help="recorded in the manifest; runs are always deterministic")
     sp.add_argument("--strategies", help="comma-separated subset")
     sp.set_defaults(func=_cmd_run_all)
     return p

@@ -184,7 +184,8 @@ class SplitSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if any(r < 0 for r in self.ratios) or abs(sum(self.ratios) - 1.0) > 1e-9:
+        # `not r >= 0`, unlike `r < 0`, also holds for a NaN ratio
+        if any(not r >= 0 for r in self.ratios) or abs(sum(self.ratios) - 1.0) > 1e-9:
             raise ValueError(f"split ratios must be non-negative and sum to 1: {self.ratios}")
 
 

@@ -15,13 +15,15 @@ def _ngrams(tokens, n):
     return Counter(tuple(tokens[i:i + n]) for i in range(len(tokens) - n + 1))
 
 
-def _clipped_counts(hyp, ref, n):
-    """(matched, total) modified n-gram counts for one hypothesis."""
-    hc = _ngrams(hyp, n)
-    rc = _ngrams(ref, n)
-    matched = sum(min(c, rc[g]) for g, c in hc.items())
-    total = max(len(hyp) - n + 1, 0)
-    return matched, total
+def _clipped_counts(hyp, ref):
+    """(matched, total) modified n-gram counts of one hypothesis for
+    n = 1..4."""
+    counts = []
+    for n in range(1, 5):
+        rc = _ngrams(ref, n)
+        matched = sum(min(c, rc[g]) for g, c in _ngrams(hyp, n).items())
+        counts.append((matched, max(len(hyp) - n + 1, 0)))
+    return counts
 
 
 def brevity_penalty(hyp_len, ref_len):
@@ -32,57 +34,29 @@ def brevity_penalty(hyp_len, ref_len):
     return math.exp(1.0 - ref_len / hyp_len)
 
 
+def _smoothed_bleu(counts, hyp_len, ref_len):
+    """sentence_bleu from the hypothesis's _clipped_counts."""
+    if counts[0][0] == 0:  # no unigram matches, as in an empty hypothesis
+        return 0.0
+    n_max = min(4, hyp_len)
+    p = [counts[0][0] / counts[0][1]] + [(m + 1) / (t + 1) for m, t in counts[1:n_max]]
+    return 100.0 * brevity_penalty(hyp_len, ref_len) * math.exp(
+        sum(math.log(x) for x in p) / n_max)
+
+
 def sentence_bleu(hyp, ref):
     """Smoothed sentence BLEU on the 0-100 scale.
 
     Effective order N = min(4, |hyp|); p1 unsmoothed; for n >= 2
     p_n = (matches + 1) / (total + 1).  Empty hypothesis scores 0.
     """
-    if not ref:
-        raise BleuError("empty reference")
-    if not hyp:
-        return 0.0
-    n_max = min(4, len(hyp))
-    log_p = 0.0
-    for n in range(1, n_max + 1):
-        m, t = _clipped_counts(hyp, ref, n)
-        if n == 1:
-            if m == 0:
-                return 0.0
-            p = m / t
-        else:
-            p = (m + 1) / (t + 1)
-        log_p += math.log(p)
-    bp = brevity_penalty(len(hyp), len(ref))
-    return 100.0 * bp * math.exp(log_p / n_max)
+    return score_corpus([hyp], [ref]).mean_sentence
 
 
-def corpus_bleu(hyps, refs, n_max=4, return_parts=False):
+def corpus_bleu(hyps, refs):
     """Standard corpus BLEU: counts pooled over sentences, unsmoothed;
     any zero precision gives score 0."""
-    if len(hyps) != len(refs):
-        raise BleuError(f"sentence count mismatch: {len(hyps)} vs {len(refs)}")
-    matched = [0] * n_max
-    total = [0] * n_max
-    hyp_len = ref_len = 0
-    for hyp, ref in zip(hyps, refs):
-        if not ref:
-            raise BleuError("empty reference")
-        hyp_len += len(hyp)
-        ref_len += len(ref)
-        for n in range(1, n_max + 1):
-            m, t = _clipped_counts(hyp, ref, n)
-            matched[n - 1] += m
-            total[n - 1] += t
-    precisions = [m / t if t else 0.0 for m, t in zip(matched, total)]
-    bp = brevity_penalty(hyp_len, ref_len)
-    if any(p == 0.0 for p in precisions):
-        score = 0.0
-    else:
-        score = 100.0 * bp * math.exp(sum(math.log(p) for p in precisions) / n_max)
-    if return_parts:
-        return score, precisions, bp, hyp_len, ref_len
-    return score
+    return score_corpus(hyps, refs).corpus
 
 
 @dataclass
@@ -111,12 +85,33 @@ class BleuReport:
 
 
 def score_corpus(hyps, refs):
-    c, precisions, bp, hl, rl = corpus_bleu(hyps, refs, return_parts=True)
-    if hyps:
-        mean_sent = sum(sentence_bleu(h, r) for h, r in zip(hyps, refs)) / len(hyps)
+    """Corpus BLEU (corpus_bleu) and mean sentence BLEU (sentence_bleu) in one
+    pass: each sentence's clipped n-grams, n = 1..4, are counted once, then
+    pooled over the corpus and smoothed for the sentence's own score."""
+    if len(hyps) != len(refs):
+        raise BleuError(f"sentence count mismatch: {len(hyps)} vs {len(refs)}")
+    matched = [0] * 4
+    total = [0] * 4
+    hyp_len = ref_len = 0
+    sent_sum = 0.0
+    for hyp, ref in zip(hyps, refs):
+        if not ref:
+            raise BleuError("empty reference")
+        counts = _clipped_counts(hyp, ref)
+        for n, (m, t) in enumerate(counts):
+            matched[n] += m
+            total[n] += t
+        hyp_len += len(hyp)
+        ref_len += len(ref)
+        sent_sum += _smoothed_bleu(counts, len(hyp), len(ref))
+    precisions = [m / t if t else 0.0 for m, t in zip(matched, total)]
+    bp = brevity_penalty(hyp_len, ref_len)
+    if any(p == 0.0 for p in precisions):
+        corpus = 0.0
     else:
-        mean_sent = 0.0
-    return BleuReport(c, mean_sent, precisions, bp, hl, rl, len(hyps))
+        corpus = 100.0 * bp * math.exp(sum(math.log(p) for p in precisions) / 4)
+    mean_sent = sent_sum / len(hyps) if hyps else 0.0
+    return BleuReport(corpus, mean_sent, precisions, bp, hyp_len, ref_len, len(hyps))
 
 
 def evaluate_translations(hyp_path, ref_path):

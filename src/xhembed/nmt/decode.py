@@ -79,40 +79,32 @@ def best_hypothesis(params, cfg, src_ids, beam=None, max_len=None):
         lp, state = _step_logprobs(
             params, cfg, state, [hyp.tokens[-1] for hyp in live],
             np.repeat(h_enc, n, axis=0), np.repeat(batch.src_mask, n, axis=0))
-        # each row's `beam` best tokens, best first, without sorting the
-        # whole target vocabulary
-        k = min(beam, lp.shape[1])
-        top = np.argpartition(-lp, k - 1, axis=1)[:, :k]
-        order = np.argsort(-np.take_along_axis(lp, top, axis=1), axis=1)
-        top = np.take_along_axis(top, order, axis=1)
-        candidates = []
-        for i, hyp in enumerate(live):
-            for tok in top[i]:
-                if lp[i, tok] == -np.inf:
-                    continue
-                candidates.append(BeamHypothesis(
-                    hyp.tokens + [int(tok)], hyp.log_prob + float(lp[i, tok]), i))
-        candidates.sort(key=lambda h: -h.log_prob)
-        live = []
-        for hyp in candidates[:beam]:
-            if hyp.tokens[-1] == EOS:
-                finished.append(hyp)
-            else:
-                live.append(hyp)
+        # the `beam` best (hypothesis, token) extensions from one partition of
+        # all of them; those tied with the k-th best go by flat index
+        total = (np.array([hyp.log_prob for hyp in live])[:, None] + lp).ravel()
+        k = min(beam, int(np.isfinite(total).sum()))
+        kth = np.partition(total, total.size - k)[total.size - k]
+        top = np.flatnonzero(total >= kth)
+        grown = []
+        for flat in top[np.lexsort((top, -total[top]))][:k]:
+            i, tok = divmod(int(flat), lp.shape[1])
+            hyp = BeamHypothesis(live[i].tokens + [tok], float(total[flat]), i)
+            (finished if tok == EOS else grown).append(hyp)
+        live = grown
         if not live:
             break
         if finished and max(h.log_prob for h in finished) >= live[0].log_prob:
             break
-    pool = finished if finished else live
-    return max(pool, key=lambda h: h.log_prob)
+    return max(finished or live, key=lambda h: h.log_prob)
 
 
 def beam_search(params, cfg, src_ids, beam=None, max_len=None):
     """Breadth-limited search over cumulative log-probability, no length
-    normalization.  Each live hypothesis proposes its `beam` best tokens and
-    the `beam` best proposals survive; EOS-terminated ones move to a finished
-    pool.  Stops when the best finished score cannot be beaten or max_len is
-    reached.  Each step advances all live hypotheses of the sentence in one
+    normalization.  The `beam` best extensions (live hypothesis, token) of
+    each step survive, ties going to the earlier live hypothesis and then to
+    the lower token id; EOS-terminated ones move to a finished pool.  Stops
+    when the best finished score cannot be beaten or max_len is reached.
+    Each step advances all live hypotheses of the sentence in one
     batched decoder_step call, so a sentence costs at most max_len calls.
     Raises ValueError if beam < 1 or max_len < 1."""
     toks = best_hypothesis(params, cfg, src_ids, beam, max_len).tokens[1:]

@@ -44,6 +44,11 @@ class Seq2SeqConfig:
             raise ValueError("beam must be >= 1")
         if self.max_decode_len < 1:
             raise ValueError("max_decode_len must be >= 1")
+        if self.enc_layers < 1 or self.dec_layers < 1:
+            raise ValueError(f"enc_layers and dec_layers must be >= 1, got "
+                             f"{self.enc_layers} and {self.dec_layers}")
+        if not 0 <= self.dropout < 1:
+            raise ValueError(f"dropout must be in [0, 1), got {self.dropout}")
 
 
 def param_shapes(cfg, n_src, n_tgt):

@@ -20,6 +20,11 @@ class TrainConfig:
     patience: int = 5
     seed: int = 0
 
+    def __post_init__(self):
+        if self.batch_size < 1 or not 0 <= self.lr < math.inf or not self.clip > 0:
+            raise ValueError(f"batch_size >= 1, finite lr >= 0 and clip > 0 required, "
+                             f"got {self.batch_size}, {self.lr} and {self.clip}")
+
 
 @dataclass
 class EpochRecord:

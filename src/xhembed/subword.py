@@ -61,8 +61,8 @@ class SkipgramConfig:
     workers: int = 1
 
     def __post_init__(self):
-        if self.window < 1 or self.negatives < 1 or self.lr <= 0:
-            raise ValueError("window >= 1, negatives >= 1, lr > 0 required")
+        if self.dim < 1 or self.window < 1 or self.negatives < 1 or self.lr <= 0:
+            raise ValueError("dim >= 1, window >= 1, negatives >= 1, lr > 0 required")
         if self.workers != 1:
             raise ValueError(f"workers must be 1 (training is single-threaded), "
                              f"got {self.workers}")

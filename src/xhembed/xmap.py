@@ -2,7 +2,7 @@
 dictionary induction, and a self-learning refinement loop."""
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -13,7 +13,6 @@ from .embedstore import normalize_rows
 @dataclass
 class PreprocessRecord:
     column_means: np.ndarray
-    zero_rows: list = field(default_factory=list)
 
     def apply(self, rows):
         """Apply the recorded chain to a vector or to each row of a matrix:
@@ -24,15 +23,12 @@ class PreprocessRecord:
 
 def preprocess(matrix):
     """Fit the chain's column means (those of the unit-normalized rows) and
-    apply the chain to `matrix`.  Rows that are zero after centering are
-    flagged."""
+    apply the chain to `matrix`."""
     x = np.asarray(matrix, dtype=np.float64)
     if x.size == 0:
         raise ValueError("empty matrix")
     record = PreprocessRecord(normalize_rows(x).mean(axis=0))
-    x = record.apply(x)
-    record.zero_rows = [int(i) for i in np.flatnonzero(np.linalg.norm(x, axis=1) == 0)]
-    return x, record
+    return record.apply(x), record
 
 
 @dataclass
@@ -52,7 +48,7 @@ class MappingModel:
         return (self.pre_z.apply(rows) if self.pre_z else np.asarray(rows)) @ self.w_z
 
 
-def fit_orthogonal_mapping(x, z, pairs, pre_x=None, pre_z=None):
+def fit_orthogonal_mapping(x, z, pairs):
     """Procrustes-optimal orthogonal pair: SVD of X_D^T Z_D = U S V^T gives
     W_x = U, W_z = V; common-space embeddings are X W_x and Z W_z."""
     if not len(pairs):
@@ -63,7 +59,7 @@ def fit_orthogonal_mapping(x, z, pairs, pre_x=None, pre_z=None):
     u, s, vt = np.linalg.svd(m)
     if s.size and s[-1] < 1e-12 * max(s[0], 1.0):
         warnings.warn("rank-deficient cross-covariance in orthogonal fit")
-    return MappingModel(u, vt.T, pre_x, pre_z)
+    return MappingModel(u, vt.T)
 
 
 def dictionary_objective(x, z, pairs, model):
@@ -102,17 +98,16 @@ def induce_dictionary(x_mapped, z_mapped, k=10):
     return sorted(fwd | bwd)
 
 
-def self_learning_loop(x, z, seed_dict, max_iters=20, patience=3, k=10,
-                       pre_x=None, pre_z=None):
+def self_learning_loop(x, z, seed_dict, max_iters=20, patience=3, k=10):
     """Alternate Procrustes fit and CSLS induction; return the model with the
     best mean-cosine dictionary objective seen."""
-    model = fit_orthogonal_mapping(x, z, seed_dict, pre_x, pre_z)
+    model = fit_orthogonal_mapping(x, z, seed_dict)
     model.objective = dictionary_objective(x, z, seed_dict, model)
     best = model
     stall = 0
     for _ in range(max_iters):
         pairs = induce_dictionary(x @ model.w_x, z @ model.w_z, k)
-        model = fit_orthogonal_mapping(x, z, pairs, pre_x, pre_z)
+        model = fit_orthogonal_mapping(x, z, pairs)
         model.objective = dictionary_objective(x, z, pairs, model)
         if model.objective > best.objective + 1e-9:
             best = model
@@ -156,4 +151,6 @@ def fit_mapping(e_v, e_m):
     x, pre_x = preprocess(e_v.rows)
     z, pre_z = preprocess(e_m.rows)
     seed = [(e_v.index[t], e_m.index[t]) for t in shared]
-    return self_learning_loop(x, z, seed, pre_x=pre_x, pre_z=pre_z)
+    model = self_learning_loop(x, z, seed)
+    model.pre_x, model.pre_z = pre_x, pre_z
+    return model

@@ -407,7 +407,7 @@ class TestPipeline:
         cfg_path = write_cfg(tmp_path, micro_dataset(tmp_path))
         out = tmp_path / "out"
         rc = main(["run-all", "--config", str(cfg_path), "--out", str(out),
-                   "--deterministic", "--strategies", "Random,XhMeta"])
+                   "--strategies", "Random,XhMeta"])
         assert rc == 0
         lines = (out / "results.tsv").read_text().splitlines()
         assert lines[0].split("\t") == [
@@ -446,6 +446,19 @@ class TestPipeline:
         err = capsys.readouterr().err
         assert "stage 'map'" in err and "dim 8" in err and "dim 6" in err
 
+    @pytest.mark.parametrize("line, named", [
+        ("train.batch=0", "batch_size"), ("train.lr=-1", "lr"),
+        ("nmt.dropout=1.0", "dropout"), ("nmt.enc_layers=0", "enc_layers"),
+        ("split.train=nan", "ratios"), ("subword.dim=0", "dim")])
+    def test_bad_config_value_fails_before_any_stage(self, tmp_path, capsys, line,
+                                                     named):
+        cfg_path = write_cfg(tmp_path, micro_dataset(tmp_path) + line + "\n")
+        out = tmp_path / "out"
+        assert main(["run-all", "--config", str(cfg_path), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert named in err and "Traceback" not in err
+        assert not out.exists() or not any(out.iterdir())
+
 
 class TestMalformedArtifacts:
     """A damaged checkpoint, subword model or mapping exits 1 naming the file."""
@@ -454,7 +467,7 @@ class TestMalformedArtifacts:
         cfg_path = write_cfg(tmp_path, micro_dataset(tmp_path))
         out = tmp_path / "out"
         assert main(["run-all", "--config", str(cfg_path), "--out", str(out),
-                     "--deterministic", "--strategies", "Random,VecMap"]) == 0
+                     "--strategies", "Random,VecMap"]) == 0
         return out
 
     def test_truncated_files(self, tmp_path, capsys):
@@ -571,7 +584,7 @@ class TestStagewise:
         cfg_path = write_cfg(tmp_path, micro_dataset(tmp_path))
         out = tmp_path / "out"
         assert main(["run-all", "--config", str(cfg_path), "--out", str(out),
-                     "--deterministic", "--strategies", "Random,XhSub"]) == 0
+                     "--strategies", "Random,XhSub"]) == 0
         capsys.readouterr()
         splits = tmp_path / "splits"
         for name, stem in (("bible", "b"), ("corpus2", "c")):

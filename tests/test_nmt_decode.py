@@ -135,6 +135,18 @@ class TestBeam:
         for src, _ in random_pairs(sv, tv, 50, rng):
             assert_matches_reference(params, cfg, [sv.id(t) for t in src], beam)
 
+    def test_ties_go_to_the_lower_token_id(self):
+        """With a zero output layer every extension ties, so the lowest
+        unbanned ids win: UNK forever at beam 1, as greedy's argmax, and at
+        beam 3 EOS finishes on the first step level with the best live."""
+        cfg, params, sv, tv = tiny_model()
+        params["out_W"][:] = 0.0
+        params["out_b"][:] = 0.0
+        ids = [4, 5, 6]
+        assert beam_search(params, cfg, ids, beam=1, max_len=5) == \
+            greedy_decode(params, cfg, ids, max_len=5) == [UNK] * 5
+        assert best_hypothesis(params, cfg, ids, beam=3).tokens == [BOS, EOS]
+
 
 class TestBatchedStep:
     def test_batch_rows_equal_single_calls(self):

@@ -45,7 +45,7 @@ class TestPreprocess:
         x, rec = preprocess(raw)
         assert np.array_equal(x, rec.apply(raw))
 
-    def test_zero_row_flagged_and_kept_zero(self):
+    def test_zero_row_kept_zero(self):
         raw = np.random.default_rng(3).normal(size=(5, 3))
         raw[2] = 0.0
         x, rec = preprocess(raw)
@@ -54,7 +54,6 @@ class TestPreprocess:
         assert np.all(np.isfinite(x))
         raw = np.ones((4, 3))
         x, rec = preprocess(raw)
-        assert rec.zero_rows == [0, 1, 2, 3]
         assert np.array_equal(x, np.zeros((4, 3)))
 
     def test_empty_rejected(self):
