@@ -1,11 +1,12 @@
 """The one on-disk format for binary artifacts (embedding matrix, NMT
-checkpoint, subword model, cross-space mapping): an uncompressed .npz holding
-a JSON header and named float arrays, written atomically and validated when
-read."""
+checkpoint, subword model, cross-space mapping): an uncompressed .npz of a
+JSON header and named float arrays, validated when read.  `atomic_open` is
+the one way the package writes a file, artifact or text."""
 
 import json
 import os
 import zipfile
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -17,19 +18,29 @@ class ArtifactError(ValueError):
     """An artifact that cannot be read; the message starts with its path."""
 
 
-def save(path, kind, header, arrays):
-    """Write `arrays` and the JSON-able `header` to exactly `path`, through a
-    temp file in the same directory so an interrupted write keeps the old file."""
+@contextmanager
+def atomic_open(path, text=False):
+    """A binary (or UTF-8 `text`) handle on a temp file beside `path`, moved
+    onto `path` once the block completes; if it raises, the temp file is
+    removed and `path` is untouched.  An OSError on the temp file names `path`."""
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-    meta = np.array(json.dumps({"kind": kind, **header}))
     try:
-        with open(tmp, "wb") as fh:
-            np.savez(fh, allow_pickle=False, header=meta, **arrays)
+        with open(tmp, "w", encoding="utf-8") if text else open(tmp, "wb") as fh:
+            yield fh
         os.replace(tmp, path)
-    except BaseException:
+    except BaseException as e:
         tmp.unlink(missing_ok=True)
+        if isinstance(e, OSError) and e.filename == str(tmp):
+            raise type(e)(e.errno, e.strerror, str(path)) from e
         raise
+
+
+def save(path, kind, header, arrays):
+    """Write `arrays` and the JSON-able `header` to exactly `path`, atomically."""
+    meta = np.array(json.dumps({"kind": kind, **header}))
+    with atomic_open(path) as fh:
+        np.savez(fh, allow_pickle=False, header=meta, **arrays)
 
 
 def load(path, kind, decode):

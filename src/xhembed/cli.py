@@ -10,7 +10,7 @@ from .combine import (STRATEGY_INPUTS, STRATEGY_ORDER, InitStrategy,
                       build_initial_embeddings)
 from .corpus import (SplitSpec, Vocabulary, build_vocabulary, corpus_stats,
                      load_parallel_corpus, read_aligned_lines, read_lines,
-                     split_corpus, write_splits)
+                     split_corpus, write_lines, write_splits)
 from .embedstore import nearest_neighbors, read_embeddings, write_embeddings
 from .lexproject import build_projected_matrix, read_lexicon
 from .nmt import (Seq2SeqConfig, TrainConfig, build_model, fine_tune,
@@ -214,15 +214,20 @@ def run_pipeline(cfg, out_dir, strategies, deterministic=True, log=print):
     sg_cfg = _subword_config(cfg)
     nmt_cfg = _nmt_config(cfg)
     hypers = {section: _train_config(cfg, section) for section in ("train", "finetune")}
+    if cfg["vocab.min_count"] < 1:
+        raise ValidationError(
+            f"vocab.min_count must be >= 1, got {cfg['vocab.min_count']}")
+    if "subword_model" in needs and nmt_cfg.emb_dim < sg_cfg.dim:
+        raise ValidationError(f"nmt.emb_dim {nmt_cfg.emb_dim} is narrower than "
+                              f"subword.dim {sg_cfg.dim}, whose vectors it must hold")
     try:
         stage = "stats+split"
         splits = {}
         for name in ("bible", "corpus2"):
             corp = load_parallel_corpus(cfg[f"data.{name}_src"], cfg[f"data.{name}_tgt"],
                                         name)
-            (out / f"{name}.stats.txt").write_text(_stats_text(corpus_stats(corp)),
-                                                   encoding="utf-8")
-            (out / f"{name}.load.txt").write_text(str(corp.report), encoding="utf-8")
+            write_lines(out / f"{name}.stats.txt", _stats_lines(corpus_stats(corp)))
+            write_lines(out / f"{name}.load.txt", _text_lines(str(corp.report)))
             parts = splits[name] = stage_split(corp, split_spec, out)
             log(f"[{name}] {len(corp)} pairs -> "
                 f"{len(parts[0])}/{len(parts[1])}/{len(parts[2])}")
@@ -239,8 +244,7 @@ def run_pipeline(cfg, out_dir, strategies, deterministic=True, log=print):
         model, reports = stage_train_subword(
             splits["bible"][0].side("src") + splits["corpus2"][0].side("src"),
             sg_cfg, out / "subword.model")
-        (out / "subword.report.txt").write_text(
-            "\n".join(str(r) for r in reports) + "\n", encoding="utf-8")
+        write_lines(out / "subword.report.txt", (str(r) for r in reports))
         e_m = model.export_matrix(src_vocab.tokens())
         write_embeddings(e_m, out / "em.npz")
         log(f"[subword] trained dim={model.dim} over {len(model.vocab)} words")
@@ -251,7 +255,7 @@ def run_pipeline(cfg, out_dir, strategies, deterministic=True, log=print):
             lex = read_lexicon(cfg["data.lexicon"])
             e_v, report = stage_build_ev(lex, read_embeddings(cfg["data.hr_embeddings"]),
                                          out / "ev.npz")
-            (out / "ev.report.txt").write_text(report.to_text(), encoding="utf-8")
+            write_lines(out / "ev.report.txt", _text_lines(report.to_text()))
             log(f"[build-ev] covered {report.covered}/{len(lex)} entries")
 
         if "mapping" in needs:
@@ -277,18 +281,20 @@ def run_pipeline(cfg, out_dir, strategies, deterministic=True, log=print):
                 hyp = sdir / f"{name}.test.hyp"
                 translate(params, nmt_cfg, parts[2].side("src"), src_vocab, tgt_vocab, hyp)
                 report = metrics.evaluate_translations(hyp, out / f"{name}.test.tgt")
-                (sdir / f"{name}.bleu.tsv").write_text(report.to_tsv(), encoding="utf-8")
+                write_lines(sdir / f"{name}.bleu.tsv", _text_lines(report.to_tsv()))
                 row += f"\t{report.corpus:.4f}\t{report.mean_sentence:.4f}"
                 log(f"[{strat}/{name}] corpus BLEU {report.corpus:.2f} "
                     f"mean sentence BLEU {report.mean_sentence:.2f}")
-            results.append(row + "\n")
+            results.append(row)
 
         stage = "report"
-        with open(out / "results.tsv", "w", encoding="utf-8") as f:
-            f.write("strategy\tbible_corpus_bleu\tbible_mean_sentence_bleu\t"
-                    "corpus2_corpus_bleu\tcorpus2_mean_sentence_bleu\n")
-            f.writelines(results)
-        _write_manifest(cfg, out, strategies, deterministic)
+        write_lines(out / "results.tsv", [
+            "strategy\tbible_corpus_bleu\tbible_mean_sentence_bleu\t"
+            "corpus2_corpus_bleu\tcorpus2_mean_sentence_bleu", *results])
+        write_lines(out / "manifest.txt", [
+            "xhembed_version=0.1.0", f"deterministic={deterministic}",
+            "strategies=" + ",".join(str(s) for s in strategies),
+            *(f"{k}={cfg[k]}" for k in sorted(cfg))])
         log(f"[done] results at {out / 'results.tsv'}")
         return out / "results.tsv"
     except ValidationError:
@@ -297,22 +303,18 @@ def run_pipeline(cfg, out_dir, strategies, deterministic=True, log=print):
         raise StageError(stage, e) from e
 
 
-def _stats_text(stats):
+def _text_lines(text):
+    """The lines of a report's text, which ends in a newline."""
+    return text.split("\n")[:-1]
+
+
+def _stats_lines(stats):
     lines = [f"sentences\t{stats.sentences}"]
     for side, st in (("src", stats.src), ("tgt", stats.tgt)):
         lines.append(f"{side}.mean_len\t{st.mean_len:.4f}")
         lines.append(f"{side}.std_len\t{st.std_len:.4f}")
         lines.append(f"{side}.total_tokens\t{st.total_tokens}")
-    return "\n".join(lines) + "\n"
-
-
-def _write_manifest(cfg, out, strategies, deterministic):
-    with open(out / "manifest.txt", "w", encoding="utf-8") as f:
-        f.write(f"xhembed_version=0.1.0\n")
-        f.write(f"deterministic={deterministic}\n")
-        f.write("strategies=" + ",".join(str(s) for s in strategies) + "\n")
-        for k in sorted(cfg):
-            f.write(f"{k}={cfg[k]}\n")
+    return lines
 
 
 # --------------------------------------------------------------------------
@@ -320,15 +322,14 @@ def _write_manifest(cfg, out, strategies, deterministic):
 
 def _cmd_make_toy(args):
     paths = write_toy_dataset(args.out)
-    cfg_path = Path(args.out) / "toy.cfg"
-    cfg_path.write_text(toy_config_text(paths, Path(args.out) / "run"),
-                        encoding="utf-8")
+    write_lines(Path(args.out) / "toy.cfg",
+                _text_lines(toy_config_text(paths, Path(args.out) / "run")))
     print(f"toy dataset and config written under {args.out}")
 
 
 def _cmd_stats(args):
     corp = load_parallel_corpus(args.src, args.tgt)
-    print(_stats_text(corpus_stats(corp)), end="")
+    print(*_stats_lines(corpus_stats(corp)), sep="\n")
 
 
 def _cmd_split(args):

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import SPECIALS, PAD
+from .corpus import SPECIALS, PAD, write_lines
 from .embedstore import EmbeddingMatrix
 
 
@@ -53,9 +53,7 @@ class InitializedEmbeddings:
     provenance: dict  # token -> fromEV | fromEM | unkSubstituted | random
 
     def write_provenance(self, path):
-        with open(path, "w", encoding="utf-8") as f:
-            for tok in self.matrix.tokens:
-                f.write(f"{tok}\t{self.provenance[tok]}\n")
+        write_lines(path, (f"{tok}\t{self.provenance[tok]}" for tok in self.matrix.tokens))
 
 
 def unk_vector(e_v):

@@ -6,6 +6,8 @@ import unicodedata
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from .artifact import atomic_open
+
 PAD, UNK, BOS, EOS = 0, 1, 2, 3
 SPECIALS = ["<pad>", "<unk>", "<bos>", "<eos>"]
 
@@ -72,6 +74,13 @@ def read_lines(path):
     return out
 
 
+def write_lines(path, lines):
+    """Write each of `lines` plus a newline to `path` as UTF-8, atomically:
+    `lines` is consumed inside the write, so if it raises the old file stays."""
+    with atomic_open(path, text=True) as f:
+        f.writelines(line + "\n" for line in lines)
+
+
 def read_aligned_lines(src_path, tgt_path):
     """The lines of two aligned files; raises CorpusError naming both files
     if their line counts differ."""
@@ -134,9 +143,7 @@ class Vocabulary:
         return self.id_to_token[len(SPECIALS):]
 
     def save(self, path):
-        with open(path, "w", encoding="utf-8") as f:
-            for tok in self.id_to_token[len(SPECIALS):]:
-                f.write(f"{tok}\t{self.freq[tok]}\n")
+        write_lines(path, (f"{tok}\t{self.freq[tok]}" for tok in self.tokens()))
 
     @classmethod
     def from_freqs(cls, pairs):
@@ -243,9 +250,6 @@ def write_splits(splits, out_dir, name):
     paths = {}
     for part, corp in zip(("train", "dev", "test"), splits):
         for side in ("src", "tgt"):
-            p = out_dir / f"{name}.{part}.{side}"
-            with open(p, "w", encoding="utf-8") as f:
-                for sent in corp.side(side):
-                    f.write(" ".join(sent) + "\n")
-            paths[(part, side)] = p
+            p = paths[(part, side)] = out_dir / f"{name}.{part}.{side}"
+            write_lines(p, (" ".join(sent) for sent in corp.side(side)))
     return paths

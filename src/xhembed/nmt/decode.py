@@ -4,7 +4,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..corpus import PAD, BOS, EOS
+from ..corpus import PAD, BOS, EOS, write_lines
 from .data import make_batch
 from .model import decoder_step, encode_for_decoding
 
@@ -115,14 +115,10 @@ def beam_search(params, cfg, src_ids, beam=None, max_len=None):
 
 def translate(params, cfg, sentences, src_vocab, tgt_vocab, out_path, beam=None):
     """Decode each source sentence and write one space-joined hypothesis per
-    line, order-preserving.  A beam < 1 raises ValueError before out_path is
-    opened."""
+    line, order-preserving.  Each is decoded as it is written (write_lines),
+    so a failure part-way leaves out_path as it was.  A beam < 1 raises
+    ValueError before anything is opened."""
     beam = _beam_width(cfg, beam)
-    with open(out_path, "w", encoding="utf-8") as f:
-        for sent in sentences:
-            if not sent:
-                f.write("\n")
-                continue
-            ids = [src_vocab.id(t) for t in sent]
-            hyp = beam_search(params, cfg, ids, beam=beam)
-            f.write(" ".join(tgt_vocab.token(i) for i in hyp) + "\n")
+    hyps = (beam_search(params, cfg, [src_vocab.id(t) for t in sent], beam=beam)
+            if sent else [] for sent in sentences)
+    write_lines(out_path, (" ".join(map(tgt_vocab.token, hyp)) for hyp in hyps))

@@ -38,8 +38,9 @@ class Seq2SeqConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.hidden % 2 != 0:
-            raise ValueError("hidden size must be even (split across directions)")
+        if self.hidden < 2 or self.hidden % 2 != 0:
+            raise ValueError(f"hidden size must be even and >= 2 (split across "
+                             f"directions), got {self.hidden}")
         if self.beam < 1:
             raise ValueError("beam must be >= 1")
         if self.max_decode_len < 1:

@@ -63,6 +63,9 @@ class SkipgramConfig:
     def __post_init__(self):
         if self.dim < 1 or self.window < 1 or self.negatives < 1 or self.lr <= 0:
             raise ValueError("dim >= 1, window >= 1, negatives >= 1, lr > 0 required")
+        for name in ("buckets", "min_count"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.workers != 1:
             raise ValueError(f"workers must be 1 (training is single-threaded), "
                              f"got {self.workers}")

@@ -6,6 +6,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .corpus import write_lines
+
 
 _STEMS = [
     ("indo", "man"), ("haml", "walk"), ("bawo", "father"), ("tolo", "house"),
@@ -41,33 +43,26 @@ def write_toy_dataset(out_dir, pairs=1500, pairs2=400, seed=7, hr_dim=16):
 
     paths = {}
     for name, n in (("bible", pairs), ("oxex", pairs2)):
-        sp, tp = out / f"{name}.src", out / f"{name}.tgt"
-        with open(sp, "w", encoding="utf-8") as fs, open(tp, "w", encoding="utf-8") as ft:
-            for _ in range(n):
-                s, t = sentence()
-                fs.write(s + "\n")
-                ft.write(t + "\n")
-        paths[f"{name}_src"], paths[f"{name}_tgt"] = sp, tp
+        sents = [sentence() for _ in range(n)]
+        for i, side in enumerate(("src", "tgt")):
+            paths[f"{name}_{side}"] = out / f"{name}.{side}"
+            write_lines(paths[f"{name}_{side}"], (pair[i] for pair in sents))
 
     # lexicon covers the base form and one inflection of every stem
-    lex = out / "lexicon.tsv"
-    with open(lex, "w", encoding="utf-8") as f:
-        for i, (stem, en) in enumerate(_STEMS):
-            f.write(f"{stem}a\t{en}\n")
-            f.write(f"{stem}ile\t" + " ".join(_translate_word(i, "ile")) + "\n")
-    paths["lexicon"] = lex
+    paths["lexicon"] = out / "lexicon.tsv"
+    write_lines(paths["lexicon"], (f"{stem}{suf}\t" + " ".join(_translate_word(i, suf))
+                                   for i, (stem, _) in enumerate(_STEMS)
+                                   for suf in ("a", "ile")))
 
     # 'pretrained' high-resource embeddings over the target vocabulary
     en_words = sorted({w for i in range(len(_STEMS)) for suf in _SUFFIXES
                        for w in _translate_word(i, suf)})
     hr = rng.uniform(-1, 1, (len(en_words), hr_dim))
-    hr_path = out / "hr.vec"
+    paths["hr_embeddings"] = out / "hr.vec"
     # they stand in for downloaded vectors, so they are word2vec text
-    with open(hr_path, "w", encoding="utf-8") as f:
-        f.write(f"{len(en_words)} {hr_dim}\n")
-        for word, row in zip(en_words, hr):
-            f.write(word + " " + " ".join("%.6g" % v for v in row) + "\n")
-    paths["hr_embeddings"] = hr_path
+    write_lines(paths["hr_embeddings"], [f"{len(en_words)} {hr_dim}"] + [
+        word + " " + " ".join("%.6g" % v for v in row)
+        for word, row in zip(en_words, hr)])
     return paths
 
 

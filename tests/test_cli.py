@@ -449,7 +449,10 @@ class TestPipeline:
     @pytest.mark.parametrize("line, named", [
         ("train.batch=0", "batch_size"), ("train.lr=-1", "lr"),
         ("nmt.dropout=1.0", "dropout"), ("nmt.enc_layers=0", "enc_layers"),
-        ("split.train=nan", "ratios"), ("subword.dim=0", "dim")])
+        ("split.train=nan", "ratios"), ("subword.dim=0", "dim"),
+        ("subword.buckets=0", "buckets"), ("subword.min_count=0", "min_count"),
+        ("vocab.min_count=0", "vocab.min_count"), ("nmt.hidden=0", "hidden"),
+        ("nmt.emb_dim=6", "emb_dim")])
     def test_bad_config_value_fails_before_any_stage(self, tmp_path, capsys, line,
                                                      named):
         cfg_path = write_cfg(tmp_path, micro_dataset(tmp_path) + line + "\n")
@@ -574,6 +577,22 @@ class TestTranslate:
         err = capsys.readouterr().err
         assert "beam must be >= 1" in err and "Traceback" not in err
         assert not (tmp_path / "hyp").exists()
+
+
+class TestMissingOutputDirectory:
+    """A write into a directory that does not exist exits 1 naming `--out`."""
+
+    def test_init_emb(self, tmp_path, capsys):
+        vocab_of(["toza", "meka"]).save(tmp_path / "vocab.src")
+        out = tmp_path / "missing" / "init.npz"
+        assert_fails_naming(["init-emb", "--strategy", "Random", "--dim", "4",
+                             "--vocab", tmp_path / "vocab.src", "--out", out],
+                            out, capsys)
+
+    def test_translate(self, tmp_path, capsys):
+        argv = tiny_translate_args(tmp_path, *tiny_model())
+        out = tmp_path / "missing" / "hyp"
+        assert_fails_naming(argv[:-1] + [out], out, capsys)
 
 
 class TestStagewise:

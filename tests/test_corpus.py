@@ -5,8 +5,8 @@ from hypothesis import given, strategies as st
 
 from xhembed.corpus import (CorpusError, ParallelCorpus, SplitSpec,
                             build_vocabulary, corpus_stats,
-                            load_parallel_corpus, split_corpus, tokenize,
-                            write_splits)
+                            load_parallel_corpus, read_lines, split_corpus,
+                            tokenize, write_lines, write_splits)
 
 
 def write(tmp_path, name, text):
@@ -129,6 +129,28 @@ class TestSplit:
         assert len(paths) == 6
         train_src = (tmp_path / "c.train.src").read_text().splitlines()
         assert len(train_src) == 7
+
+
+class TestWriteLines:
+    def test_one_newline_after_each_line(self, tmp_path):
+        path = tmp_path / "out.txt"
+        write_lines(path, iter(["a b", "", "ñé\u2028x"]))
+        assert path.read_bytes() == "a b\n\nñé\u2028x\n".encode("utf-8")
+        assert read_lines(path) == ["a b", "", "ñé\u2028x"]
+        write_lines(path, [])
+        assert path.read_bytes() == b""
+
+    def test_failing_lines_keep_old_file(self, tmp_path):
+        path = write(tmp_path, "out.txt", "old\n")
+
+        def lines():
+            yield "new"
+            raise RuntimeError("no second line")
+
+        with pytest.raises(RuntimeError, match="no second line"):
+            write_lines(path, lines())
+        assert path.read_bytes() == b"old\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
 
 
 class TestStats:

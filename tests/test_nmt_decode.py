@@ -218,6 +218,25 @@ class TestTranslateFile:
         translate(params, cfg, [["neverseen"]], sv, tv, out)
         assert len(out.read_text().splitlines()) == 1
 
+    def test_failure_part_way_keeps_old_file(self, tmp_path, monkeypatch):
+        cfg, params, sv, tv = tiny_model()
+        out = tmp_path / "hyp.txt"
+        out.write_bytes(b"old hypotheses\n")
+        calls = []
+
+        def failing_beam_search(*args, **kwargs):
+            calls.append(args)
+            if len(calls) == 2:
+                raise RuntimeError("decoder failed")
+            return beam_search(*args, **kwargs)
+
+        monkeypatch.setattr(decode, "beam_search", failing_beam_search)
+        with pytest.raises(RuntimeError, match="decoder failed"):
+            translate(params, cfg, [["w1"], ["w2"], ["w3"]], sv, tv, out)
+        assert len(calls) == 2
+        assert out.read_bytes() == b"old hypotheses\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["hyp.txt"]
+
 
 @pytest.fixture(scope="module")
 def copy_model():
