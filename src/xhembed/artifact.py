@@ -43,21 +43,35 @@ def save(path, kind, header, arrays):
         np.savez(fh, allow_pickle=False, header=meta, **arrays)
 
 
-def load(path, kind, decode):
-    """Return decode(header, arrays) for the artifact of `kind` at `path`.  Any
-    failure to open, parse or decode it (truncation, a missing key, a shape
-    rejected by `require_shape`) becomes an ArtifactError."""
+@contextmanager
+def _opened(path, kind):
+    """The header and open archive of the artifact of `kind` at `path`.  Any
+    failure to open or parse it, or raised in the block (truncation, a
+    missing key, a shape rejected by `require_shape`), becomes an
+    ArtifactError."""
     try:
         with open(path, "rb") as fh, np.load(fh, allow_pickle=False) as z:
-            arrays = {name: z[name] for name in z.files}
-        header = json.loads(arrays.pop("header")[()])
-        if header["kind"] != kind:
-            raise ValueError(f"expected a {kind}, found a {header['kind']}")
-        return decode(header, arrays)
+            header = json.loads(z["header"][()])
+            if header["kind"] != kind:
+                raise ValueError(f"expected a {kind}, found a {header['kind']}")
+            yield header, z
     except (OSError, EOFError, KeyError, TypeError, ValueError,
             zipfile.BadZipFile) as e:
         reason = f"missing key {e}" if isinstance(e, KeyError) else e
         raise ArtifactError(f"{path}: not a readable {kind}: {reason}") from e
+
+
+def load(path, kind, decode):
+    """Return decode(header, arrays) for the artifact of `kind` at `path`;
+    errors as in `_opened`."""
+    with _opened(path, kind) as (header, z):
+        return decode(header, {name: z[name] for name in z.files if name != "header"})
+
+
+def read_header(path, kind):
+    """The header of the artifact of `kind` at `path`; no array is read."""
+    with _opened(path, kind) as (header, _):
+        return header
 
 
 def require_shape(arrays, name, shape):

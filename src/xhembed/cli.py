@@ -11,7 +11,8 @@ from .combine import (STRATEGY_INPUTS, STRATEGY_ORDER, InitStrategy,
 from .corpus import (SplitSpec, Vocabulary, build_vocabulary, corpus_stats,
                      load_parallel_corpus, read_aligned_lines, read_lines,
                      split_corpus, write_lines, write_splits)
-from .embedstore import nearest_neighbors, read_embeddings, write_embeddings
+from .embedstore import (nearest_neighbors, read_dim, read_embeddings,
+                         write_embeddings)
 from .lexproject import build_projected_matrix, read_lexicon
 from .nmt import (Seq2SeqConfig, TrainConfig, build_model, fine_tune,
                   load_checkpoint, save_checkpoint, train, translate)
@@ -220,6 +221,16 @@ def run_pipeline(cfg, out_dir, strategies, deterministic=True, log=print):
     if "subword_model" in needs and nmt_cfg.emb_dim < sg_cfg.dim:
         raise ValidationError(f"nmt.emb_dim {nmt_cfg.emb_dim} is narrower than "
                               f"subword.dim {sg_cfg.dim}, whose vectors it must hold")
+    if "e_v" in needs:
+        hr_path = cfg["data.hr_embeddings"]
+        try:
+            hr_dim = read_dim(hr_path)
+        except OSError as e:
+            raise ValidationError(f"data.hr_embeddings {hr_path!r}: {e}") from e
+        if hr_dim is not None and nmt_cfg.emb_dim < hr_dim:
+            raise ValidationError(
+                f"nmt.emb_dim {nmt_cfg.emb_dim} is narrower than the {hr_dim}-d "
+                f"vectors of data.hr_embeddings {hr_path!r}, which it must hold")
     try:
         stage = "stats+split"
         splits = {}

@@ -52,6 +52,22 @@ def read_embeddings(path):
     return _read_artifact(path) if signature == artifact.SIGNATURE else _read_text(path)
 
 
+def read_dim(path):
+    """Row width of the matrix at `path`, read from its start alone: the
+    artifact header, else the first text line as `read_embeddings` parses
+    it (an "N D" header, or a first row whose values are counted).  None
+    when a text file starts with a blank line."""
+    with open(path, "rb") as f:
+        first = f.readline()
+    if first.startswith(artifact.SIGNATURE):
+        return artifact.read_header(path, KIND)["dim"]
+    line = first.decode("utf-8", errors="replace")  # the full read names bad bytes
+    dim = _header_dim(line)
+    if dim is None and line.strip():
+        dim = _split_row(line)[2]
+    return dim
+
+
 def _read_artifact(path):
     def decode(header, arrays):
         tokens = header["tokens"]
@@ -60,46 +76,83 @@ def _read_artifact(path):
     return artifact.load(path, KIND, decode)
 
 
+def _header_dim(line):
+    """D of an "N D" header line; None when `line` is not one."""
+    head = line.split()
+    if len(head) == 2:
+        try:
+            _, dim = int(head[0]), int(head[1])
+            return dim
+        except ValueError:
+            pass
+    return None
+
+
+def _split_row(line):
+    """(token, value text, value count) of one text row."""
+    tok, sep, rest = line.rstrip().partition(" ")
+    return tok, rest, rest.count(" ") + 1 if sep else 0
+
+
 def _read_text(path):
     """Header ("N D" first line) or headerless text embeddings.  Duplicate
     tokens keep the first occurrence; the count of dropped duplicates is
-    returned on the matrix as .duplicates_dropped."""
+    returned on the matrix as .duplicates_dropped.  A dropped duplicate's
+    values are counted but never parsed."""
     lines = read_lines(path)
-    start = 0
-    dim = None
-    if lines:
-        head = lines[0].split()
-        if len(head) == 2:
-            try:
-                _, dim = int(head[0]), int(head[1])
-                start = 1
-            except ValueError:
-                pass
-    tokens, rows = [], []
+    dim = _header_dim(lines[0]) if lines else None
+    start = 0 if dim is None else 1
+    tokens, fields, line_nos = [], [], []
     seen = set()
     dups = 0
     for ln, line in enumerate(lines[start:], start=start + 1):
         if not line.strip():
             continue
-        parts = line.rstrip().split(" ")
-        tok, vals = parts[0], parts[1:]
+        tok, rest, n = _split_row(line)
         if dim is None:
-            dim = len(vals)
-        if len(vals) != dim:
-            raise EmbeddingFormatError(
-                f"{path}:{ln}: expected {dim} values, got {len(vals)}")
+            dim = n
+        if n != dim:
+            # a bad value on an earlier line is met first, so it is reported first
+            _parse_values(path, fields, line_nos, dim)
+            raise EmbeddingFormatError(f"{path}:{ln}: expected {dim} values, got {n}")
         if tok in seen:
             dups += 1
             continue
         seen.add(tok)
-        try:
-            rows.append([float(v) for v in vals])
-        except ValueError as e:
-            raise EmbeddingFormatError(f"{path}:{ln}: non-numeric field: {e}") from e
         tokens.append(tok)
-    m = EmbeddingMatrix(tokens, np.array(rows, dtype=np.float64).reshape(len(tokens), dim or 0))
+        fields.append(rest)
+        line_nos.append(ln)
+    m = EmbeddingMatrix(tokens, _parse_values(path, fields, line_nos, dim or 0))
     m.duplicates_dropped = dups
     return m
+
+
+def _parse_values(path, fields, line_nos, dim):
+    """(len(fields), dim) float64 rows of the value texts `fields`, parsed in
+    one np.loadtxt call.  A field that does not parse is found by bisection
+    and raises EmbeddingFormatError naming its file line `line_nos[i]`."""
+    def parse(part):
+        return np.loadtxt(part, delimiter=" ", comments=None, quotechar=None, ndmin=2)
+    if not (fields and dim):
+        return np.zeros((len(fields), dim))
+    try:
+        return parse(fields)
+    except ValueError as e:
+        error = e
+    lo, hi = 0, len(fields)  # the first line that fails is in fields[lo:hi]
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        try:
+            parse(fields[lo:mid])
+            lo = mid
+        except ValueError:
+            hi = mid
+    try:
+        parse(fields[lo:hi])
+    except ValueError as e:
+        error = e
+    raise EmbeddingFormatError(
+        f"{path}:{line_nos[lo]}: non-numeric field: {error}") from error
 
 
 def write_embeddings(matrix, path):
@@ -139,6 +192,5 @@ def nearest_neighbors(matrix, query, k):
     if len(query) != matrix.dim:
         raise ValueError(f"query dim {len(query)} != matrix dim {matrix.dim}")
     cos = _cosines(matrix.rows, query)
-    k = min(k, len(matrix))
-    order = sorted(range(len(matrix)), key=lambda i: (-cos[i], i))[:k]
+    order = np.argsort(-cos, kind="stable")[:k]
     return [(matrix.tokens[i], float(cos[i])) for i in order]

@@ -63,7 +63,7 @@ class SkipgramConfig:
     def __post_init__(self):
         if self.dim < 1 or self.window < 1 or self.negatives < 1 or self.lr <= 0:
             raise ValueError("dim >= 1, window >= 1, negatives >= 1, lr > 0 required")
-        for name in ("buckets", "min_count"):
+        for name in ("buckets", "min_count", "epochs"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.workers != 1:
@@ -80,15 +80,19 @@ class SubwordModel:
         self.config = config
         self.input_vectors = input_vectors    # (buckets + |vocab|, dim)
         self.output_vectors = output_vectors  # (|vocab|, dim)
+        # unit ids of every vocabulary word, by id: the one time the
+        # vocabulary's n-grams are hashed
+        self.vocab_units = self._ngram_buckets(vocab.id_to_token)
+        for i, ids in enumerate(self.vocab_units):
+            ids.append(config.buckets + i)
 
     @property
     def dim(self):
         return self.config.dim
 
-    def unit_lists(self, words):
-        """Input-vector row indices of each word: hashed n-gram buckets, plus
-        the dedicated whole-word row when the word is in vocab.  Each
-        distinct n-gram is hashed once per call."""
+    def _ngram_buckets(self, words):
+        """Hashed n-gram bucket ids of each word; each distinct n-gram is
+        hashed once per call."""
         cfg = self.config
         bucket = {}
         lists = []
@@ -99,10 +103,18 @@ class SubwordModel:
                 if g not in bucket:
                     bucket[g] = ngram_bucket(g, cfg.buckets)
                 ids.append(bucket[g])
-            if word in self.vocab:
-                ids.append(cfg.buckets + self.vocab.id(word))
             lists.append(ids)
         return lists
+
+    def unit_lists(self, words):
+        """Input-vector row indices of each word: hashed n-gram buckets, plus
+        the dedicated whole-word row when the word is in vocab.  A vocabulary
+        word gets its list from `vocab_units` (shared, not a copy); only the
+        other words' n-grams are hashed."""
+        index = self.vocab.token_to_id
+        oov = iter(self._ngram_buckets([w for w in words if w not in index]))
+        return [self.vocab_units[index[w]] if w in index else next(oov)
+                for w in words]
 
     def unit_ids(self, word):
         return self.unit_lists([word])[0]
@@ -291,8 +303,7 @@ class _Trainer:
         self.output_vectors = np.zeros((len(self.vocab), config.dim))
         self.model = SubwordModel(self.vocab, config,
                                   self.input_vectors, self.output_vectors)
-        self.units, self.unit_weights = unit_table(
-            self.model.unit_lists(self.vocab.id_to_token))
+        self.units, self.unit_weights = unit_table(self.model.vocab_units)
         window = np.arange(1, config.window + 1)
         self.offsets = np.concatenate([-window[::-1], window])
         self.processed = 0  # kept tokens so far; drives the linear lr decay

@@ -446,13 +446,43 @@ class TestPipeline:
         err = capsys.readouterr().err
         assert "stage 'map'" in err and "dim 8" in err and "dim 6" in err
 
+    @pytest.mark.parametrize("as_artifact", [False, True])
+    def test_emb_dim_narrower_than_hr_vectors_fails_before_any_stage(
+            self, tmp_path, capsys, as_artifact):
+        """The micro dataset's HR vectors are 8-d; a 6-d NMT embedding cannot
+        hold them.  Only the file's header or first line is read."""
+        text = micro_dataset(tmp_path) + "subword.dim=6\nnmt.emb_dim=6\n"
+        hr = tmp_path / "hr.vec"
+        if as_artifact:
+            hr = tmp_path / "hr.npz"
+            write_embeddings(read_embeddings(tmp_path / "hr.vec"), hr)
+            text += f"data.hr_embeddings={hr}\n"
+        cfg_path = write_cfg(tmp_path, text)
+        out = tmp_path / "out"
+        assert main(["run-all", "--config", str(cfg_path), "--out", str(out),
+                     "--strategies", "XhPre"]) == 1
+        err = capsys.readouterr().err
+        assert str(hr) in err and "emb_dim 6" in err and "8-d" in err
+        assert not any(out.iterdir())
+
+    def test_unreadable_hr_vectors_fail_before_any_stage(self, tmp_path, capsys):
+        (tmp_path / "hr.d").mkdir()
+        cfg_path = write_cfg(tmp_path, micro_dataset(tmp_path)
+                             + f"data.hr_embeddings={tmp_path / 'hr.d'}\n")
+        out = tmp_path / "out"
+        assert main(["run-all", "--config", str(cfg_path), "--out", str(out),
+                     "--strategies", "XhPre"]) == 1
+        err = capsys.readouterr().err
+        assert "data.hr_embeddings" in err and str(tmp_path / "hr.d") in err
+        assert not any(out.iterdir())
+
     @pytest.mark.parametrize("line, named", [
         ("train.batch=0", "batch_size"), ("train.lr=-1", "lr"),
         ("nmt.dropout=1.0", "dropout"), ("nmt.enc_layers=0", "enc_layers"),
         ("split.train=nan", "ratios"), ("subword.dim=0", "dim"),
         ("subword.buckets=0", "buckets"), ("subword.min_count=0", "min_count"),
         ("vocab.min_count=0", "vocab.min_count"), ("nmt.hidden=0", "hidden"),
-        ("nmt.emb_dim=6", "emb_dim")])
+        ("nmt.emb_dim=6", "emb_dim"), ("subword.epochs=0", "epochs")])
     def test_bad_config_value_fails_before_any_stage(self, tmp_path, capsys, line,
                                                      named):
         cfg_path = write_cfg(tmp_path, micro_dataset(tmp_path) + line + "\n")

@@ -3,8 +3,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from xhembed.artifact import ArtifactError
+from xhembed.corpus import read_lines
 from xhembed.embedstore import (EmbeddingFormatError, EmbeddingMatrix,
-                                nearest_neighbors, normalize_rows,
+                                nearest_neighbors, normalize_rows, read_dim,
                                 read_embeddings, unit_normalize,
                                 write_embeddings)
 from xhembed.xmap import MappingModel, csls, save_mapping
@@ -85,6 +86,153 @@ class TestIO:
         assert np.max(np.abs(m2.rows - m.rows)) < 1e-6
 
 
+def reference_read_text(path):
+    """Oracle: the per-line reader that parsed every value with float()."""
+    lines = read_lines(path)
+    start = 0
+    dim = None
+    if lines:
+        head = lines[0].split()
+        if len(head) == 2:
+            try:
+                _, dim = int(head[0]), int(head[1])
+                start = 1
+            except ValueError:
+                pass
+    tokens, rows = [], []
+    seen = set()
+    dups = 0
+    for ln, line in enumerate(lines[start:], start=start + 1):
+        if not line.strip():
+            continue
+        parts = line.rstrip().split(" ")
+        tok, vals = parts[0], parts[1:]
+        if dim is None:
+            dim = len(vals)
+        if len(vals) != dim:
+            raise EmbeddingFormatError(
+                f"{path}:{ln}: expected {dim} values, got {len(vals)}")
+        if tok in seen:
+            dups += 1
+            continue
+        seen.add(tok)
+        try:
+            rows.append([float(v) for v in vals])
+        except ValueError as e:
+            raise EmbeddingFormatError(f"{path}:{ln}: non-numeric field: {e}") from e
+        tokens.append(tok)
+    m = EmbeddingMatrix(tokens, np.array(rows, dtype=np.float64).reshape(len(tokens), dim or 0))
+    m.duplicates_dropped = dups
+    return m
+
+
+def read_outcome(read, path):
+    """The matrix `read` returns for `path`, or what it raises: the file line
+    of an EmbeddingFormatError, the message of any other ValueError."""
+    try:
+        return read(path)
+    except EmbeddingFormatError as e:
+        where = str(e).removeprefix(f"{path}:")
+        return "format error at line", int(where.split(":")[0])
+    except ValueError as e:
+        return "error", str(e)
+
+
+def assert_reads_like_reference(path):
+    want = read_outcome(reference_read_text, path)
+    got = read_outcome(read_embeddings, path)
+    if isinstance(want, tuple):
+        assert got == want
+        return
+    assert got.tokens == want.tokens
+    assert got.rows.dtype == np.float64
+    assert np.array_equal(got.rows, want.rows)
+    assert got.duplicates_dropped == want.duplicates_dropped
+
+
+class TestTextReader:
+    """The one-pass numpy reader against the per-line float() oracle."""
+
+    @pytest.mark.parametrize("text", [
+        "3 2\na 1 2\nb 3 4\nc 5 6\n",                   # header
+        "a 1 2\nb 3 4\n",                                 # headerless
+        "a 1\nb 2\n",                                     # one value a row
+        "3 1.5\n4 2.5\n",                                 # a non-integer 2-field first row
+        "2 2\r\n\r\na 1 2\r\n   \r\nb 3 4\r\n",           # blank lines, CRLF
+        "\n\na 1 2\n\nb 3 4",                             # leading blanks, no final newline
+        "ümlaut 1 2\n日本語 3 4\nà\u00a0b -5 6\n",         # unicode tokens
+        "a 1e-3 -2.5E+02\nb +.5 5.\nc 1E5 -0\n",            # exponent forms
+        "a inf 1\n", "a 1 -Infinity\n", "a nan 0\n",       # non-finite values
+        "a 1e400 0\n",                                     # overflows to inf
+        "a 1 2\na 3 inf\nb 5 6\n",                         # a dropped inf
+        "a 1 2\na x y\nb 3 4\n",                           # a dropped non-numeric line
+        "a 1 2\na x y\na\t7 8\n",                          # a tab is part of the token
+        "a 1 2   \nb 3 4\t\n",                             # trailing whitespace
+        "a\nb\n", "2 0\na\nb\n",                          # zero values a row
+        "", "0 4\n", "\n\n",                                # nothing to read
+        # errors, by file line
+        "a 1 2\nb 3\n",                                    # wrong field count
+        "2 3\na 1 2 3\n\nb 1 2\n",                         # after a blank line
+        "a 1 2\na 5\nb 3 4\n",                             # a duplicate is counted too
+        "a 1 2\na 5 6\nb 3 x\n",                           # bad field after a duplicate
+        "2 2\n\na 1 2\na 1 2\n\nb 3 x\nc 1 2\n",             # ... with header and blanks
+        "a 1 x\nb 1\n",                                    # bad field before bad count
+        "a 1  2\n",                                        # an empty field
+        " 1 2\nb 3 4\n",                                   # an empty token
+    ])
+    def test_matches_reference(self, tmp_path, text):
+        p = tmp_path / "e.vec"
+        p.write_bytes(text.encode("utf-8"))
+        assert_reads_like_reference(p)
+
+    def test_bad_field_line_among_many(self, tmp_path):
+        """The bisection that locates a bad field names its file line."""
+        lines = [f"w{i} {i} 1" for i in range(1000)]
+        for bad in (0, 1, 500, 998, 999):
+            rows = list(lines)
+            rows[bad] = f"w{bad} 1 ?"
+            p = tmp_path / "e.vec"
+            p.write_text("\n".join(["1001 2", "", "d 0 0", "d 1 1", *rows]) + "\n")
+            with pytest.raises(EmbeddingFormatError, match=f":{bad + 5}: non-numeric"):
+                read_embeddings(p)
+            assert_reads_like_reference(p)
+
+    def test_17g_round_trip(self, tmp_path):
+        rng = np.random.default_rng(7)
+        rows = rng.normal(size=(50, 7)) * 10.0 ** rng.integers(-300, 300, (50, 7))
+        rows[0, :4] = [5e-324, -0.0, 1.7976931348623157e308, 2.2250738585072014e-308]
+        p = tmp_path / "e.vec"
+        p.write_text("".join(f"t{i} " + " ".join("%.17g" % v for v in r) + "\n"
+                             for i, r in enumerate(rows)))
+        assert np.array_equal(read_embeddings(p).rows, rows)
+        assert np.signbit(read_embeddings(p).rows[0, 1])
+        assert_reads_like_reference(p)
+
+    @pytest.mark.parametrize("field", ["1_0", "\u0661", "\uff11"])
+    def test_python_only_number_syntax_rejected(self, tmp_path, field):
+        """float() took digit separators and non-ASCII digits; the reader
+        takes only the ASCII forms and names the line."""
+        p = tmp_path / "e.vec"
+        p.write_text(f"a 1 2\nb {field} 2\n", encoding="utf-8")
+        assert len(reference_read_text(p)) == 2
+        with pytest.raises(EmbeddingFormatError, match=":2: non-numeric"):
+            read_embeddings(p)
+
+
+class TestReadDim:
+    def test_text_forms(self, tmp_path):
+        p = tmp_path / "e.vec"
+        for text, dim in [("2 3\na 1 2 3\n", 3), ("a 1 2\n", 2), ("3 1.5\n", 1),
+                          ("a\n", 0), ("\na 1 2\n", None), ("", None)]:
+            p.write_text(text)
+            assert read_dim(p) == dim, text
+
+    def test_artifact_header(self, tmp_path):
+        p = tmp_path / "e.npz"
+        write_embeddings(EmbeddingMatrix(["a", "b"], np.ones((2, 5))), p)
+        assert read_dim(p) == 5
+
+
 class TestNormalize:
     def test_hand_case(self):
         assert np.allclose(unit_normalize([3.0, 4.0]), [0.6, 0.8])
@@ -125,6 +273,21 @@ class TestNearestNeighbors:
     def test_dim_mismatch(self):
         with pytest.raises(ValueError):
             nearest_neighbors(self.basis(), np.ones(2), 1)
+
+    def test_matches_sorted_oracle_with_ties(self):
+        """Ties (repeated and rescaled rows, zero rows) go to the earlier row."""
+        rng = np.random.default_rng(4)
+        base = rng.normal(size=(6, 4))
+        rows = np.concatenate([base, base[[3, 1]], 2 * base[[1]], np.zeros((2, 4)),
+                               base[[5, 3]]])
+        m = EmbeddingMatrix([f"t{i}" for i in range(len(rows))], rows)
+        for query in [*base, np.zeros(4), -base[2]]:
+            cos = normalize_rows(rows) @ unit_normalize(query)
+            oracle = sorted(range(len(rows)), key=lambda i: (-cos[i], i))
+            for k in (1, 2, 3, 7, len(rows), len(rows) + 3):
+                got = nearest_neighbors(m, query, k)
+                assert [t for t, _ in got] == [f"t{i}" for i in oracle[:k]]
+                assert [c for _, c in got] == [float(cos[i]) for i in oracle[:k]]
 
 
 def brute_force_csls(x, y, x_space, y_space, k):

@@ -1,8 +1,10 @@
 import warnings
+from collections import Counter
 
 import numpy as np
 import pytest
 
+from xhembed import subword
 from xhembed.corpus import Vocabulary
 from xhembed.subword import (SkipgramConfig, SubwordModel, draw_negatives,
                              extract_ngrams, fnv1a_32, negative_cdf,
@@ -261,6 +263,10 @@ class TestTraining:
         _, reports = train_skipgram(sents, quick_config(window=1, epochs=2))
         assert [r.pairs for r in reports] == [sum(2 * (len(s) - 1) for s in sents)] * 2
 
+    def test_zero_epochs_rejected(self):
+        with pytest.raises(ValueError, match="epochs must be >= 1, got 0"):
+            quick_config(epochs=0)
+
     def test_more_than_one_worker_rejected(self):
         with pytest.raises(ValueError, match="workers must be 1"):
             quick_config(workers=2)
@@ -330,3 +336,50 @@ class TestModelApi:
         assert np.array_equal(loaded.output_vectors, model.output_vectors)
         for w in ["hamba", "oovword"]:
             assert np.array_equal(loaded.compose(w), model.compose(w))
+
+
+def per_word_unit_lists(model, words):
+    """Oracle: every word's n-grams hashed on their own, then its whole-word
+    row if it is in the vocabulary."""
+    cfg = model.config
+    lists = []
+    for word in words:
+        grams, _ = extract_ngrams(word, cfg.minn, cfg.maxn)
+        ids = [ngram_bucket(g, cfg.buckets) for g in grams]
+        if word in model.vocab:
+            ids.append(cfg.buckets + model.vocab.id(word))
+        lists.append(ids)
+    return lists
+
+
+class TestHashOnce:
+    def test_unit_lists_match_per_word_loop(self, model, tmp_path):
+        words = (model.vocab.id_to_token + ["hambo", "zz", "hambo", "a"]
+                 + model.vocab.tokens()[:3])
+        assert model.unit_lists(words) == per_word_unit_lists(model, words)
+        model.save(tmp_path / "m.npz")
+        loaded = SubwordModel.load(tmp_path / "m.npz")
+        assert loaded.unit_lists(words) == per_word_unit_lists(model, words)
+
+    def test_vocabulary_ngrams_hashed_once_per_model(self, monkeypatch):
+        hashed = Counter()
+        real = subword.ngram_bucket
+
+        def counting(gram, buckets):
+            hashed[gram] += 1
+            return real(gram, buckets)
+
+        monkeypatch.setattr(subword, "ngram_bucket", counting)
+        model, _ = train_skipgram(tiny_corpus(80), quick_config(epochs=1))
+        model.export_matrix(model.vocab.tokens())
+        model.compose_rows(model.vocab.tokens()[::2])
+        cfg = model.config
+        vocab_grams = {g for w in model.vocab.id_to_token
+                       for g in extract_ngrams(w, cfg.minn, cfg.maxn)[0]}
+        assert hashed == Counter(dict.fromkeys(vocab_grams, 1))
+
+        hashed.clear()
+        oov = "hambo"
+        assert oov not in model.vocab
+        model.compose_rows([oov, *model.vocab.tokens(), oov])
+        assert hashed == Counter(dict.fromkeys(extract_ngrams(oov)[0], 1))
