@@ -450,10 +450,14 @@ class TestPipeline:
     def test_emb_dim_narrower_than_hr_vectors_fails_before_any_stage(
             self, tmp_path, capsys, as_artifact):
         """The micro dataset's HR vectors are 8-d; a 6-d NMT embedding cannot
-        hold them.  Only the file's header or first line is read."""
+        hold them.  Only the file's header or first line is read, so a bad
+        row further down is not what is reported."""
         text = micro_dataset(tmp_path) + "subword.dim=6\nnmt.emb_dim=6\n"
         hr = tmp_path / "hr.vec"
-        if as_artifact:
+        if not as_artifact:
+            with open(hr, "a") as f:
+                f.write("bad 1\n")
+        else:
             hr = tmp_path / "hr.npz"
             write_embeddings(read_embeddings(tmp_path / "hr.vec"), hr)
             text += f"data.hr_embeddings={hr}\n"
