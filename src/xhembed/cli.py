@@ -14,8 +14,8 @@ from .corpus import (SplitSpec, Vocabulary, build_vocabulary, corpus_stats,
 from .embedstore import (nearest_neighbors, read_dim, read_embeddings,
                          write_embeddings)
 from .lexproject import build_projected_matrix, read_lexicon
-from .nmt import (Seq2SeqConfig, TrainConfig, build_model, fine_tune,
-                  load_checkpoint, save_checkpoint, train, translate)
+from .nmt import (Seq2SeqConfig, TrainConfig, build_model, load_checkpoint,
+                  save_checkpoint, train_models, translate)
 from .nmt.data import encode_pairs
 from .subword import SkipgramConfig, SubwordModel, train_skipgram
 from .toydata import toy_config_text, write_toy_dataset
@@ -189,17 +189,22 @@ def stage_init_emb(strategy, vocab, e_v, subword_model, mapping, dim, seed, out)
     return init
 
 
-def stage_train_mt(fit, params, nmt_cfg, train_dev, src_vocab, tgt_vocab, hyper, out):
-    """`fit` (`train` or `fine_tune`) on the train and dev token pairs."""
+def stage_train_mt(models, nmt_cfg, train_dev, src_vocab, tgt_vocab, hyper, outs):
+    """Train (or, at the fine-tuning `hyper`, fine-tune) the parameter dicts
+    `models` in lockstep on the train and dev token pairs; each model's
+    checkpoint goes to its entry of `outs`.  Returns (params, history) per
+    model."""
     train_pairs, dev_pairs = (encode_pairs(p, src_vocab, tgt_vocab) for p in train_dev)
-    params, hist = fit(params, nmt_cfg, train_pairs, dev_pairs, hyper)
-    save_checkpoint(out, nmt_cfg, params, hist)
-    return params, hist
+    results = train_models(models, nmt_cfg, train_pairs, dev_pairs, hyper)
+    for out, (params, hist) in zip(outs, results):
+        save_checkpoint(out, nmt_cfg, params, hist)
+    return results
 
 
 def run_pipeline(cfg, out_dir, strategies, deterministic=True, log=print):
     """Full experiment: stats, splits, subword training, projection, mapping,
-    then per-strategy MT training, fine-tuning and BLEU evaluation.  Emits
+    then MT training and fine-tuning of every strategy's model in lockstep,
+    each followed by per-strategy translation and BLEU evaluation.  Emits
     results.tsv in the fixed strategy-grid row order and a manifest."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -231,6 +236,10 @@ def run_pipeline(cfg, out_dir, strategies, deterministic=True, log=print):
             raise ValidationError(
                 f"nmt.emb_dim {nmt_cfg.emb_dim} is narrower than the {hr_dim}-d "
                 f"vectors of data.hr_embeddings {hr_path!r}, which it must hold")
+        if "mapping" in needs and hr_dim is not None and hr_dim != sg_cfg.dim:
+            raise ValidationError(
+                f"subword.dim {sg_cfg.dim} differs from the {hr_dim}-d vectors of "
+                f"data.hr_embeddings {hr_path!r}: the mapping needs one dim for both")
     try:
         stage = "stats+split"
         splits = {}
@@ -275,28 +284,28 @@ def run_pipeline(cfg, out_dir, strategies, deterministic=True, log=print):
             log(f"[map] objective {mapping.objective:.4f}")
 
         stage = "mt"
-        results = []
-        for strat in strategies:
-            sdir = out / str(strat)
+        sdirs = [out / str(strat) for strat in strategies]
+        models = []
+        for strat, sdir in zip(strategies, sdirs):
             sdir.mkdir(exist_ok=True)
             init = stage_init_emb(strat, src_vocab, e_v, model, mapping,
                                   nmt_cfg.emb_dim, nmt_cfg.seed, sdir / "init.npz")
-            params = build_model(nmt_cfg, init, tgt_vocab, source_vocab=src_vocab)
-            row = str(strat)
-            for name, fit, section in (("bible", train, "train"),
-                                       ("corpus2", fine_tune, "finetune")):
-                parts = splits[name]
-                params, _ = stage_train_mt(
-                    fit, params, nmt_cfg, [parts[0].pairs, parts[1].pairs], src_vocab,
-                    tgt_vocab, hypers[section], sdir / f"{name}.ckpt")
-                hyp = sdir / f"{name}.test.hyp"
+            models.append(build_model(nmt_cfg, init, tgt_vocab, source_vocab=src_vocab))
+        results = [str(strat) for strat in strategies]
+        for name, section in (("bible", "train"), ("corpus2", "finetune")):
+            parts = splits[name]
+            trained = stage_train_mt(
+                models, nmt_cfg, [parts[0].pairs, parts[1].pairs], src_vocab,
+                tgt_vocab, hypers[section], [d / f"{name}.ckpt" for d in sdirs])
+            models = [params for params, _ in trained]
+            for i, params in enumerate(models):
+                strat, hyp = strategies[i], sdirs[i] / f"{name}.test.hyp"
                 translate(params, nmt_cfg, parts[2].side("src"), src_vocab, tgt_vocab, hyp)
                 report = metrics.evaluate_translations(hyp, out / f"{name}.test.tgt")
-                write_lines(sdir / f"{name}.bleu.tsv", _text_lines(report.to_tsv()))
-                row += f"\t{report.corpus:.4f}\t{report.mean_sentence:.4f}"
+                write_lines(sdirs[i] / f"{name}.bleu.tsv", _text_lines(report.to_tsv()))
+                results[i] += f"\t{report.corpus:.4f}\t{report.mean_sentence:.4f}"
                 log(f"[{strat}/{name}] corpus BLEU {report.corpus:.2f} "
                     f"mean sentence BLEU {report.mean_sentence:.2f}")
-            results.append(row)
 
         stage = "report"
         write_lines(out / "results.tsv", [
@@ -399,8 +408,8 @@ def _cmd_train_mt(args):
     except ValueError as e:
         raise ValidationError(
             f"{args.init} (source vocabulary {args.src_vocab}): {e}") from e
-    _, hist = stage_train_mt(train, params, nmt_cfg, _read_train_dev(args), src_vocab,
-                             tgt_vocab, _train_config(cfg, "train"), args.out)
+    [(_, hist)] = stage_train_mt([params], nmt_cfg, _read_train_dev(args), src_vocab,
+                                 tgt_vocab, _train_config(cfg, "train"), [args.out])
     for rec in hist:
         print(f"epoch {rec.epoch}\tloss {rec.train_loss:.4f}\tdev_ppl {rec.dev_ppl:.4f}")
 
@@ -410,8 +419,8 @@ def _cmd_finetune(args):
     nmt_cfg, params, _ = load_checkpoint(args.checkpoint)
     src_vocab = Vocabulary.load(args.src_vocab)
     tgt_vocab = Vocabulary.load(args.tgt_vocab)
-    _, hist = stage_train_mt(fine_tune, params, nmt_cfg, _read_train_dev(args), src_vocab,
-                             tgt_vocab, _train_config(cfg, "finetune"), args.out)
+    [(_, hist)] = stage_train_mt([params], nmt_cfg, _read_train_dev(args), src_vocab,
+                                 tgt_vocab, _train_config(cfg, "finetune"), [args.out])
     for rec in hist:
         print(f"epoch {rec.epoch}\tloss {rec.train_loss:.4f}\tdev_ppl {rec.dev_ppl:.4f}")
 

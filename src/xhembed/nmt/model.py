@@ -15,6 +15,16 @@ time-major loop of `_gru_step`, the step `decoder_step` also takes.
 and the decoder alike.  Dropout applies to the input of each GRU layer and to
 the attention output.
 
+The training kernels take an optional leading model axis M on every
+parameter, activation and gradient: `forward_losses` on tensors stacked as
+(M, ...) runs M models of one config over one batch in lockstep, each model
+its own slice.  The batch ids and masks are shared, and each dropout mask is
+drawn once at one model's shape and shared by the M models, so every model
+sees the masks it would draw alone.  A stacked matmul is one BLAS call per
+model at that model's shape, never one call over M folded into the rows, so
+each slice is computed exactly as the single model computes it.
+`forward_loss` is the single-model case.  Decoding runs one model at a time.
+
 `build_model` makes float32 tensors, the precision training and decoding run
 in.  Every kernel allocates in its parameters' dtype, so a float64 model (a
 checkpoint written in float64, or the tests' cast) runs in float64 throughout."""
@@ -127,19 +137,42 @@ def _cat(p, prefixes, name):
 
 
 def _split_dirs(a, n_dir):
-    """(B, D*H) states side by side -> (D, B, H) view."""
-    return a.reshape(a.shape[0], n_dir, -1).swapaxes(0, 1)
+    """(..., B, D*H) states side by side -> (..., D, B, H) view."""
+    return a.reshape(*a.shape[:-1], n_dir, -1).swapaxes(-3, -2)
 
 
 def _join_dirs(a):
-    """(D, B, H) -> (B, D*H), the inverse of _split_dirs."""
-    return a.swapaxes(0, 1).reshape(a.shape[1], -1)
+    """(..., D, B, H) -> (..., B, D*H), the inverse of _split_dirs."""
+    return a.swapaxes(-3, -2).reshape(*a.shape[:-3], a.shape[-2], -1)
 
 
 def _dir_time(a, d):
     """(T, ...) array `a` in the time order of direction d: the backward
     direction (d = 1) of an encoder layer reads time reversed."""
     return a[::-1] if d else a
+
+
+def _time_major(a):
+    """(..., B, T, K) -> (T, ..., B, K) view."""
+    n = a.ndim
+    return a.transpose(n - 2, *range(n - 2), n - 1)
+
+
+def _batch_major(a):
+    """(T, ..., B, K) -> (..., B, T, K) view, the inverse of _time_major."""
+    n = a.ndim
+    return a.transpose(*range(1, n - 1), 0, n - 1)
+
+
+def _t(w):
+    """The matrices of `w` (..., I, O) transposed."""
+    return w.swapaxes(-1, -2)
+
+
+def _per_row(w):
+    """Matrices (..., I, O) to multiply (..., B, T, I) activations with: one
+    matmul per model and batch row, as for a single model's (I, O)."""
+    return w[..., None, :, :]
 
 
 def _gru_step(u_zr, u_c, xw_zr, xw_c, h_prev, zr, rh, c, h):
@@ -164,53 +197,62 @@ def _gru_step(u_zr, u_c, xw_zr, xw_c, h_prev, zr, rh, c, h):
 
 
 def gru_forward(p, prefixes, x, mask, h0):
-    """Run the GRUs named in `prefixes` over (B,T,I) input in one time loop:
-    one GRU, or the forward and backward direction of an encoder layer, the
-    latter reading the input time-reversed.  h0 (B, D*H) holds the D initial
-    states side by side.  A position where mask (B,T) is 0 carries the state
-    through unchanged; mask None means no padding.  Returns (hs (B,T,D*H),
-    every direction in the original time order, h_last (B,D*H), cache)."""
+    """Run the GRUs named in `prefixes` over (..., B,T,I) input in one time
+    loop: one GRU, or the forward and backward direction of an encoder layer,
+    the latter reading the input time-reversed.  h0 (..., B, D*H) holds the D
+    initial states side by side.  A position where mask (B,T) is 0 carries
+    the state through unchanged; mask None means no padding.  Returns (hs
+    (..., B,T,D*H), every direction in the original time order, h_last
+    (..., B,D*H), cache)."""
     n_dir = len(prefixes)
-    b, t_len, _ = x.shape
-    u = np.stack([p[f"{q}_U"] for q in prefixes])
-    hid, dtype = u.shape[1], u.dtype
+    *lead, b, t_len, _ = x.shape
+    u = np.stack([p[f"{q}_U"] for q in prefixes], axis=-3)   # (..., D, H, 3H)
+    hid, dtype = u.shape[-2], u.dtype
     # x @ W + b, written time-major in each direction's time order; x @ W is
-    # one 2-D BLAS call on (B*T, I) rows per direction
-    xw = np.empty((t_len, n_dir, b, 3 * hid), dtype)
-    x_rows = x.reshape(b * t_len, -1)
+    # one 2-D BLAS call on (B*T, I) rows per direction and model
+    xw = np.empty((t_len, *lead, n_dir, b, 3 * hid), dtype)
+    x_rows = x.reshape(*lead, b * t_len, -1)
     for d, q in enumerate(prefixes):
-        x_w = (x_rows @ p[f"{q}_W"]).reshape(b, t_len, 3 * hid).swapaxes(0, 1)
-        np.add(_dir_time(x_w, d), p[f"{q}_b"], out=xw[:, d])
+        x_w = _time_major((x_rows @ p[f"{q}_W"]).reshape(*lead, b, t_len, 3 * hid))
+        np.add(_dir_time(x_w, d), p[f"{q}_b"][..., None, :], out=xw[:, ..., d, :, :])
     if mask is not None:
         # z = 0 at a padded position keeps h = h_prev there, and zeroes the
         # position's factors in gru_backward
-        pad = (mask == 0).T
+        pad = (mask == 0).T.reshape(t_len, *[1] * len(lead), b, 1)
         for d in range(n_dir):
-            xw[:, d, :, :hid][_dir_time(pad, d)] = -np.inf
+            np.copyto(xw[:, ..., d, :, :hid], -np.inf, where=_dir_time(pad, d))
     u_zr, u_c = u[..., :2 * hid], u[..., 2 * hid:]
-    hs = np.empty((t_len + 1, n_dir, b, hid), dtype)  # hs[t] is step t's h_prev
+    # hs[t] is step t's h_prev
+    hs = np.empty((t_len + 1, *lead, n_dir, b, hid), dtype)
     hs[0] = _split_dirs(h0, n_dir)
-    zrs = np.empty((t_len, n_dir, b, 2 * hid), dtype)
-    rhs = np.empty((t_len, n_dir, b, hid), dtype)
+    zrs = np.empty((t_len, *lead, n_dir, b, 2 * hid), dtype)
+    rhs = np.empty((t_len, *lead, n_dir, b, hid), dtype)
     cs = np.empty_like(rhs)
     xw_zr, xw_c = xw[..., :2 * hid], xw[..., 2 * hid:]
     for t in range(t_len):
         _gru_step(u_zr, u_c, xw_zr[t], xw_c[t], hs[t], zrs[t], rhs[t], cs[t],
                   hs[t + 1])
-    out = np.concatenate([_dir_time(hs[1:, d], d).swapaxes(0, 1)
-                          for d in range(n_dir)], axis=2)
+    out = np.concatenate([_batch_major(_dir_time(hs[1:, ..., d, :, :], d))
+                          for d in range(n_dir)], axis=-1)
     return out, _join_dirs(hs[-1]), (prefixes, x, hs, zrs, rhs, cs)
 
 
+def _step_rows(a, d):
+    """Direction d of time-major (T, ..., D, B, K) steps as (..., T*B, K)
+    rows in (t, b) order."""
+    a = _batch_major(a[:, ..., d, :, :]).swapaxes(-3, -2)
+    return a.reshape(*a.shape[:-3], -1, a.shape[-1])
+
+
 def gru_backward(p, cache, dhs, dh_last, grads):
-    """Backward through gru_forward.  dhs (B,T,D*H): grads on its outputs;
-    dh_last (B,D*H): extra grads on the final states.  Every factor that
-    depends only on the forward pass is taken for all steps before the time
-    loop, which carries only the recurrent terms; the weight grads and dx are
-    taken after it.  Returns (dx (B,T,I), summed over the directions, dh0
-    (B,D*H))."""
+    """Backward through gru_forward.  dhs (..., B,T,D*H): grads on its
+    outputs; dh_last (..., B,D*H): extra grads on the final states.  Every
+    factor that depends only on the forward pass is taken for all steps
+    before the time loop, which carries only the recurrent terms; the weight
+    grads and dx are taken after it.  Returns (dx (..., B,T,I), summed over
+    the directions, dh0 (..., B,D*H))."""
     prefixes, x, hs, zrs, rhs, cs = cache
-    t_len, n_dir, b, hid = cs.shape
+    t_len, *lead, n_dir, b, hid = cs.shape
     h_prev = hs[:-1]
     z, r = zrs[..., :hid], zrs[..., hid:]
     # per-step factors: da_z = dh f_z, da_c = dh f_c, da_r = d(r h_prev) f_r,
@@ -228,11 +270,13 @@ def gru_backward(p, cache, dhs, dh_last, grads):
     f_r *= h_prev
     dhs_t = np.empty_like(cs)
     for d in range(n_dir):
-        dhs_t[:, d] = _dir_time(dhs[:, :, d * hid:(d + 1) * hid].swapaxes(0, 1), d)
-    u = np.stack([p[f"{q}_U"] for q in prefixes])
-    u_zr_t = np.ascontiguousarray(u[..., :2 * hid].swapaxes(1, 2))
-    u_c_t = np.ascontiguousarray(u[..., 2 * hid:].swapaxes(1, 2))
-    da = np.empty((t_len, n_dir, b, 3 * hid), cs.dtype)  # [z|r|c] pre-activations
+        dhs_t[:, ..., d, :, :] = _dir_time(
+            _time_major(dhs[..., d * hid:(d + 1) * hid]), d)
+    u = np.stack([p[f"{q}_U"] for q in prefixes], axis=-3)
+    u_zr_t = np.ascontiguousarray(_t(u[..., :2 * hid]))
+    u_c_t = np.ascontiguousarray(_t(u[..., 2 * hid:]))
+    # [z|r|c] pre-activations
+    da = np.empty((t_len, *lead, n_dir, b, 3 * hid), cs.dtype)
     da_z, da_r, da_c = da[..., :hid], da[..., hid:2 * hid], da[..., 2 * hid:]
     da_zr = da[..., :2 * hid]
     dh = _split_dirs(dh_last, n_dir).copy()
@@ -246,31 +290,33 @@ def gru_backward(p, cache, dhs, dh_last, grads):
         drh *= r[t]
         dh += drh
         dh += np.matmul(da_zr[t], u_zr_t)
+    del one_minus_z, f_z, f_c, f_r, dhs_t   # dead: free them before the copies below
     for d, q in enumerate(prefixes):
         g_u = grads[f"{q}_U"]
-        g_u[:, :2 * hid] += (h_prev[:, d].reshape(-1, hid).T
-                             @ da_zr[:, d].reshape(-1, 2 * hid))
-        g_u[:, 2 * hid:] += rhs[:, d].reshape(-1, hid).T @ da_c[:, d].reshape(-1, hid)
+        g_u[..., :2 * hid] += _t(_step_rows(h_prev, d)) @ _step_rows(da_zr, d)
+        g_u[..., 2 * hid:] += _t(_step_rows(rhs, d)) @ _step_rows(da_c, d)
     # back to (B,T) rows in the original time order, directions side by side
-    da_flat = np.concatenate([_dir_time(da[:, d], d).swapaxes(0, 1)
-                              for d in range(n_dir)], axis=2).reshape(b * t_len, -1)
+    da_flat = np.concatenate([_batch_major(_dir_time(da[:, ..., d, :, :], d))
+                              for d in range(n_dir)], axis=-1)
+    da_flat = da_flat.reshape(*lead, b * t_len, -1)
     w = _cat(p, prefixes, "W")
-    g_w = x.reshape(-1, w.shape[0]).T @ da_flat
-    g_b = da_flat.sum(axis=0)
+    g_w = _t(x.reshape(*lead, -1, w.shape[-2])) @ da_flat
+    g_b = da_flat.sum(axis=-2)
     for d, q in enumerate(prefixes):
         cols = slice(3 * hid * d, 3 * hid * (d + 1))
-        grads[f"{q}_W"] += g_w[:, cols]
-        grads[f"{q}_b"] += g_b[cols]
-    dx = (da_flat @ w.T).reshape(x.shape)
+        grads[f"{q}_W"] += g_w[..., cols]
+        grads[f"{q}_b"] += g_b[..., cols]
+    dx = (da_flat @ _t(w)).reshape(x.shape)
     return dx, _join_dirs(dh)
 
 
 def _dropout(x, rate, rng):
-    """Inverted dropout: (x * mask, mask in x's dtype), or (x, None) when rng
-    is None or rate is zero."""
+    """Inverted dropout on (..., B,T,I) activations: (x * mask, mask in x's
+    dtype), or (x, None) when rng is None or rate is zero.  The mask is drawn
+    at one model's (B,T,I) shape and shared by the models of a stack."""
     if rng is None or rate <= 0.0:
         return x, None
-    m = np.divide(rng.random(x.shape) >= rate, 1.0 - rate, dtype=x.dtype)
+    m = np.divide(rng.random(x.shape[-3:]) >= rate, 1.0 - rate, dtype=x.dtype)
     return x * m, m
 
 
@@ -279,10 +325,10 @@ def _encoder_layers(cfg):
 
 
 def stack_forward(params, layers, x, mask, h0s, rate, rng):
-    """Run a stack of GRU layers over (B,T,I) input x, each layer named by
-    its tuple of prefixes as in gru_forward and started from its entry of
+    """Run a stack of GRU layers over (..., B,T,I) input x, each layer named
+    by its tuple of prefixes as in gru_forward and started from its entry of
     h0s.  Dropout at `rate` applies to the input of every layer.  Returns
-    (top layer outputs (B,T,D*H), each layer's final state, cache)."""
+    (top layer outputs (..., B,T,D*H), each layer's final state, cache)."""
     finals, cache = [], []
     for prefixes, h0 in zip(layers, h0s):
         x, drop_mask = _dropout(x, rate, rng)
@@ -309,7 +355,7 @@ def bridge(params, cfg, enc_finals):
     states, pres = [], []
     for l in range(cfg.dec_layers):
         src = enc_finals[min(l, len(enc_finals) - 1)]
-        pre = src @ params[f"bridge_{l}_W"] + params[f"bridge_{l}_b"]
+        pre = src @ params[f"bridge_{l}_W"] + params[f"bridge_{l}_b"][..., None, :]
         states.append(np.tanh(pre))
         pres.append((src, states[-1]))
     return states, pres
@@ -317,45 +363,50 @@ def bridge(params, cfg, enc_finals):
 
 def attention_output(params, h_top, h_enc, src_mask):
     """Global multiplicative attention + tanh combination layer, vectorized
-    over decoder time steps.  h_top: (B,T,H); h_enc: (B,S,H)."""
-    proj = h_enc @ params["att_W"].T                      # (B,S,H)
-    scores = np.einsum("bth,bsh->bts", h_top, proj)
+    over decoder time steps.  h_top: (..., B,T,H); h_enc: (..., B,S,H)."""
+    proj = h_enc @ _per_row(_t(params["att_W"]))               # (..., B,S,H)
+    scores = np.einsum("...bth,...bsh->...bts", h_top, proj)
     scores = scores - 1e9 * (1.0 - src_mask[:, None, :])
-    scores -= scores.max(axis=2, keepdims=True)
+    scores -= scores.max(axis=-1, keepdims=True)
     exp = np.exp(scores) * src_mask[:, None, :]
-    alpha = exp / exp.sum(axis=2, keepdims=True)
-    ctx = np.einsum("bts,bsh->bth", alpha, h_enc)
-    comb_in = np.concatenate([h_top, ctx], axis=2)
-    a = np.tanh(comb_in @ params["comb_W"] + params["comb_b"])
+    alpha = exp / exp.sum(axis=-1, keepdims=True)
+    ctx = np.einsum("...bts,...bsh->...bth", alpha, h_enc)
+    comb_in = np.concatenate([h_top, ctx], axis=-1)
+    a = np.tanh(comb_in @ _per_row(params["comb_W"])
+                + params["comb_b"][..., None, None, :])
     return a, (proj, alpha, ctx, comb_in, a)
 
 
 def attention_backward(params, cache, h_top, h_enc, da, grads):
     proj, alpha, ctx, comb_in, a = cache
     da_pre = da * (1.0 - a * a)
-    b, t_len, h = a.shape
-    grads["comb_W"] += comb_in.reshape(-1, 2 * h).T @ da_pre.reshape(-1, h)
-    grads["comb_b"] += da_pre.sum(axis=(0, 1))
-    dcomb_in = da_pre @ params["comb_W"].T
-    dh_top = dcomb_in[:, :, :h].copy()
-    dctx = dcomb_in[:, :, h:]
-    dalpha = np.einsum("bth,bsh->bts", dctx, h_enc)
-    dh_enc = np.einsum("bts,bth->bsh", alpha, dctx)
-    dscores = alpha * (dalpha - np.sum(dalpha * alpha, axis=2, keepdims=True))
-    dh_top += np.einsum("bts,bsh->bth", dscores, proj)
-    tmp = np.einsum("bts,bsh->bth", dscores, h_enc)      # d(h_top @ att_W)
-    grads["att_W"] += h_top.reshape(-1, h).T @ tmp.reshape(-1, h)
-    dh_enc += np.einsum("bts,bth->bsh", dscores, h_top @ params["att_W"])
+    *lead, _, _, h = a.shape
+    grads["comb_W"] += (_t(comb_in.reshape(*lead, -1, 2 * h))
+                        @ da_pre.reshape(*lead, -1, h))
+    grads["comb_b"] += da_pre.sum(axis=(-3, -2))
+    dcomb_in = da_pre @ _per_row(_t(params["comb_W"]))
+    dh_top = dcomb_in[..., :h].copy()
+    dctx = dcomb_in[..., h:]
+    dalpha = np.einsum("...bth,...bsh->...bts", dctx, h_enc)
+    dh_enc = np.einsum("...bts,...bth->...bsh", alpha, dctx)
+    dscores = alpha * (dalpha - np.sum(dalpha * alpha, axis=-1, keepdims=True))
+    dh_top += np.einsum("...bts,...bsh->...bth", dscores, proj)
+    tmp = np.einsum("...bts,...bsh->...bth", dscores, h_enc)   # d(h_top @ att_W)
+    grads["att_W"] += _t(h_top.reshape(*lead, -1, h)) @ tmp.reshape(*lead, -1, h)
+    dh_enc += np.einsum("...bts,...bth->...bsh", dscores,
+                        h_top @ _per_row(params["att_W"]))
     return dh_top, dh_enc
 
 
-def forward_loss(params, cfg, batch, dropout_on=False, rng=None,
-                 compute_grads=True):
-    """Mean token cross-entropy over non-PAD target positions, as a Python
-    float, with gradients in the parameters' dtype for every parameter.
-    Teacher-forced decoding with per-step attention."""
+def forward_losses(params, cfg, batch, dropout_on=False, rng=None,
+                   compute_grads=True):
+    """Mean token cross-entropy over non-PAD target positions of each model
+    of a stack (tensors (M, ...)), as an (M,) array in the parameters' dtype,
+    with gradients in that dtype for every parameter; on one model's tensors,
+    a 0-d array.  Teacher-forced decoding with per-step attention."""
     rate, rng = (cfg.dropout, rng) if dropout_on else (0.0, None)
-    dtype = params["src_emb"].dtype
+    src_emb, tgt_emb = params["src_emb"], params["tgt_emb"]
+    lead, dtype = src_emb.shape[:-2], src_emb.dtype
     src_ids, src_mask = batch.src_ids, batch.src_mask
     y_in, y_out = batch.tgt_ids[:, :-1], batch.tgt_ids[:, 1:]
     out_mask = (y_out != PAD).astype(dtype)
@@ -363,59 +414,70 @@ def forward_loss(params, cfg, batch, dropout_on=False, rng=None,
     if n_tokens == 0:
         raise ValueError("batch has no target tokens")
 
-    h0 = np.zeros((src_ids.shape[0], cfg.hidden), dtype)
+    h0 = np.zeros((*lead, src_ids.shape[0], cfg.hidden), dtype)
     h_enc, enc_finals, enc_cache = stack_forward(
-        params, _encoder_layers(cfg), params["src_emb"][src_ids], src_mask,
+        params, _encoder_layers(cfg), src_emb[..., src_ids, :], src_mask,
         [h0] * cfg.enc_layers, rate, rng)
     dec_h0, bridge_cache = bridge(params, cfg, enc_finals)
     h_top, _, dec_cache = stack_forward(
         params, [(f"dec_{l}",) for l in range(cfg.dec_layers)],
-        params["tgt_emb"][y_in], None, dec_h0, rate, rng)
+        tgt_emb[..., y_in, :], None, dec_h0, rate, rng)
 
     a, att_cache = attention_output(params, h_top, h_enc, src_mask)
     a_d, a_mask = _dropout(a, rate, rng)
     # The output layer works on (B*T, .) rows, so each matmul is one 2-D BLAS
-    # call, and on one (B*T, V) buffer: the logits, then their exponents,
-    # then dlogits, each in place.
+    # call per model, and on one (B*T, V) buffer per model: the logits, then
+    # their exponents, then dlogits, each in place.
     bsz, t_len = y_out.shape
-    a_flat = a_d.reshape(bsz * t_len, -1)
+    a_flat = a_d.reshape(*lead, bsz * t_len, -1)
     rows, gold_ids = np.arange(bsz * t_len), y_out.reshape(-1)
-    buf = a_flat @ params["out_W"] + params["out_b"]
-    buf -= buf.max(axis=1, keepdims=True)
-    gold = buf[rows, gold_ids]
+    buf = a_flat @ params["out_W"] + params["out_b"][..., None, :]
+    buf -= buf.max(axis=-1, keepdims=True)
+    gold = buf[..., rows, gold_ids]
     np.exp(buf, out=buf)
-    z = buf.sum(axis=1)
-    gold_log_probs = (gold - np.log(z)).reshape(bsz, t_len)
-    loss = float(-(gold_log_probs * out_mask).sum() / n_tokens)
+    z = buf.sum(axis=-1)
+    losses = -((gold - np.log(z)) * out_mask.reshape(-1)).sum(axis=-1) / n_tokens
     if not compute_grads:
-        return loss, None
+        return losses, None
 
     grads = zero_grads(params)
     mask_flat = out_mask.reshape(-1)
-    buf *= (mask_flat / (z * n_tokens))[:, None]   # softmax * mask / n
-    buf[rows, gold_ids] -= mask_flat / n_tokens
-    grads["out_W"] += a_flat.T @ buf
-    grads["out_b"] += buf.sum(axis=0)
-    da_d = (buf @ params["out_W"].T).reshape(a_d.shape)
+    buf *= (mask_flat / (z * n_tokens))[..., None]   # softmax * mask / n
+    buf[..., rows, gold_ids] -= mask_flat / n_tokens
+    grads["out_W"] += _t(a_flat) @ buf
+    grads["out_b"] += buf.sum(axis=-2)
+    da_d = (buf @ _t(params["out_W"])).reshape(a_d.shape)
     da = da_d if a_mask is None else da_d * a_mask
+    # the output layer's and then the attention's arrays are dead: free them,
+    # so that the peak memory of the backward passes below leaves them out
+    del buf, a_flat, a_d, da_d
     dh_top, dh_enc = attention_backward(params, att_cache, h_top, h_enc, da, grads)
+    del da, a, att_cache, h_top
 
     demb, d_h0 = stack_backward(params, dec_cache, dh_top,
                                 [np.zeros_like(h) for h in dec_h0], grads)
-    np.add.at(grads["tgt_emb"], y_in, demb)
+    np.add.at(grads["tgt_emb"], (..., y_in, slice(None)), demb)
 
     # bridge
     d_enc_finals = [np.zeros_like(f) for f in enc_finals]
     for l in range(cfg.dec_layers):
         src, out = bridge_cache[l]
         dpre = d_h0[l] * (1.0 - out * out)
-        grads[f"bridge_{l}_W"] += src.T @ dpre
-        grads[f"bridge_{l}_b"] += dpre.sum(axis=0)
-        d_enc_finals[min(l, len(enc_finals) - 1)] += dpre @ params[f"bridge_{l}_W"].T
+        grads[f"bridge_{l}_W"] += _t(src) @ dpre
+        grads[f"bridge_{l}_b"] += dpre.sum(axis=-2)
+        d_enc_finals[min(l, len(enc_finals) - 1)] += dpre @ _t(params[f"bridge_{l}_W"])
 
     demb, _ = stack_backward(params, enc_cache, dh_enc, d_enc_finals, grads)
-    np.add.at(grads["src_emb"], src_ids, demb)
-    return loss, grads
+    np.add.at(grads["src_emb"], (..., src_ids, slice(None)), demb)
+    return losses, grads
+
+
+def forward_loss(params, cfg, batch, dropout_on=False, rng=None,
+                 compute_grads=True):
+    """forward_losses of one model, its tensors without the model axis: the
+    loss as a Python float, and the gradients."""
+    loss, grads = forward_losses(params, cfg, batch, dropout_on, rng, compute_grads)
+    return float(loss), grads
 
 
 def decoder_step(params, cfg, state, y_prev, h_enc, src_mask):

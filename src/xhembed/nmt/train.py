@@ -1,5 +1,13 @@
 """Adam training loop with gradient clipping, dev-perplexity model selection
-and early stopping; fine-tuning is the same loop at a lower learning rate."""
+and early stopping; fine-tuning is the same loop at a lower learning rate.
+
+`train_models` trains M models of one config in lockstep, their tensors
+stacked on a leading model axis (see `model`): one forward and backward pass
+and one Adam step per batch for the whole stack.  Clipping, dev perplexity,
+the best checkpoint and early stopping are per model, and a model that stops
+leaves the stack, so each model's parameters and history are those of its
+own run.  `train`, `fine_tune` and `perplexity` are the single-model case.
+Fine-tuning a stack is `train_models` on the new domain."""
 
 import math
 from dataclasses import dataclass
@@ -8,7 +16,7 @@ import numpy as np
 
 from ..corpus import PAD
 from .data import make_batches
-from .model import forward_loss
+from .model import forward_losses
 
 
 @dataclass
@@ -42,15 +50,21 @@ class Adam:
 
     def step(self, params, grads, clip=None):
         """One update of `params` in place, after scaling the gradients to a
-        global norm of at most `clip`.  Overwrites `grads`: they are scaled in
-        place and then used as scratch space, so pass arrays you no longer
-        need."""
+        global norm of at most `clip`.  For M models stacked on a leading
+        axis, `clip` is a sequence of M bounds, and each model's gradients
+        are scaled by their own norm.  The update itself is elementwise, so
+        each model's slice moves exactly as it would alone.  Overwrites
+        `grads`: they are scaled in place and then used as scratch space, so
+        pass arrays you no longer need."""
         if clip is not None:
-            norm = math.sqrt(sum(float(np.vdot(g, g)) for g in grads.values()))
-            if norm > clip:
-                scale = clip / norm
-                for g in grads.values():
-                    g *= scale
+            stacked = np.ndim(clip) == 1
+            gs = list(grads.values()) if stacked else [g[None] for g in grads.values()]
+            for i, bound in enumerate(clip if stacked else [clip]):
+                norm = math.sqrt(sum(float(np.vdot(g[i], g[i])) for g in gs))
+                if norm > bound:
+                    scale = float(bound) / norm
+                    for g in gs:
+                        g[i] *= scale
         self.t += 1
         bias1 = 1.0 - self.b1 ** self.t
         bias2 = 1.0 - self.b2 ** self.t
@@ -76,51 +90,92 @@ class Adam:
             tmp /= g
             p -= tmp
 
+    def keep(self, rows):
+        """Keep the moments of the models at `rows` of a stack only."""
+        self.m = {k: t[rows] for k, t in self.m.items()}
+        self.v = {k: t[rows] for k, t in self.v.items()}
 
-def perplexity(params, cfg, batches):
-    """exp of mean cross-entropy per non-PAD target token."""
-    total_nll, total_tokens = 0.0, 0
+
+def _stack(arrays):
+    """Tensors of M models on a leading axis.  One model's tensor is viewed,
+    not copied, so a single model trains in its own arrays."""
+    return arrays[0][None] if len(arrays) == 1 else np.stack(arrays)
+
+
+def perplexities(params, cfg, batches):
+    """exp of mean cross-entropy per non-PAD target token, for each model of
+    a stack, as a list."""
+    total_nll = np.zeros(len(params["src_emb"]))
+    total_tokens = 0
     for batch in batches:
         n = int((batch.tgt_ids[:, 1:] != PAD).sum())
-        loss, _ = forward_loss(params, cfg, batch, compute_grads=False)
-        total_nll += loss * n
+        losses, _ = forward_losses(params, cfg, batch, compute_grads=False)
+        total_nll += losses.astype(np.float64) * n
         total_tokens += n
-    return math.exp(total_nll / max(total_tokens, 1))
+    return [math.exp(nll / max(total_tokens, 1)) for nll in total_nll.tolist()]
 
 
-def train(params, cfg, train_pairs, dev_pairs, hyper):
-    """Train in place; returns (best params, history).  Keeps the checkpoint
-    with the lowest dev perplexity and stops after `patience` epochs without
-    improvement.  Aborts on non-finite loss."""
+def perplexity(params, cfg, batches):
+    """perplexities of one model."""
+    return perplexities({k: t[None] for k, t in params.items()}, cfg, batches)[0]
+
+
+def train_models(models, cfg, train_pairs, dev_pairs, hyper):
+    """Train models of one config (a list of parameter dicts) in lockstep on
+    a leading model axis; returns (best params, history) per model.  They
+    see the same batches and dropout masks and each model follows exactly
+    the run it would have alone: its own gradient clipping, dev perplexity,
+    best checkpoint and `patience` count.  A model that stops early leaves
+    the stack.  Aborts on non-finite loss."""
+    params = {k: _stack([m[k] for m in models]) for k in models[0]}
     dev_batches = make_batches(dev_pairs, hyper.batch_size)
-    best = {k: v.copy() for k, v in params.items()}
-    best_ppl = float("inf")
-    history = []
+    best = [{k: v.copy() for k, v in m.items()} for m in models]
+    best_ppl = [float("inf")] * len(models)
+    history = [[] for _ in models]
+    stall = [0] * len(models)
+    active = list(range(len(models)))        # the model at each stack row
     opt = Adam(params, hyper.lr)
-    stall = 0
     for epoch in range(1, hyper.epochs + 1):
         rng = np.random.default_rng((hyper.seed, epoch))
         batches = make_batches(train_pairs, hyper.batch_size, rng)
         losses = []
         for batch in batches:
-            loss, grads = forward_loss(params, cfg, batch, dropout_on=cfg.dropout > 0,
-                                       rng=rng)
-            if not math.isfinite(loss):
+            loss, grads = forward_losses(params, cfg, batch,
+                                         dropout_on=cfg.dropout > 0, rng=rng)
+            if not np.isfinite(loss).all():
                 raise RuntimeError(
                     f"non-finite loss at epoch {epoch} after {len(losses)} batches")
-            losses.append(loss)
-            opt.step(params, grads, clip=hyper.clip)
-        dev_ppl = perplexity(params, cfg, dev_batches) if dev_pairs else float("nan")
-        history.append(EpochRecord(epoch, float(np.mean(losses)), dev_ppl))
-        if not dev_pairs or dev_ppl < best_ppl - 1e-12:
-            best_ppl = dev_ppl
-            best = {k: v.copy() for k, v in params.items()}
-            stall = 0
-        else:
-            stall += 1
-            if stall >= hyper.patience:
-                break
-    return best, history
+            losses.append(loss.tolist())
+            opt.step(params, grads, clip=[hyper.clip] * len(active))
+            del grads      # scratch now: free it before the next forward pass
+        dev_ppls = (perplexities(params, cfg, dev_batches) if dev_pairs
+                    else [float("nan")] * len(active))
+        keep = []
+        for row, (i, dev_ppl) in enumerate(zip(active, dev_ppls)):
+            history[i].append(EpochRecord(
+                epoch, float(np.mean([l[row] for l in losses])), dev_ppl))
+            if not dev_pairs or dev_ppl < best_ppl[i] - 1e-12:
+                best_ppl[i] = dev_ppl
+                best[i] = {k: v[row].copy() for k, v in params.items()}
+                stall[i] = 0
+            else:
+                stall[i] += 1
+            if stall[i] < hyper.patience:
+                keep.append(row)
+        if not keep:
+            break
+        if len(keep) < len(active):
+            params = {k: v[keep] for k, v in params.items()}
+            opt.keep(keep)
+            active = [active[row] for row in keep]
+    return list(zip(best, history))
+
+
+def train(params, cfg, train_pairs, dev_pairs, hyper):
+    """train_models of one model, in place; returns (best params, history).
+    Keeps the checkpoint with the lowest dev perplexity and stops after
+    `patience` epochs without improvement."""
+    return train_models([params], cfg, train_pairs, dev_pairs, hyper)[0]
 
 
 def fine_tune(params, cfg, new_train_pairs, new_dev_pairs, hyper):

@@ -37,3 +37,19 @@ def random_pairs(sv, tv, n, rng, src_len=(3, 7), tgt_len=(2, 6)):
                for _ in range(int(rng.integers(*tgt_len)))]
         pairs.append((src, tgt))
     return pairs
+
+
+def grid_models(n, seed=1, **model_kwargs):
+    """tiny_model and n - 1 copies of it with other source embeddings: models
+    that differ only in src_emb, as the strategies of one grid do."""
+    cfg, params, sv, tv = tiny_model(seed=seed, **model_kwargs)
+    rng = np.random.default_rng(seed + 100)
+    shape = params["src_emb"].shape
+    models = [params] + [dict(params, src_emb=rng.uniform(-0.5, 0.5, shape))
+                         for _ in range(n - 1)]
+    return cfg, models, sv, tv
+
+
+def stack(models):
+    """The models' tensors on a leading model axis."""
+    return {k: np.stack([m[k] for m in models]) for k in models[0]}

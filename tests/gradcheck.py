@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from .model import forward_loss
+from xhembed.nmt.model import forward_loss
 
 
 def gradient_check(params, cfg, batch, sample_size=100, seed=0):

@@ -19,7 +19,6 @@ from xhembed.metrics import corpus_bleu, sentence_bleu
 from xhembed.nmt import TrainConfig, build_model, train
 from xhembed.nmt.data import encode_pairs, make_batch
 from xhembed.nmt.decode import beam_search, greedy_decode
-from xhembed.nmt.gradcheck import gradient_check
 from xhembed.nmt.model import decoder_step, encode_for_decoding
 from xhembed.subword import train_skipgram
 from xhembed.toydata import toy_config_text, write_toy_dataset
@@ -27,6 +26,7 @@ from xhembed.xmap import fit_orthogonal_mapping, induce_dictionary, \
     preprocess, self_learning_loop
 
 from conftest import random_pairs, tiny_model, vocab_of
+from gradcheck import gradient_check
 from test_metrics import oracle_corpus_bleu, oracle_sentence_bleu
 from test_metrics import random_pairs as bleu_pairs
 from test_subword import STEMS, quick_config, tiny_corpus

@@ -438,13 +438,16 @@ class TestPipeline:
 
     def test_subword_dim_must_match_hr_dim(self, tmp_path, capsys):
         """The micro dataset's HR vectors are 8-d; a 6-d subword space cannot
-        be mapped onto them."""
+        be mapped onto them, which the validate step finds before any stage
+        runs."""
         cfg_path = write_cfg(tmp_path, micro_dataset(tmp_path) + "subword.dim=6\n")
-        rc = main(["run-all", "--config", str(cfg_path), "--out", str(tmp_path / "out"),
+        out = tmp_path / "out"
+        rc = main(["run-all", "--config", str(cfg_path), "--out", str(out),
                    "--strategies", "VecMap"])
-        assert rc == 2
+        assert rc == 1
         err = capsys.readouterr().err
-        assert "stage 'map'" in err and "dim 8" in err and "dim 6" in err
+        assert "subword.dim 6" in err and "8-d" in err and "data.hr_embeddings" in err
+        assert not any(out.iterdir())
 
     @pytest.mark.parametrize("as_artifact", [False, True])
     def test_emb_dim_narrower_than_hr_vectors_fails_before_any_stage(

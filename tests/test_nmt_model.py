@@ -5,15 +5,16 @@ import pytest
 
 from xhembed.corpus import BOS, EOS, PAD
 from xhembed.embedstore import EmbeddingMatrix
-from xhembed.nmt import Seq2SeqConfig, build_model, gradcheck
+from xhembed.nmt import Seq2SeqConfig, build_model
 from xhembed.nmt.data import Batch, encode_pairs, make_batch, make_batches
-from xhembed.nmt.gradcheck import gradient_check
 from xhembed.nmt.model import (attention_backward, attention_output, bridge,
                                decoder_step, encode_for_decoding, forward_loss,
-                               gru_backward, gru_forward, param_names,
-                               param_shapes, zero_grads)
+                               forward_losses, gru_backward, gru_forward,
+                               param_names, param_shapes, zero_grads)
 
-from conftest import random_pairs, tiny_model, vocab_of
+import gradcheck
+from conftest import grid_models, random_pairs, stack, tiny_model, vocab_of
+from gradcheck import gradient_check
 
 
 class TestData:
@@ -244,6 +245,64 @@ class TestGradients:
                                 compute_grads=compute_grads)
         monkeypatch.setattr(gradcheck, "forward_loss", fixed_mask_loss)
         assert self.gradcheck_error(dropout=0.3) < 1e-4
+
+
+class TestModelAxis:
+    """Models stacked on a leading axis run as if each ran alone."""
+
+    @staticmethod
+    def grid_batch(n, dtype=np.float64, **model_kwargs):
+        cfg, models, sv, tv = grid_models(n, dropout=0.3, **model_kwargs)
+        models = [{k: t.astype(dtype) for k, t in m.items()} for m in models]
+        rng = np.random.default_rng(4)
+        batch = make_batch(encode_pairs(random_pairs(sv, tv, 6, rng), sv, tv))
+        return cfg, models, batch
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_slices_are_single_models(self, dtype):
+        """Each slice of the stacked loss and gradients is the model's own,
+        bit for bit, with dropout on: one mask per site, shared by all."""
+        cfg, models, batch = self.grid_batch(3, dtype)
+        losses, grads = forward_losses(stack(models), cfg, batch, dropout_on=True,
+                                       rng=np.random.default_rng(7))
+        assert losses.shape == (3,) and losses.dtype == dtype
+        for i, params in enumerate(models):
+            loss, want = forward_loss(params, cfg, batch, dropout_on=True,
+                                      rng=np.random.default_rng(7))
+            assert float(losses[i]) == loss
+            for name, g in want.items():
+                assert grads[name][i].dtype == g.dtype
+                assert np.array_equal(grads[name][i], g), (i, name)
+
+    def test_finite_difference_check_stacked(self, monkeypatch):
+        """The gradients of a stack of two models against finite differences
+        of the sum of their losses, dropout on with fixed masks: a tensor of
+        one model moves that model's loss alone."""
+        def summed_loss(params, cfg, batch, dropout_on=False, rng=None,
+                        compute_grads=True):
+            losses, grads = forward_losses(params, cfg, batch, dropout_on=True,
+                                           rng=np.random.default_rng(7),
+                                           compute_grads=compute_grads)
+            return float(losses.sum()), grads
+        monkeypatch.setattr(gradcheck, "forward_loss", summed_loss)
+        cfg, models, batch = self.grid_batch(2)
+        assert gradient_check(stack(models), cfg, batch, sample_size=100,
+                              seed=0) < 1e-4
+
+    def test_perturbing_one_model_leaves_the_other(self):
+        cfg, models, batch = self.grid_batch(2)
+        stacked = stack(models)
+        rng = np.random.default_rng(3)
+        moved = {k: t.copy() for k, t in stacked.items()}
+        for t in moved.values():
+            t[0] += rng.normal(scale=0.1, size=t[0].shape)
+        runs = [forward_losses(p, cfg, batch, dropout_on=True,
+                               rng=np.random.default_rng(7)) for p in (stacked, moved)]
+        (losses, grads), (moved_losses, moved_grads) = runs
+        assert moved_losses[0] != losses[0]
+        assert moved_losses[1] == losses[1]
+        for name, g in grads.items():
+            assert np.array_equal(moved_grads[name][1], g[1]), name
 
 
 class TestDecoderStep:

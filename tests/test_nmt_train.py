@@ -7,9 +7,9 @@ from xhembed.nmt.checkpoint import load_checkpoint, save_checkpoint
 from xhembed.nmt.data import encode_pairs, make_batch, make_batches
 from xhembed.nmt.model import forward_loss
 from xhembed.nmt.train import Adam, EpochRecord, TrainConfig, fine_tune, \
-    perplexity, train
+    perplexity, train, train_models
 
-from conftest import random_pairs, tiny_model
+from conftest import grid_models, random_pairs, stack, tiny_model
 
 
 def small_task(seed=0, n_train=24, n_dev=8):
@@ -71,6 +71,40 @@ class TestAdam:
         for k, p in want.items():
             err = np.abs(params[k] - p).max() / np.abs(p).max()
             assert err <= 1e-12, (k, err)
+
+
+    def test_stacked_clip_is_per_model(self):
+        """Two models on a leading axis, clip 1 on each: only model 0's
+        gradients exceed it and are scaled, and every step of each slice is
+        the single-model step of that model, bit for bit."""
+        _, models, _, _ = grid_models(2)
+        models = [{k: t.astype(np.float32) for k, t in m.items()} for m in models]
+        stacked = stack(models)
+        opt = Adam(stacked, lr=1e-2)
+        singles = [({k: t.copy() for k, t in m.items()}, Adam(m, lr=1e-2))
+                   for m in models]
+        rng = np.random.default_rng(3)
+        for _ in range(3):
+            grads = [{k: rng.normal(scale=s, size=t.shape).astype(np.float32)
+                      for k, t in models[0].items()} for s in (1.0, 1e-3)]
+            norms = [math.sqrt(sum(float(np.vdot(g, g)) for g in gs.values()))
+                     for gs in grads]
+            assert norms[0] > 1.0 > norms[1]
+            stacked_grads = stack(grads)
+            raw = {k: g.copy() for k, g in stacked_grads.items()}
+            m_before = {k: m.copy() for k, m in opt.m.items()}
+            opt.step(stacked, stacked_grads, clip=[1.0, 1.0])
+            for k in raw:    # m = b1 m + (1 - b1) g, g unscaled for model 1
+                assert np.array_equal(
+                    opt.m[k][1],
+                    np.float32(0.9) * m_before[k][1] + np.float32(0.1) * raw[k][1])
+            for (params, single), g in zip(singles, grads):
+                single.step(params, g, clip=1.0)
+        for i, (params, single) in enumerate(singles):
+            for k, t in params.items():
+                assert np.array_equal(stacked[k][i], t), (i, k)
+                assert np.array_equal(opt.m[k][i], single.m[k]), (i, k)
+                assert np.array_equal(opt.v[k][i], single.v[k]), (i, k)
 
 
 class TestPerplexity:
@@ -165,3 +199,32 @@ class TestCheckpoint:
         l1, _ = forward_loss(params, cfg, batch, compute_grads=False)
         l2, _ = forward_loss(params2, cfg, batch, compute_grads=False)
         assert l1 == pytest.approx(l2, abs=1e-12)
+
+
+class TestLockstep:
+    def test_matches_separate_runs(self):
+        """Three models that differ in src_emb, dropout on, trained and then
+        fine-tuned in lockstep: each model's parameters and history are those
+        of its own train and fine_tune runs, byte for byte.  Two models stop
+        early in training, so the stack shrinks from 3 to 2 to 1."""
+        cfg, models, sv, tv = grid_models(3, seed=3, dropout=0.3)
+        models = [{k: t.astype(np.float32) for k, t in m.items()} for m in models]
+        rng = np.random.default_rng(3)
+        data = [encode_pairs(random_pairs(sv, tv, n, rng), sv, tv)
+                for n in (24, 8, 16, 8)]
+        hypers = [TrainConfig(lr=3e-2, epochs=8, patience=2, batch_size=8, seed=1),
+                  TrainConfig(lr=1e-2, epochs=4, patience=1, batch_size=8, seed=2)]
+        want = [(m, None) for m in models]
+        got = [({k: t.copy() for k, t in m.items()}, None) for m in models]
+        for fit, (tr, dv), hyper in zip((train, fine_tune), (data[:2], data[2:]),
+                                        hypers):
+            want = [fit({k: t.copy() for k, t in p.items()}, cfg, tr, dv, hyper)
+                    for p, _ in want]
+            got = train_models([p for p, _ in got], cfg, tr, dv, hyper)
+            for (p, hist), (q, want_hist) in zip(got, want):
+                assert hist == want_hist
+                assert set(p) == set(q)
+                for k, t in q.items():
+                    assert p[k].dtype == t.dtype and np.array_equal(p[k], t), k
+            if fit is train:
+                assert sorted(len(h) for _, h in want) == [5, 6, 8]
