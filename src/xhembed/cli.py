@@ -397,6 +397,29 @@ def _cmd_init_emb(args):
     stage_init_emb(strat, vocab, e_v, model, mapping, args.dim, args.seed, args.out)
 
 
+def _checkpoint_vocabularies(args, params):
+    """`--src-vocab` and `--tgt-vocab`, each with one type per row of the
+    checkpoint's embedding table on its side."""
+    src_vocab = Vocabulary.load(args.src_vocab)
+    tgt_vocab = Vocabulary.load(args.tgt_vocab)
+    # the loaded tensors agree on the sizes: out_W has one column per tgt_emb row
+    for path, vocab, table in ((args.src_vocab, src_vocab, "src_emb"),
+                               (args.tgt_vocab, tgt_vocab, "tgt_emb")):
+        if len(vocab) != len(params[table]):
+            raise ValidationError(
+                f"{path}: {len(vocab)} types, but {table} of checkpoint "
+                f"{args.checkpoint} has {len(params[table])} rows")
+    return src_vocab, tgt_vocab
+
+
+def _train_one(args, cfg, nmt_cfg, params, src_vocab, tgt_vocab, section):
+    """Train one model at the `section` hyperparameters and print its history."""
+    [(_, hist)] = stage_train_mt([params], nmt_cfg, _read_train_dev(args), src_vocab,
+                                 tgt_vocab, _train_config(cfg, section), [args.out])
+    for rec in hist:
+        print(f"epoch {rec.epoch}\tloss {rec.train_loss:.4f}\tdev_ppl {rec.dev_ppl:.4f}")
+
+
 def _cmd_train_mt(args):
     cfg = load_config(args.config)
     nmt_cfg = _nmt_config(cfg)
@@ -408,34 +431,19 @@ def _cmd_train_mt(args):
     except ValueError as e:
         raise ValidationError(
             f"{args.init} (source vocabulary {args.src_vocab}): {e}") from e
-    [(_, hist)] = stage_train_mt([params], nmt_cfg, _read_train_dev(args), src_vocab,
-                                 tgt_vocab, _train_config(cfg, "train"), [args.out])
-    for rec in hist:
-        print(f"epoch {rec.epoch}\tloss {rec.train_loss:.4f}\tdev_ppl {rec.dev_ppl:.4f}")
+    _train_one(args, cfg, nmt_cfg, params, src_vocab, tgt_vocab, "train")
 
 
 def _cmd_finetune(args):
     cfg = load_config(args.config)
     nmt_cfg, params, _ = load_checkpoint(args.checkpoint)
-    src_vocab = Vocabulary.load(args.src_vocab)
-    tgt_vocab = Vocabulary.load(args.tgt_vocab)
-    [(_, hist)] = stage_train_mt([params], nmt_cfg, _read_train_dev(args), src_vocab,
-                                 tgt_vocab, _train_config(cfg, "finetune"), [args.out])
-    for rec in hist:
-        print(f"epoch {rec.epoch}\tloss {rec.train_loss:.4f}\tdev_ppl {rec.dev_ppl:.4f}")
+    src_vocab, tgt_vocab = _checkpoint_vocabularies(args, params)
+    _train_one(args, cfg, nmt_cfg, params, src_vocab, tgt_vocab, "finetune")
 
 
 def _cmd_translate(args):
     nmt_cfg, params, _ = load_checkpoint(args.checkpoint)
-    src_vocab = Vocabulary.load(args.src_vocab)
-    tgt_vocab = Vocabulary.load(args.tgt_vocab)
-    # the loaded tensors agree on the sizes: out_W has one column per tgt_emb row
-    for path, vocab, table in ((args.src_vocab, src_vocab, "src_emb"),
-                               (args.tgt_vocab, tgt_vocab, "tgt_emb")):
-        if len(vocab) != len(params[table]):
-            raise ValidationError(
-                f"{path}: {len(vocab)} types, but {table} of checkpoint "
-                f"{args.checkpoint} has {len(params[table])} rows")
+    src_vocab, tgt_vocab = _checkpoint_vocabularies(args, params)
     sents = [line.split() for line in read_lines(args.src)]
     translate(params, nmt_cfg, sents, src_vocab, tgt_vocab, args.out,
               beam=args.beam)

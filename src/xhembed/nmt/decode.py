@@ -1,4 +1,5 @@
-"""Greedy and beam-search decoding, and file-level translation."""
+"""Beam-search decoding up to the config's max_decode_len, and file-level
+translation."""
 
 from dataclasses import dataclass
 
@@ -7,46 +8,6 @@ import numpy as np
 from ..corpus import PAD, BOS, EOS, write_lines
 from .data import make_batch
 from .model import decoder_step, encode_for_decoding
-
-# tokens never proposed during decoding
-_BANNED = [PAD, BOS]
-
-
-def _decode_setup(params, cfg, src_ids):
-    batch = make_batch([(list(src_ids), [BOS])])
-    h_enc, state = encode_for_decoding(params, cfg, batch.src_ids, batch.src_mask)
-    return batch, h_enc, state
-
-
-def _step_logprobs(params, cfg, state, prev_ids, h_enc, src_mask):
-    """decoder_step for one row per entry of prev_ids; returns ((B,Vt)
-    log-probs with the banned tokens at -inf, new per-layer states)."""
-    lp, new_state = decoder_step(params, cfg, state, np.array(prev_ids),
-                                 h_enc, src_mask)
-    lp[:, _BANNED] = -np.inf
-    return lp, new_state
-
-
-def _decode_len(cfg, max_len):
-    max_len = cfg.max_decode_len if max_len is None else max_len
-    if max_len < 1:
-        raise ValueError(f"max_len must be >= 1, got {max_len}")
-    return max_len
-
-
-def greedy_decode(params, cfg, src_ids, max_len=None):
-    """Raises ValueError if max_len < 1."""
-    max_len = _decode_len(cfg, max_len)
-    batch, h_enc, state = _decode_setup(params, cfg, src_ids)
-    out = []
-    prev = BOS
-    for _ in range(max_len):
-        lp, state = _step_logprobs(params, cfg, state, [prev], h_enc, batch.src_mask)
-        prev = int(lp[0].argmax())
-        if prev == EOS:
-            break
-        out.append(prev)
-    return out
 
 
 @dataclass
@@ -63,22 +24,23 @@ def _beam_width(cfg, beam):
     return beam
 
 
-def best_hypothesis(params, cfg, src_ids, beam=None, max_len=None):
+def best_hypothesis(params, cfg, src_ids, beam=None):
     """The highest-scoring BeamHypothesis of beam_search, BOS and any final
-    EOS included.  Raises ValueError if beam < 1 or max_len < 1."""
+    EOS included.  Raises ValueError if beam < 1."""
     beam = _beam_width(cfg, beam)
-    max_len = _decode_len(cfg, max_len)
-    batch, h_enc, state = _decode_setup(params, cfg, src_ids)
+    batch = make_batch([(list(src_ids), [BOS])])
+    h_enc, state = encode_for_decoding(params, cfg, batch.src_ids, batch.src_mask)
     live = [BeamHypothesis([BOS], 0.0)]
     finished = []
-    for _ in range(max_len):
+    for _ in range(cfg.max_decode_len):
         n = len(live)
         state = [s[[hyp.row for hyp in live]] for s in state]
         # np.repeat, not np.broadcast_to: a stride-0 view sends attention's
         # 3-D matmul off BLAS
-        lp, state = _step_logprobs(
-            params, cfg, state, [hyp.tokens[-1] for hyp in live],
+        lp, state = decoder_step(
+            params, cfg, state, np.array([hyp.tokens[-1] for hyp in live]),
             np.repeat(h_enc, n, axis=0), np.repeat(batch.src_mask, n, axis=0))
+        lp[:, [PAD, BOS]] = -np.inf        # never proposed
         # the `beam` best (hypothesis, token) extensions from one partition of
         # all of them; those tied with the k-th best go by flat index
         total = (np.array([hyp.log_prob for hyp in live])[:, None] + lp).ravel()
@@ -98,16 +60,16 @@ def best_hypothesis(params, cfg, src_ids, beam=None, max_len=None):
     return max(finished or live, key=lambda h: h.log_prob)
 
 
-def beam_search(params, cfg, src_ids, beam=None, max_len=None):
+def beam_search(params, cfg, src_ids, beam=None):
     """Breadth-limited search over cumulative log-probability, no length
     normalization.  The `beam` best extensions (live hypothesis, token) of
     each step survive, ties going to the earlier live hypothesis and then to
     the lower token id; EOS-terminated ones move to a finished pool.  Stops
-    when the best finished score cannot be beaten or max_len is reached.
-    Each step advances all live hypotheses of the sentence in one
-    batched decoder_step call, so a sentence costs at most max_len calls.
-    Raises ValueError if beam < 1 or max_len < 1."""
-    toks = best_hypothesis(params, cfg, src_ids, beam, max_len).tokens[1:]
+    when the best finished score cannot be beaten or cfg.max_decode_len is
+    reached.  Each step advances all live hypotheses of the sentence in one
+    batched decoder_step call, so a sentence costs at most max_decode_len
+    calls.  Raises ValueError if beam < 1."""
+    toks = best_hypothesis(params, cfg, src_ids, beam).tokens[1:]
     if toks and toks[-1] == EOS:
         toks = toks[:-1]
     return toks

@@ -90,11 +90,11 @@ def param_names(cfg):
     return list(param_shapes(cfg, 0, 0))
 
 
-def build_model(cfg, source_init, target_vocab, init_scale=0.1, source_vocab=None):
+def build_model(cfg, source_init, target_vocab, init_scale=0.1, *, source_vocab):
     """Create the parameter dict, one tensor per entry of param_shapes.  The
     source embedding table is copied from `source_init` (an
-    InitializedEmbeddings or EmbeddingMatrix) whose row order must match the
-    source vocabulary ids; biases are zero and everything else is seeded
+    InitializedEmbeddings or EmbeddingMatrix) whose rows must be the tokens of
+    `source_vocab` in id order; biases are zero and everything else is seeded
     uniform +/-init_scale.  Every tensor is float32; the draws and the init
     table are float64 until the one cast at the end."""
     matrix = getattr(source_init, "matrix", source_init)
@@ -102,7 +102,7 @@ def build_model(cfg, source_init, target_vocab, init_scale=0.1, source_vocab=Non
         raise ValueError(f"source init dim {matrix.dim} != config emb_dim {cfg.emb_dim}")
     if len(matrix) == 0:
         raise ValueError("empty source initialization")
-    if source_vocab is not None and matrix.tokens != source_vocab.id_to_token:
+    if matrix.tokens != source_vocab.id_to_token:
         raise ValueError("source init does not cover the source vocabulary "
                          "in id order")
     rng = np.random.default_rng(cfg.seed)
@@ -398,13 +398,12 @@ def attention_backward(params, cache, h_top, h_enc, da, grads):
     return dh_top, dh_enc
 
 
-def forward_losses(params, cfg, batch, dropout_on=False, rng=None,
-                   compute_grads=True):
+def forward_losses(params, cfg, batch, rng=None, compute_grads=True):
     """Mean token cross-entropy over non-PAD target positions of each model
     of a stack (tensors (M, ...)), as an (M,) array in the parameters' dtype,
     with gradients in that dtype for every parameter; on one model's tensors,
-    a 0-d array.  Teacher-forced decoding with per-step attention."""
-    rate, rng = (cfg.dropout, rng) if dropout_on else (0.0, None)
+    a 0-d array.  Teacher-forced decoding with per-step attention.  Dropout
+    at cfg.dropout applies iff `rng` is given, and draws its masks from it."""
     src_emb, tgt_emb = params["src_emb"], params["tgt_emb"]
     lead, dtype = src_emb.shape[:-2], src_emb.dtype
     src_ids, src_mask = batch.src_ids, batch.src_mask
@@ -417,14 +416,14 @@ def forward_losses(params, cfg, batch, dropout_on=False, rng=None,
     h0 = np.zeros((*lead, src_ids.shape[0], cfg.hidden), dtype)
     h_enc, enc_finals, enc_cache = stack_forward(
         params, _encoder_layers(cfg), src_emb[..., src_ids, :], src_mask,
-        [h0] * cfg.enc_layers, rate, rng)
+        [h0] * cfg.enc_layers, cfg.dropout, rng)
     dec_h0, bridge_cache = bridge(params, cfg, enc_finals)
     h_top, _, dec_cache = stack_forward(
         params, [(f"dec_{l}",) for l in range(cfg.dec_layers)],
-        tgt_emb[..., y_in, :], None, dec_h0, rate, rng)
+        tgt_emb[..., y_in, :], None, dec_h0, cfg.dropout, rng)
 
     a, att_cache = attention_output(params, h_top, h_enc, src_mask)
-    a_d, a_mask = _dropout(a, rate, rng)
+    a_d, a_mask = _dropout(a, cfg.dropout, rng)
     # The output layer works on (B*T, .) rows, so each matmul is one 2-D BLAS
     # call per model, and on one (B*T, V) buffer per model: the logits, then
     # their exponents, then dlogits, each in place.
@@ -472,11 +471,11 @@ def forward_losses(params, cfg, batch, dropout_on=False, rng=None,
     return losses, grads
 
 
-def forward_loss(params, cfg, batch, dropout_on=False, rng=None,
-                 compute_grads=True):
+def forward_loss(params, cfg, batch, rng=None, compute_grads=True):
     """forward_losses of one model, its tensors without the model axis: the
-    loss as a Python float, and the gradients."""
-    loss, grads = forward_losses(params, cfg, batch, dropout_on, rng, compute_grads)
+    loss as a Python float, and the gradients.  Dropout applies iff `rng` is
+    given."""
+    loss, grads = forward_losses(params, cfg, batch, rng, compute_grads)
     return float(loss), grads
 
 

@@ -41,33 +41,38 @@ class EpochRecord:
     dev_ppl: float
 
 
+# Adam's moment decay rates and the offset of its denominator, the values of
+# Kingma & Ba 2015
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
+
+
 class Adam:
-    def __init__(self, params, lr, beta1=0.9, beta2=0.999, eps=1e-8):
-        self.lr, self.b1, self.b2, self.eps = lr, beta1, beta2, eps
+    """Adam over M models stacked on a leading axis: every tensor of `params`
+    is (M, ...), and the moments are kept in the same layout."""
+
+    def __init__(self, params, lr):
+        self.lr = lr
         self.m = {k: np.zeros_like(v) for k, v in params.items()}
         self.v = {k: np.zeros_like(v) for k, v in params.items()}
         self.t = 0
 
-    def step(self, params, grads, clip=None):
-        """One update of `params` in place, after scaling the gradients to a
-        global norm of at most `clip`.  For M models stacked on a leading
-        axis, `clip` is a sequence of M bounds, and each model's gradients
-        are scaled by their own norm.  The update itself is elementwise, so
-        each model's slice moves exactly as it would alone.  Overwrites
-        `grads`: they are scaled in place and then used as scratch space, so
-        pass arrays you no longer need."""
-        if clip is not None:
-            stacked = np.ndim(clip) == 1
-            gs = list(grads.values()) if stacked else [g[None] for g in grads.values()]
-            for i, bound in enumerate(clip if stacked else [clip]):
-                norm = math.sqrt(sum(float(np.vdot(g[i], g[i])) for g in gs))
-                if norm > bound:
-                    scale = float(bound) / norm
-                    for g in gs:
-                        g[i] *= scale
+    def step(self, params, grads, clip):
+        """One update of the stacked `params` in place.  First each model's
+        gradients are scaled to a global norm of at most `clip`, by that
+        model's own norm.  The update itself is elementwise, so each model's
+        slice moves exactly as it would alone.  Overwrites `grads`: they are
+        scaled in place and then used as scratch space, so pass arrays you no
+        longer need."""
+        gs = list(grads.values())
+        for i in range(len(gs[0])):
+            norm = math.sqrt(sum(float(np.vdot(g[i], g[i])) for g in gs))
+            if norm > clip:
+                scale = clip / norm
+                for g in gs:
+                    g[i] *= scale
         self.t += 1
-        bias1 = 1.0 - self.b1 ** self.t
-        bias2 = 1.0 - self.b2 ** self.t
+        bias1 = 1.0 - BETA1 ** self.t
+        bias2 = 1.0 - BETA2 ** self.t
         for k, p in params.items():
             g, m, v = grads[k], self.m[k], self.v[k]
             # the same operations, in the same order, as
@@ -75,18 +80,18 @@ class Adam:
             #   v = b2 * v + (1 - b2) * g * g
             #   p -= lr * (m / bias1) / (sqrt(v / bias2) + eps)
             # with one temporary and g as scratch
-            tmp = (1 - self.b2) * g
+            tmp = (1 - BETA2) * g
             tmp *= g
-            v *= self.b2
+            v *= BETA2
             v += tmp
-            g *= 1 - self.b1
-            m *= self.b1
+            g *= 1 - BETA1
+            m *= BETA1
             m += g
             np.divide(m, bias1, out=tmp)
             tmp *= self.lr
             np.divide(v, bias2, out=g)
             np.sqrt(g, out=g)
-            g += self.eps
+            g += EPS
             tmp /= g
             p -= tmp
 
@@ -140,13 +145,12 @@ def train_models(models, cfg, train_pairs, dev_pairs, hyper):
         batches = make_batches(train_pairs, hyper.batch_size, rng)
         losses = []
         for batch in batches:
-            loss, grads = forward_losses(params, cfg, batch,
-                                         dropout_on=cfg.dropout > 0, rng=rng)
+            loss, grads = forward_losses(params, cfg, batch, rng=rng)
             if not np.isfinite(loss).all():
                 raise RuntimeError(
                     f"non-finite loss at epoch {epoch} after {len(losses)} batches")
             losses.append(loss.tolist())
-            opt.step(params, grads, clip=[hyper.clip] * len(active))
+            opt.step(params, grads, hyper.clip)
             del grads      # scratch now: free it before the next forward pass
         dev_ppls = (perplexities(params, cfg, dev_batches) if dev_pairs
                     else [float("nan")] * len(active))

@@ -1,6 +1,7 @@
 """Character n-gram subword embeddings trained with skip-gram negative
 sampling; composes vectors for arbitrary words including OOV."""
 
+import math
 import time
 from collections import Counter
 from dataclasses import asdict, dataclass
@@ -61,8 +62,12 @@ class SkipgramConfig:
     workers: int = 1
 
     def __post_init__(self):
-        if self.dim < 1 or self.window < 1 or self.negatives < 1 or self.lr <= 0:
-            raise ValueError("dim >= 1, window >= 1, negatives >= 1, lr > 0 required")
+        if self.dim < 1 or self.window < 1 or self.negatives < 1:
+            raise ValueError("dim >= 1, window >= 1, negatives >= 1 required")
+        if not 0 < self.lr < math.inf:
+            raise ValueError(f"lr must be finite and > 0, got {self.lr}")
+        if math.isnan(self.subsample):
+            raise ValueError("subsample must be a number, got nan")
         for name in ("buckets", "min_count", "epochs"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
@@ -223,18 +228,6 @@ def sgns_loss_and_grads(input_vectors, output_vectors, units, unit_weights,
                          weights=g.ravel(),
                          minlength=len(out_rows) * n_c).reshape(len(out_rows), n_c)
     return (loss, (in_rows, mix.T @ (weight.T @ o)), (out_rows, weight @ h))
-
-
-def pair_loss_and_grads(input_vectors, output_vectors, unit_ids, ctx_id, neg_ids):
-    """`sgns_loss_and_grads` for one (center, context, negatives) triple.
-    Returns (loss, grad_input_rows, grad_output_rows) where the grads are
-    dicts row_index -> gradient vector."""
-    units, weights = unit_table([unit_ids])
-    loss, (in_rows, g_in), (out_rows, g_out) = sgns_loss_and_grads(
-        input_vectors, output_vectors, units, weights, np.zeros(1, dtype=np.int64),
-        np.array([[ctx_id, *neg_ids]], dtype=np.int64))
-    return (loss, {int(r): g for r, g in zip(in_rows, g_in)},
-            {int(r): g for r, g in zip(out_rows, g_out)})
 
 
 def negative_cdf(vocab):

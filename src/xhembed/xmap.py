@@ -9,6 +9,10 @@ import numpy as np
 from . import artifact
 from .embedstore import normalize_rows
 
+# self-learning: at most MAX_ITERS refinements, stopping after PATIENCE without
+# a better objective; CSLS over CSLS_K neighbours (Conneau et al. 2018)
+MAX_ITERS, PATIENCE, CSLS_K = 20, 3, 10
+
 
 @dataclass
 class PreprocessRecord:
@@ -90,7 +94,7 @@ def csls(x_mapped, z_mapped, k):
     return sims
 
 
-def induce_dictionary(x_mapped, z_mapped, k=10):
+def induce_dictionary(x_mapped, z_mapped, k):
     """Union of the CSLS-argmax pairing in both directions."""
     scores = csls(x_mapped, z_mapped, k)
     fwd = {(i, int(j)) for i, j in enumerate(scores.argmax(axis=1))}
@@ -98,15 +102,15 @@ def induce_dictionary(x_mapped, z_mapped, k=10):
     return sorted(fwd | bwd)
 
 
-def self_learning_loop(x, z, seed_dict, max_iters=20, patience=3, k=10):
+def self_learning_loop(x, z, seed_dict):
     """Alternate Procrustes fit and CSLS induction; return the model with the
     best mean-cosine dictionary objective seen."""
     model = fit_orthogonal_mapping(x, z, seed_dict)
     model.objective = dictionary_objective(x, z, seed_dict, model)
     best = model
     stall = 0
-    for _ in range(max_iters):
-        pairs = induce_dictionary(x @ model.w_x, z @ model.w_z, k)
+    for _ in range(MAX_ITERS):
+        pairs = induce_dictionary(x @ model.w_x, z @ model.w_z, CSLS_K)
         model = fit_orthogonal_mapping(x, z, pairs)
         model.objective = dictionary_objective(x, z, pairs, model)
         if model.objective > best.objective + 1e-9:
@@ -114,7 +118,7 @@ def self_learning_loop(x, z, seed_dict, max_iters=20, patience=3, k=10):
             stall = 0
         else:
             stall += 1
-            if stall >= patience:
+            if stall >= PATIENCE:
                 break
     return best
 

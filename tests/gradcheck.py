@@ -17,16 +17,14 @@ def gradient_check(params, cfg, batch, sample_size=100, seed=0):
     `params`, whatever their dtype, and leaves them untouched."""
     params = {name: t.astype(np.float64) for name, t in params.items()}
     rng = np.random.default_rng(seed)
-    _, grads = forward_loss(params, cfg, batch, dropout_on=False)
+    _, grads = forward_loss(params, cfg, batch)
     names = sorted(params)
 
     def central(flat, i, theta, h):
         flat[i] = theta + h
-        lp, _ = forward_loss(params, cfg, batch, dropout_on=False,
-                             compute_grads=False)
+        lp, _ = forward_loss(params, cfg, batch, compute_grads=False)
         flat[i] = theta - h
-        lm, _ = forward_loss(params, cfg, batch, dropout_on=False,
-                             compute_grads=False)
+        lm, _ = forward_loss(params, cfg, batch, compute_grads=False)
         flat[i] = theta
         return (lp - lm) / (2.0 * h)
 

@@ -4,6 +4,7 @@ its criterion; timings are asserted against the stated budgets."""
 import itertools
 import math
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -18,15 +19,16 @@ from xhembed.lexproject import BilingualLexicon, build_projected_matrix, \
 from xhembed.metrics import corpus_bleu, sentence_bleu
 from xhembed.nmt import TrainConfig, build_model, train
 from xhembed.nmt.data import encode_pairs, make_batch
-from xhembed.nmt.decode import beam_search, greedy_decode
+from xhembed.nmt.decode import beam_search
 from xhembed.nmt.model import decoder_step, encode_for_decoding
 from xhembed.subword import train_skipgram
 from xhembed.toydata import toy_config_text, write_toy_dataset
-from xhembed.xmap import fit_orthogonal_mapping, induce_dictionary, \
+from xhembed.xmap import CSLS_K, fit_orthogonal_mapping, induce_dictionary, \
     preprocess, self_learning_loop
 
 from conftest import random_pairs, tiny_model, vocab_of
 from gradcheck import gradient_check
+from greedy import greedy_decode
 from test_metrics import oracle_corpus_bleu, oracle_sentence_bleu
 from test_metrics import random_pairs as bleu_pairs
 from test_subword import STEMS, quick_config, tiny_corpus
@@ -104,8 +106,8 @@ def test_criterion_4_self_learning_recovery():
     seed = [(i, i) for i in range(100)]
     for i in range(0, 100, 2):  # corrupt 50% of the seed
         seed[i] = (i, (i + 13) % 100)
-    model = self_learning_loop(x, z, seed, max_iters=20)
-    pairs = induce_dictionary(x @ model.w_x, z @ model.w_z)
+    model = self_learning_loop(x, z, seed)
+    pairs = induce_dictionary(x @ model.w_x, z @ model.w_z, CSLS_K)
     recovered = sum(1 for i, j in pairs if i == j) / 100
     elapsed = time.monotonic() - t0
     ok = recovered >= 0.95 and elapsed < 30
@@ -197,9 +199,10 @@ def test_criterion_7_beam_search_equivalences():
     best, _ = train(params2, cfg2, ids, ids[:12],
                     TrainConfig(lr=5e-3, batch_size=8, epochs=60, patience=80))
     exhaustive_ok = True
+    short = replace(cfg2, max_decode_len=4)
     for src, _ in pairs[:10]:
         src_ids = [sv2.id(t) for t in src]
-        got = beam_search(best, cfg2, src_ids, beam=len(tv2), max_len=4)
+        got = beam_search(best, short, src_ids, beam=len(tv2))
         want = _exhaustive_best(best, cfg2, src_ids, max_len=4)
         if got != want:
             exhaustive_ok = False

@@ -489,7 +489,9 @@ class TestPipeline:
         ("split.train=nan", "ratios"), ("subword.dim=0", "dim"),
         ("subword.buckets=0", "buckets"), ("subword.min_count=0", "min_count"),
         ("vocab.min_count=0", "vocab.min_count"), ("nmt.hidden=0", "hidden"),
-        ("nmt.emb_dim=6", "emb_dim"), ("subword.epochs=0", "epochs")])
+        ("nmt.emb_dim=6", "emb_dim"), ("subword.epochs=0", "epochs"),
+        ("subword.lr=nan", "lr"), ("subword.lr=inf", "lr"),
+        ("subword.subsample=nan", "subsample"), ("train.lr=nan", "lr")])
     def test_bad_config_value_fails_before_any_stage(self, tmp_path, capsys, line,
                                                      named):
         cfg_path = write_cfg(tmp_path, micro_dataset(tmp_path) + line + "\n")
@@ -606,6 +608,30 @@ class TestTranslate:
         err = capsys.readouterr().err
         assert str(vocab_path) in err and "Traceback" not in err
         assert not (tmp_path / "hyp").exists()
+
+    @pytest.mark.parametrize("size", [9, 44])
+    @pytest.mark.parametrize("side", ["src", "tgt"])
+    def test_finetune_vocabulary_not_checkpoint_size_is_one(self, tmp_path, capsys,
+                                                            side, size):
+        """finetune checks both vocabularies against the checkpoint's 20
+        embedding rows, as translate does, before it reads or trains."""
+        cfg, params, sv, tv = tiny_model()
+        tiny_translate_args(tmp_path, cfg, params, sv, tv)
+        for part in ("train", "dev"):
+            (tmp_path / f"c.{part}.src").write_text("w1 w2 w3\n")
+            (tmp_path / f"c.{part}.tgt").write_text("v1 v2\n")
+        vocab_path = tmp_path / f"vocab.{side}"
+        other = vocab_of([f"x{i}" for i in range(size - 4)])
+        assert len(other) == size
+        other.save(vocab_path)
+        assert main(["finetune", "--checkpoint", str(tmp_path / "model.ckpt"),
+                     "--data", str(tmp_path), "--name", "c",
+                     "--src-vocab", str(tmp_path / "vocab.src"),
+                     "--tgt-vocab", str(tmp_path / "vocab.tgt"),
+                     "--out", str(tmp_path / "ft.ckpt")]) == 1
+        err = capsys.readouterr().err
+        assert str(vocab_path) in err and "Traceback" not in err
+        assert not (tmp_path / "ft.ckpt").exists()
 
     @pytest.mark.parametrize("beam", ["-3", "0"])
     def test_beam_below_one_is_one(self, tmp_path, capsys, beam):

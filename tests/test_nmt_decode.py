@@ -1,4 +1,4 @@
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 import pytest
@@ -7,12 +7,13 @@ from xhembed.corpus import BOS, EOS, PAD, UNK
 from xhembed.metrics import corpus_bleu
 from xhembed.nmt import decode
 from xhembed.nmt.data import encode_pairs, make_batch
-from xhembed.nmt.decode import (beam_search, best_hypothesis, greedy_decode,
-                                translate)
+from xhembed.nmt.decode import beam_search, best_hypothesis, translate
 from xhembed.nmt.model import decoder_step, encode_for_decoding
 from xhembed.nmt.train import TrainConfig, train
 
+import greedy
 from conftest import random_pairs, tiny_model
+from greedy import greedy_decode
 
 
 def sequence_score(params, cfg, src_ids, tokens):
@@ -36,15 +37,14 @@ class RefHypothesis:
     state: list = field(repr=False, default=None)
 
 
-def reference_beam(params, cfg, src_ids, beam, max_len=None):
+def reference_beam(params, cfg, src_ids, beam):
     """Beam search with one batch-1 decoder_step per live hypothesis per step,
     the loop the batched search replaced.  Returns the best RefHypothesis."""
-    max_len = max_len or cfg.max_decode_len
     batch = make_batch([(list(src_ids), [BOS])])
     h_enc, state = encode_for_decoding(params, cfg, batch.src_ids, batch.src_mask)
     live = [RefHypothesis([BOS], 0.0, state)]
     finished = []
-    for _ in range(max_len):
+    for _ in range(cfg.max_decode_len):
         candidates = []
         for hyp in live:
             lp, new_state = decoder_step(params, cfg, hyp.state,
@@ -91,14 +91,8 @@ class TestGreedy:
 
     def test_respects_max_len(self):
         cfg, params, sv, tv = tiny_model()
-        out = greedy_decode(params, cfg, [4, 5], max_len=3)
+        out = greedy_decode(params, replace(cfg, max_decode_len=3), [4, 5])
         assert len(out) <= 3
-
-    @pytest.mark.parametrize("max_len", [0, -2])
-    def test_max_len_below_one_rejected(self, max_len):
-        cfg, params, sv, tv = tiny_model()
-        with pytest.raises(ValueError, match="max_len must be >= 1"):
-            greedy_decode(params, cfg, [4, 5], max_len=max_len)
 
 
 class TestBeam:
@@ -121,12 +115,6 @@ class TestBeam:
         with pytest.raises(ValueError, match="beam must be >= 1"):
             beam_search(params, cfg, [4, 5, 6], beam=beam)
 
-    @pytest.mark.parametrize("max_len", [0, -2])
-    def test_max_len_below_one_rejected(self, max_len):
-        cfg, params, sv, tv = tiny_model()
-        with pytest.raises(ValueError, match="max_len must be >= 1"):
-            best_hypothesis(params, cfg, [4, 5, 6], max_len=max_len)
-
     @pytest.mark.parametrize("seed", [0, 1, 2])
     @pytest.mark.parametrize("beam", [2, 3, 5])
     def test_batched_equals_per_hypothesis_search(self, seed, beam):
@@ -143,8 +131,9 @@ class TestBeam:
         params["out_W"][:] = 0.0
         params["out_b"][:] = 0.0
         ids = [4, 5, 6]
-        assert beam_search(params, cfg, ids, beam=1, max_len=5) == \
-            greedy_decode(params, cfg, ids, max_len=5) == [UNK] * 5
+        short = replace(cfg, max_decode_len=5)
+        assert beam_search(params, short, ids, beam=1) == \
+            greedy_decode(params, short, ids) == [UNK] * 5
         assert best_hypothesis(params, cfg, ids, beam=3).tokens == [BOS, EOS]
 
 
@@ -170,22 +159,25 @@ class TestBatchedStep:
 
     @pytest.fixture
     def step_batches(self, monkeypatch):
-        """Batch size of every decoder_step call the decode module makes."""
+        """Batch size of every decoder_step call the decode module and the
+        greedy oracle make."""
         sizes = []
 
         def counting(params, cfg, state, y_prev, h_enc, src_mask):
             sizes.append(len(y_prev))
             return decoder_step(params, cfg, state, y_prev, h_enc, src_mask)
         monkeypatch.setattr(decode, "decoder_step", counting)
+        monkeypatch.setattr(greedy, "decoder_step", counting)
         return sizes
 
     def test_beam_makes_one_call_per_step(self, step_batches):
         cfg, params, sv, tv = tiny_model()
         rng = np.random.default_rng(2)
         largest = 0
+        short = replace(cfg, max_decode_len=6)
         for src, _ in random_pairs(sv, tv, 20, rng):
             step_batches.clear()
-            beam_search(params, cfg, [sv.id(t) for t in src], beam=5, max_len=6)
+            beam_search(params, short, [sv.id(t) for t in src], beam=5)
             assert 1 <= len(step_batches) <= 6
             assert max(step_batches) <= 5
             largest = max(largest, max(step_batches))
@@ -193,7 +185,7 @@ class TestBatchedStep:
 
     def test_greedy_calls_at_batch_one(self, step_batches):
         cfg, params, sv, tv = tiny_model()
-        greedy_decode(params, cfg, [4, 5, 6], max_len=6)
+        greedy_decode(params, replace(cfg, max_decode_len=6), [4, 5, 6])
         assert step_batches and set(step_batches) == {1}
 
 

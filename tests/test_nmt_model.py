@@ -186,8 +186,7 @@ class TestForwardLoss:
         rng = np.random.default_rng(2)
         batch = make_batch(encode_pairs(random_pairs(sv, tv, 4, rng), sv, tv))
         clean, _ = forward_loss(params, cfg, batch)
-        noisy, _ = forward_loss(params, cfg, batch, dropout_on=True,
-                                rng=np.random.default_rng(3))
+        noisy, _ = forward_loss(params, cfg, batch, rng=np.random.default_rng(3))
         assert noisy != clean
 
 
@@ -238,10 +237,8 @@ class TestGradients:
 
     def test_finite_difference_check_dropout(self, monkeypatch):
         """Dropout on, with the same masks on every forward pass."""
-        def fixed_mask_loss(params, cfg, batch, dropout_on=False, rng=None,
-                            compute_grads=True):
-            return forward_loss(params, cfg, batch, dropout_on=True,
-                                rng=np.random.default_rng(7),
+        def fixed_mask_loss(params, cfg, batch, rng=None, compute_grads=True):
+            return forward_loss(params, cfg, batch, rng=np.random.default_rng(7),
                                 compute_grads=compute_grads)
         monkeypatch.setattr(gradcheck, "forward_loss", fixed_mask_loss)
         assert self.gradcheck_error(dropout=0.3) < 1e-4
@@ -263,11 +260,11 @@ class TestModelAxis:
         """Each slice of the stacked loss and gradients is the model's own,
         bit for bit, with dropout on: one mask per site, shared by all."""
         cfg, models, batch = self.grid_batch(3, dtype)
-        losses, grads = forward_losses(stack(models), cfg, batch, dropout_on=True,
+        losses, grads = forward_losses(stack(models), cfg, batch,
                                        rng=np.random.default_rng(7))
         assert losses.shape == (3,) and losses.dtype == dtype
         for i, params in enumerate(models):
-            loss, want = forward_loss(params, cfg, batch, dropout_on=True,
+            loss, want = forward_loss(params, cfg, batch,
                                       rng=np.random.default_rng(7))
             assert float(losses[i]) == loss
             for name, g in want.items():
@@ -278,9 +275,8 @@ class TestModelAxis:
         """The gradients of a stack of two models against finite differences
         of the sum of their losses, dropout on with fixed masks: a tensor of
         one model moves that model's loss alone."""
-        def summed_loss(params, cfg, batch, dropout_on=False, rng=None,
-                        compute_grads=True):
-            losses, grads = forward_losses(params, cfg, batch, dropout_on=True,
+        def summed_loss(params, cfg, batch, rng=None, compute_grads=True):
+            losses, grads = forward_losses(params, cfg, batch,
                                            rng=np.random.default_rng(7),
                                            compute_grads=compute_grads)
             return float(losses.sum()), grads
@@ -296,8 +292,8 @@ class TestModelAxis:
         moved = {k: t.copy() for k, t in stacked.items()}
         for t in moved.values():
             t[0] += rng.normal(scale=0.1, size=t[0].shape)
-        runs = [forward_losses(p, cfg, batch, dropout_on=True,
-                               rng=np.random.default_rng(7)) for p in (stacked, moved)]
+        runs = [forward_losses(p, cfg, batch, rng=np.random.default_rng(7))
+                for p in (stacked, moved)]
         (losses, grads), (moved_losses, moved_grads) = runs
         assert moved_losses[0] != losses[0]
         assert moved_losses[1] == losses[1]
@@ -508,14 +504,13 @@ def encode(params, cfg, src_ids, src_mask, drop):
     return x, finals, layer_caches
 
 
-def unfused_forward_loss(params, cfg, batch, dropout_on=False, rng=None):
+def unfused_forward_loss(params, cfg, batch, rng=None):
     """forward_loss as it was before the output layer was fused: separate
     log-prob, prob and dlogits arrays and 3-D output matmuls.  The oracle for
     the fused, in-place output layer, and, through its own encoder loop and
     dropout masks found by position in one list, for the GRU stacks of
     stack_forward and stack_backward."""
-    drop = _Dropout(cfg.dropout if dropout_on else 0.0,
-                    rng if dropout_on else None)
+    drop = _Dropout(cfg.dropout, rng)
     src_ids, src_mask = batch.src_ids, batch.src_mask
     y_in, y_out = batch.tgt_ids[:, :-1], batch.tgt_ids[:, 1:]
     out_mask = (y_out != PAD).astype(np.float64)
@@ -597,13 +592,12 @@ class TestFusedOutputLayer:
                                          enc_layers=layers[0], dec_layers=layers[1])
         rng = np.random.default_rng(seed)
         batch = make_batch(encode_pairs(random_pairs(sv, tv, 6, rng), sv, tv))
-        loss, grads = forward_loss(params, cfg, batch, dropout_on=dropout_on,
-                                   rng=np.random.default_rng(7))
-        want_loss, want = unfused_forward_loss(params, cfg, batch, dropout_on,
-                                               rng=np.random.default_rng(7))
+        def rng():
+            return np.random.default_rng(7) if dropout_on else None
+        loss, grads = forward_loss(params, cfg, batch, rng=rng())
+        want_loss, want = unfused_forward_loss(params, cfg, batch, rng=rng())
         assert loss == want_loss
-        assert loss == forward_loss(params, cfg, batch, dropout_on=dropout_on,
-                                    rng=np.random.default_rng(7),
+        assert loss == forward_loss(params, cfg, batch, rng=rng(),
                                     compute_grads=False)[0]
         assert set(grads) == set(want)
         for name, g in want.items():

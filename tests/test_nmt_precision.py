@@ -31,13 +31,13 @@ def test_every_output_in_the_model_dtype(tmp_path, dtype):
     Adam's moments, decoder log-probs and states, trained and saved tensors."""
     cfg, params, pairs = model_in(dtype, dropout=0.3)
     batch = make_batch(pairs)
-    loss, grads = forward_loss(params, cfg, batch, dropout_on=True,
-                               rng=np.random.default_rng(0))
+    loss, grads = forward_loss(params, cfg, batch, rng=np.random.default_rng(0))
     assert type(loss) is float
     assert {g.dtype for g in grads.values()} == {np.dtype(dtype)}
 
-    opt = Adam(params, lr=1e-2)
-    opt.step(params, grads, clip=1.0)
+    stacked = {k: t[None] for k, t in params.items()}
+    opt = Adam(stacked, lr=1e-2)
+    opt.step(stacked, {k: g[None] for k, g in grads.items()}, clip=1.0)
     for moments in (opt.m, opt.v, params):
         assert {t.dtype for t in moments.values()} == {np.dtype(dtype)}
 
@@ -65,9 +65,8 @@ def test_float32_matches_float64(seed, dropout):
     cfg, p64, pairs = model_in(np.float64, dropout, seed)
     p32 = {k: v.astype(np.float32) for k, v in p64.items()}
     batch = make_batch(pairs)
-    on = dropout > 0
-    l64, g64 = forward_loss(p64, cfg, batch, on, np.random.default_rng(0))
-    l32, g32 = forward_loss(p32, cfg, batch, on, np.random.default_rng(0))
+    l64, g64 = forward_loss(p64, cfg, batch, np.random.default_rng(0))
+    l32, g32 = forward_loss(p32, cfg, batch, np.random.default_rng(0))
     assert abs(l32 - l64) <= TOL * abs(l64)
     for name, g in g64.items():
         err = np.abs(g32[name] - g).max()

@@ -21,48 +21,51 @@ def small_task(seed=0, n_train=24, n_dev=8):
 
 
 class TestAdam:
+    """Adam steps models stacked on a leading axis; a single model is a stack
+    of one."""
+
     def test_first_step_moves_against_gradient(self):
-        params = {"w": np.array([1.0, -2.0])}
+        params = {"w": np.array([[1.0, -2.0]])}
         opt = Adam(params, lr=0.1)
-        opt.step(params, {"w": np.array([3.0, -4.0])})
+        opt.step(params, {"w": np.array([[3.0, -4.0]])}, clip=10.0)
         # bias-corrected first step has magnitude ~lr in each coordinate
-        assert np.allclose(params["w"], [1.0 - 0.1, -2.0 + 0.1], atol=1e-6)
+        assert np.allclose(params["w"][0], [1.0 - 0.1, -2.0 + 0.1], atol=1e-6)
 
     def test_clip_rescales_global_norm(self):
-        params = {"a": np.zeros(2), "b": np.zeros(2)}
+        params = {"a": np.zeros((1, 2)), "b": np.zeros((1, 2))}
         opt = Adam(params, lr=1.0)
-        g = {"a": np.array([3.0, 0.0]), "b": np.array([0.0, 4.0])}
+        g = {"a": np.array([[3.0, 0.0]]), "b": np.array([[0.0, 4.0]])}
         opt.step(params, g, clip=1.0)  # norm 5 -> scaled by 0.2
         # the scaled gradient, not the raw one, feeds the moments
-        assert np.allclose(opt.m["a"], [0.1 * 0.6, 0.0])
-        assert np.allclose(opt.m["b"], [0.0, 0.1 * 0.8])
+        assert np.allclose(opt.m["a"][0], [0.1 * 0.6, 0.0])
+        assert np.allclose(opt.m["b"][0], [0.0, 0.1 * 0.8])
 
     def test_no_clip_below_threshold(self):
-        params = {"a": np.array([0.0])}
+        params = {"a": np.array([[0.0]])}
         opt = Adam(params, lr=1.0)
-        opt.step(params, {"a": np.array([0.5])}, clip=10.0)
-        assert np.allclose(opt.m["a"], [0.05])
+        opt.step(params, {"a": np.array([[0.5]])}, clip=10.0)
+        assert np.allclose(opt.m["a"][0], [0.05])
 
-    @pytest.mark.parametrize("clip", [None, 1e3, 0.5])
+    @pytest.mark.parametrize("clip", [1e3, 0.5])
     def test_in_place_step_matches_formula(self, clip):
         """Five steps of the in-place update against the out-of-place
         formula it replaced; clip 0.5 is active on every step, 1e3 never."""
         _, params, _, _ = tiny_model()
         rng = np.random.default_rng(3)
         want = {k: v.copy() for k, v in params.items()}
-        opt = Adam(params, lr=1e-2)
+        stacked = {k: v[None] for k, v in params.items()}   # views of params
+        opt = Adam(stacked, lr=1e-2)
         m = {k: np.zeros_like(v) for k, v in want.items()}
         v = {k: np.zeros_like(x) for k, x in want.items()}
         b1, b2, eps, lr = 0.9, 0.999, 1e-8, 1e-2
         for t in range(1, 6):
             grads = {k: rng.normal(size=x.shape) for k, x in want.items()}
             ref = {k: g.copy() for k, g in grads.items()}
-            opt.step(params, grads, clip=clip)
-            if clip is not None:
-                norm = math.sqrt(sum(float(np.sum(g * g)) for g in ref.values()))
-                assert (norm > clip) == (clip < 1)
-                if norm > clip:
-                    ref = {k: g * (clip / norm) for k, g in ref.items()}
+            opt.step(stacked, {k: g[None] for k, g in grads.items()}, clip=clip)
+            norm = math.sqrt(sum(float(np.sum(g * g)) for g in ref.values()))
+            assert (norm > clip) == (clip < 1)
+            if norm > clip:
+                ref = {k: g * (clip / norm) for k, g in ref.items()}
             for k, p in want.items():
                 g = ref[k]
                 m[k] = b1 * m[k] + (1 - b1) * g
@@ -72,17 +75,15 @@ class TestAdam:
             err = np.abs(params[k] - p).max() / np.abs(p).max()
             assert err <= 1e-12, (k, err)
 
-
     def test_stacked_clip_is_per_model(self):
         """Two models on a leading axis, clip 1 on each: only model 0's
         gradients exceed it and are scaled, and every step of each slice is
-        the single-model step of that model, bit for bit."""
+        the step of that model alone, bit for bit."""
         _, models, _, _ = grid_models(2)
         models = [{k: t.astype(np.float32) for k, t in m.items()} for m in models]
         stacked = stack(models)
         opt = Adam(stacked, lr=1e-2)
-        singles = [({k: t.copy() for k, t in m.items()}, Adam(m, lr=1e-2))
-                   for m in models]
+        singles = [(stack([m]), Adam(stack([m]), lr=1e-2)) for m in models]
         rng = np.random.default_rng(3)
         for _ in range(3):
             grads = [{k: rng.normal(scale=s, size=t.shape).astype(np.float32)
@@ -93,18 +94,18 @@ class TestAdam:
             stacked_grads = stack(grads)
             raw = {k: g.copy() for k, g in stacked_grads.items()}
             m_before = {k: m.copy() for k, m in opt.m.items()}
-            opt.step(stacked, stacked_grads, clip=[1.0, 1.0])
+            opt.step(stacked, stacked_grads, clip=1.0)
             for k in raw:    # m = b1 m + (1 - b1) g, g unscaled for model 1
                 assert np.array_equal(
                     opt.m[k][1],
                     np.float32(0.9) * m_before[k][1] + np.float32(0.1) * raw[k][1])
             for (params, single), g in zip(singles, grads):
-                single.step(params, g, clip=1.0)
+                single.step(params, stack([g]), clip=1.0)
         for i, (params, single) in enumerate(singles):
             for k, t in params.items():
-                assert np.array_equal(stacked[k][i], t), (i, k)
-                assert np.array_equal(opt.m[k][i], single.m[k]), (i, k)
-                assert np.array_equal(opt.v[k][i], single.v[k]), (i, k)
+                assert np.array_equal(stacked[k][i], t[0]), (i, k)
+                assert np.array_equal(opt.m[k][i], single.m[k][0]), (i, k)
+                assert np.array_equal(opt.v[k][i], single.v[k][0]), (i, k)
 
 
 class TestPerplexity:

@@ -8,8 +8,8 @@ from xhembed import subword
 from xhembed.corpus import Vocabulary
 from xhembed.subword import (SkipgramConfig, SubwordModel, draw_negatives,
                              extract_ngrams, fnv1a_32, negative_cdf,
-                             ngram_bucket, pair_loss_and_grads,
-                             sgns_loss_and_grads, train_skipgram, unit_table)
+                             ngram_bucket, sgns_loss_and_grads, train_skipgram,
+                             unit_table)
 
 
 class TestHashing:
@@ -81,6 +81,18 @@ def quick_config(**kw):
     base = dict(dim=30, window=3, epochs=3, buckets=2000, subsample=0.0, seed=5)
     base.update(kw)
     return SkipgramConfig(**base)
+
+
+def pair_loss_and_grads(input_vectors, output_vectors, unit_ids, ctx_id, neg_ids):
+    """`sgns_loss_and_grads` for one (center, context, negatives) triple.
+    Returns (loss, grad_input_rows, grad_output_rows) where the grads are
+    dicts row_index -> gradient vector."""
+    units, weights = unit_table([unit_ids])
+    loss, (in_rows, g_in), (out_rows, g_out) = sgns_loss_and_grads(
+        input_vectors, output_vectors, units, weights, np.zeros(1, dtype=np.int64),
+        np.array([[ctx_id, *neg_ids]], dtype=np.int64))
+    return (loss, {int(r): g for r, g in zip(in_rows, g_in)},
+            {int(r): g for r, g in zip(out_rows, g_out)})
 
 
 class TestPairGradients:

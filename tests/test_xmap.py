@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from xhembed.embedstore import EmbeddingMatrix, normalize_rows
-from xhembed.xmap import (dictionary_objective, fit_mapping,
+from xhembed.xmap import (CSLS_K, dictionary_objective, fit_mapping,
                           fit_orthogonal_mapping, induce_dictionary,
                           load_mapping, preprocess, save_mapping,
                           self_learning_loop)
@@ -127,13 +127,13 @@ class TestInduction:
         rng = np.random.default_rng(12)
         x = rng.normal(size=(5, 3))
         z = rng.normal(size=(5, 3))
-        a = induce_dictionary(x, z)
+        a = induce_dictionary(x, z, CSLS_K)
         assert a == sorted(a)
-        assert a == induce_dictionary(x, z)
+        assert a == induce_dictionary(x, z, CSLS_K)
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            induce_dictionary(np.zeros((0, 3)), np.ones((2, 3)))
+            induce_dictionary(np.zeros((0, 3)), np.ones((2, 3)), CSLS_K)
 
 
 class TestSelfLearning:
@@ -146,7 +146,7 @@ class TestSelfLearning:
         for i in range(0, 50, 2):  # corrupt half of the seed pairs
             seed[i] = (seed[i][0], (seed[i][1] + 7) % 100)
         model = self_learning_loop(x, z, seed)
-        pairs = induce_dictionary(x @ model.w_x, z @ model.w_z)
+        pairs = induce_dictionary(x @ model.w_x, z @ model.w_z, CSLS_K)
         correct = sum(1 for i, j in pairs if i == j)
         assert correct / 100 >= 0.95
 
