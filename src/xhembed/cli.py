@@ -3,6 +3,7 @@ orchestrator that reproduces the strategy-grid experiment from one config."""
 
 import argparse
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 from . import metrics
@@ -35,6 +36,17 @@ class StageError(Exception):
         self.stage = stage
 
 
+# the sections whose keys are the fields of a config class, each with the
+# field's type and default
+SECTION_CONFIGS = {"subword": SkipgramConfig, "nmt": Seq2SeqConfig}
+
+
+def _section_fields(section):
+    # SkipgramConfig.workers is no key: it accepts only 1 and goes once the
+    # benchmark's SGNS workload stops passing it (see CHANGES.md)
+    return [f for f in fields(SECTION_CONFIGS[section]) if f.name != "workers"]
+
+
 # key -> (type, default); None default means required when used
 CONFIG_KEYS = {
     "data.bible_src": (str, None),
@@ -48,25 +60,10 @@ CONFIG_KEYS = {
     "split.test": (float, 0.1),
     "split.seed": (int, 13),
     "vocab.min_count": (int, 1),
-    "subword.dim": (int, 300),
-    "subword.window": (int, 5),
-    "subword.negatives": (int, 5),
-    "subword.epochs": (int, 5),
-    "subword.lr": (float, 0.05),
-    "subword.subsample": (float, 1e-4),
-    "subword.min_count": (int, 1),
-    "subword.minn": (int, 3),
-    "subword.maxn": (int, 6),
-    "subword.buckets": (int, 100_000),
-    "subword.seed": (int, 1),
-    "nmt.enc_layers": (int, 2),
-    "nmt.dec_layers": (int, 2),
-    "nmt.hidden": (int, 128),
-    "nmt.emb_dim": (int, 300),
-    "nmt.dropout": (float, 0.3),
-    "nmt.max_decode_len": (int, 50),
-    "nmt.beam": (int, 5),
-    "nmt.seed": (int, 0),
+    **{f"{section}.{f.name}": (f.type, f.default)
+       for section in SECTION_CONFIGS for f in _section_fields(section)},
+    # the train and finetune keys differ from TrainConfig's fields in name
+    # (train.batch) or default (finetune.lr), and two sections share some
     "train.lr": (float, 1e-3),
     "train.batch": (int, 64),
     "train.clip": (float, 5.0),
@@ -117,22 +114,10 @@ def _split_spec(cfg):
                      cfg["split.seed"])
 
 
-def _subword_config(cfg):
-    return SkipgramConfig(
-        dim=cfg["subword.dim"], window=cfg["subword.window"],
-        negatives=cfg["subword.negatives"], epochs=cfg["subword.epochs"],
-        lr=cfg["subword.lr"], subsample=cfg["subword.subsample"],
-        min_count=cfg["subword.min_count"], minn=cfg["subword.minn"],
-        maxn=cfg["subword.maxn"], buckets=cfg["subword.buckets"],
-        seed=cfg["subword.seed"])
-
-
-def _nmt_config(cfg):
-    return Seq2SeqConfig(
-        enc_layers=cfg["nmt.enc_layers"], dec_layers=cfg["nmt.dec_layers"],
-        hidden=cfg["nmt.hidden"], emb_dim=cfg["nmt.emb_dim"],
-        dropout=cfg["nmt.dropout"], max_decode_len=cfg["nmt.max_decode_len"],
-        beam=cfg["nmt.beam"], seed=cfg["nmt.seed"])
+def _section_config(cfg, section):
+    """The config object of `section` ("subword" or "nmt") from its keys."""
+    return SECTION_CONFIGS[section](
+        **{f.name: cfg[f"{section}.{f.name}"] for f in _section_fields(section)})
 
 
 def _train_config(cfg, section="train"):
@@ -217,8 +202,8 @@ def run_pipeline(cfg, out_dir, strategies, deterministic=True, log=print):
         _require(cfg, "data.lexicon", "data.hr_embeddings")
     # every config is built here, so a bad value fails before any stage runs
     split_spec = _split_spec(cfg)
-    sg_cfg = _subword_config(cfg)
-    nmt_cfg = _nmt_config(cfg)
+    sg_cfg = _section_config(cfg, "subword")
+    nmt_cfg = _section_config(cfg, "nmt")
     hypers = {section: _train_config(cfg, section) for section in ("train", "finetune")}
     if cfg["vocab.min_count"] < 1:
         raise ValidationError(
@@ -366,7 +351,7 @@ def _cmd_train_subword(args):
     sents = []
     for path in args.text:
         sents.extend(line.split() for line in read_lines(path) if line)
-    _, reports = stage_train_subword(sents, _subword_config(cfg), args.out)
+    _, reports = stage_train_subword(sents, _section_config(cfg, "subword"), args.out)
     for r in reports:
         print(r)
 
@@ -422,7 +407,7 @@ def _train_one(args, cfg, nmt_cfg, params, src_vocab, tgt_vocab, section):
 
 def _cmd_train_mt(args):
     cfg = load_config(args.config)
-    nmt_cfg = _nmt_config(cfg)
+    nmt_cfg = _section_config(cfg, "nmt")
     src_vocab = Vocabulary.load(args.src_vocab)
     tgt_vocab = Vocabulary.load(args.tgt_vocab)
     init = read_embeddings(args.init)

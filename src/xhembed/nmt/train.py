@@ -32,6 +32,9 @@ class TrainConfig:
         if self.batch_size < 1 or not 0 <= self.lr < math.inf or not self.clip > 0:
             raise ValueError(f"batch_size >= 1, finite lr >= 0 and clip > 0 required, "
                              f"got {self.batch_size}, {self.lr} and {self.clip}")
+        if self.patience < 1 or self.epochs < 0:
+            raise ValueError(f"patience >= 1 and epochs >= 0 required, got patience "
+                             f"{self.patience} and epochs {self.epochs}")
 
 
 @dataclass

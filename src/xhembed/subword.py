@@ -68,6 +68,9 @@ class SkipgramConfig:
             raise ValueError(f"lr must be finite and > 0, got {self.lr}")
         if math.isnan(self.subsample):
             raise ValueError("subsample must be a number, got nan")
+        if not 1 <= self.minn <= self.maxn:
+            raise ValueError(f"1 <= minn <= maxn required, got minn {self.minn} "
+                             f"and maxn {self.maxn}")
         for name in ("buckets", "min_count", "epochs"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")

@@ -1,5 +1,8 @@
 """Cross-space mapping: preprocessing, orthogonal Procrustes fit, CSLS
-dictionary induction, and a self-learning refinement loop."""
+dictionary induction, and a self-learning refinement loop.  Each fit's
+objective, the mean dictionary cosine in the common space, is read off the
+Procrustes SVD; a MappingModel is the complete fitted map, preprocessing
+records included."""
 
 import warnings
 from dataclasses import dataclass
@@ -37,24 +40,29 @@ def preprocess(matrix):
 
 @dataclass
 class MappingModel:
-    """Pair of orthogonal matrices taking two spaces into a common space;
-    map_x and map_z take a vector or the rows of a matrix."""
+    """Pair of orthogonal matrices taking two preprocessed spaces into a
+    common space, with each space's preprocessing record and the fit's
+    objective; map_x and map_z take a raw vector or the rows of a matrix."""
     w_x: np.ndarray
     w_z: np.ndarray
-    pre_x: PreprocessRecord | None = None
-    pre_z: PreprocessRecord | None = None
-    objective: float = float("nan")
+    pre_x: PreprocessRecord
+    pre_z: PreprocessRecord
+    objective: float
 
     def map_x(self, rows):
-        return (self.pre_x.apply(rows) if self.pre_x else np.asarray(rows)) @ self.w_x
+        return self.pre_x.apply(rows) @ self.w_x
 
     def map_z(self, rows):
-        return (self.pre_z.apply(rows) if self.pre_z else np.asarray(rows)) @ self.w_z
+        return self.pre_z.apply(rows) @ self.w_z
 
 
 def fit_orthogonal_mapping(x, z, pairs):
     """Procrustes-optimal orthogonal pair: SVD of X_D^T Z_D = U S V^T gives
-    W_x = U, W_z = V; common-space embeddings are X W_x and Z W_z."""
+    W_x = U, W_z = V; common-space embeddings are X W_x and Z W_z.  Returns
+    (W_x, W_z, sum(S) / |D|).  When every row of x and z is unit-length or
+    zero, as `preprocess` leaves them, that value is the mean cosine of the
+    dictionary pairs in the common space: the pairs' dot products there sum
+    to tr(U^T X_D^T Z_D V) = tr(S), and orthogonal W_x, W_z keep row norms."""
     if not len(pairs):
         raise ValueError("empty dictionary")
     xi = np.array([p[0] for p in pairs])
@@ -63,16 +71,7 @@ def fit_orthogonal_mapping(x, z, pairs):
     u, s, vt = np.linalg.svd(m)
     if s.size and s[-1] < 1e-12 * max(s[0], 1.0):
         warnings.warn("rank-deficient cross-covariance in orthogonal fit")
-    return MappingModel(u, vt.T)
-
-
-def dictionary_objective(x, z, pairs, model):
-    """Mean cosine over dictionary pairs in the common space."""
-    xi = np.array([p[0] for p in pairs])
-    zi = np.array([p[1] for p in pairs])
-    xm = normalize_rows(x[xi] @ model.w_x)
-    zm = normalize_rows(z[zi] @ model.w_z)
-    return float(np.sum(xm * zm, axis=1).mean())
+    return u, vt.T, float(s.sum() / len(pairs))
 
 
 def csls(x_mapped, z_mapped, k):
@@ -103,18 +102,15 @@ def induce_dictionary(x_mapped, z_mapped, k):
 
 
 def self_learning_loop(x, z, seed_dict):
-    """Alternate Procrustes fit and CSLS induction; return the model with the
-    best mean-cosine dictionary objective seen."""
-    model = fit_orthogonal_mapping(x, z, seed_dict)
-    model.objective = dictionary_objective(x, z, seed_dict, model)
-    best = model
+    """Alternate Procrustes fit and CSLS induction over the preprocessed
+    x and z; return the fit (W_x, W_z, objective) with the best objective seen."""
+    fit = best = fit_orthogonal_mapping(x, z, seed_dict)
     stall = 0
     for _ in range(MAX_ITERS):
-        pairs = induce_dictionary(x @ model.w_x, z @ model.w_z, CSLS_K)
-        model = fit_orthogonal_mapping(x, z, pairs)
-        model.objective = dictionary_objective(x, z, pairs, model)
-        if model.objective > best.objective + 1e-9:
-            best = model
+        w_x, w_z, _ = fit
+        fit = fit_orthogonal_mapping(x, z, induce_dictionary(x @ w_x, z @ w_z, CSLS_K))
+        if fit[2] > best[2] + 1e-9:
+            best = fit
             stall = 0
         else:
             stall += 1
@@ -124,22 +120,21 @@ def self_learning_loop(x, z, seed_dict):
 
 
 def save_mapping(model, path):
-    arrays = {"w_x": model.w_x, "w_z": model.w_z}
-    for name, rec in (("pre_x", model.pre_x), ("pre_z", model.pre_z)):
-        if rec is not None:
-            arrays[name] = rec.column_means
+    arrays = {"w_x": model.w_x, "w_z": model.w_z,
+              "pre_x": model.pre_x.column_means, "pre_z": model.pre_z.column_means}
     header = {"dim": model.w_x.shape[0], "objective": model.objective}
     artifact.save(path, "mapping", header, arrays)
 
 
 def load_mapping(path):
+    """The mapping at `path`; an artifact missing any of its four arrays is
+    an ArtifactError naming the file."""
     def decode(header, arrays):
-        d = header["dim"]
-        pre = [PreprocessRecord(artifact.require_shape(arrays, name, (d,)))
-               if name in arrays else None for name in ("pre_x", "pre_z")]
-        return MappingModel(artifact.require_shape(arrays, "w_x", (d, d)),
-                            artifact.require_shape(arrays, "w_z", (d, d)),
-                            *pre, float(header["objective"]))
+        d, objective = header["dim"], float(header["objective"])
+        w_x, w_z = (artifact.require_shape(arrays, name, (d, d)) for name in ("w_x", "w_z"))
+        pre_x, pre_z = (PreprocessRecord(artifact.require_shape(arrays, name, (d,)))
+                        for name in ("pre_x", "pre_z"))
+        return MappingModel(w_x, w_z, pre_x, pre_z, objective)
     return artifact.load(path, "mapping", decode)
 
 
@@ -155,6 +150,5 @@ def fit_mapping(e_v, e_m):
     x, pre_x = preprocess(e_v.rows)
     z, pre_z = preprocess(e_m.rows)
     seed = [(e_v.index[t], e_m.index[t]) for t in shared]
-    model = self_learning_loop(x, z, seed)
-    model.pre_x, model.pre_z = pre_x, pre_z
-    return model
+    w_x, w_z, objective = self_learning_loop(x, z, seed)
+    return MappingModel(w_x, w_z, pre_x, pre_z, objective)

@@ -4,10 +4,18 @@ import pytest
 from xhembed.corpus import Vocabulary
 from xhembed.embedstore import EmbeddingMatrix
 from xhembed.nmt import Seq2SeqConfig, build_model
+from xhembed.xmap import MappingModel, PreprocessRecord
 
 
 def vocab_of(words):
     return Vocabulary({w: 5 for w in words})
+
+
+def fixed_mapping(w_x, w_z):
+    """A MappingModel over w_x and w_z whose preprocessing records have zero
+    column means, so both sides only unit-normalize rows before mapping."""
+    zero = PreprocessRecord(np.zeros(len(w_x)))
+    return MappingModel(w_x, w_z, zero, zero, 1.0)
 
 
 def tiny_model(n_src=16, n_tgt=16, emb=8, hidden=8, seed=1, init_scale=0.5,

@@ -86,10 +86,10 @@ def test_criterion_3_procrustes_rotation_recovery():
     x, _ = preprocess(rng.normal(size=(50, 20)))
     r = np.linalg.qr(rng.normal(size=(20, 20)))[0]
     z = x @ r
-    model = fit_orthogonal_mapping(x, z, [(i, i) for i in range(50)])
-    common_gap = float(np.max(np.abs(x @ model.w_x - z @ model.w_z)))
-    orth_x = float(np.max(np.abs(model.w_x.T @ model.w_x - np.eye(20))))
-    orth_z = float(np.max(np.abs(model.w_z.T @ model.w_z - np.eye(20))))
+    w_x, w_z, _ = fit_orthogonal_mapping(x, z, [(i, i) for i in range(50)])
+    common_gap = float(np.max(np.abs(x @ w_x - z @ w_z)))
+    orth_x = float(np.max(np.abs(w_x.T @ w_x - np.eye(20))))
+    orth_z = float(np.max(np.abs(w_z.T @ w_z - np.eye(20))))
     elapsed = time.monotonic() - t0
     ok = common_gap <= 1e-5 and orth_x <= 1e-6 and orth_z <= 1e-6 and elapsed < 1
     report(3, "Procrustes recovers a planted 50x20 rotation", ok,
@@ -106,8 +106,8 @@ def test_criterion_4_self_learning_recovery():
     seed = [(i, i) for i in range(100)]
     for i in range(0, 100, 2):  # corrupt 50% of the seed
         seed[i] = (i, (i + 13) % 100)
-    model = self_learning_loop(x, z, seed)
-    pairs = induce_dictionary(x @ model.w_x, z @ model.w_z, CSLS_K)
+    w_x, w_z, _ = self_learning_loop(x, z, seed)
+    pairs = induce_dictionary(x @ w_x, z @ w_z, CSLS_K)
     recovered = sum(1 for i, j in pairs if i == j) / 100
     elapsed = time.monotonic() - t0
     ok = recovered >= 0.95 and elapsed < 30

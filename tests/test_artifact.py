@@ -4,7 +4,7 @@ import pytest
 from xhembed import artifact
 from xhembed.artifact import ArtifactError
 from xhembed.nmt.checkpoint import load_checkpoint, save_checkpoint
-from xhembed.xmap import MappingModel, load_mapping, save_mapping
+from xhembed.xmap import MappingModel, PreprocessRecord, load_mapping, save_mapping
 
 from conftest import tiny_model
 
@@ -12,7 +12,8 @@ from conftest import tiny_model
 def small_mapping(d=3):
     rng = np.random.default_rng(0)
     return MappingModel(rng.normal(size=(d, d)), rng.normal(size=(d, d)),
-                        objective=0.5)
+                        PreprocessRecord(rng.normal(size=d)),
+                        PreprocessRecord(rng.normal(size=d)), 0.5)
 
 
 class TestWrite:

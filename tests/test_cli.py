@@ -3,15 +3,16 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from xhembed import artifact
 from xhembed.cli import (CONFIG_KEYS, ValidationError, load_config, main,
                          run_pipeline)
 from xhembed.combine import InitStrategy
 from xhembed.embedstore import EmbeddingMatrix, read_embeddings, write_embeddings
 from xhembed.nmt import load_checkpoint, save_checkpoint
 from xhembed.subword import SkipgramConfig, SubwordModel
-from xhembed.xmap import MappingModel, save_mapping
+from xhembed.xmap import save_mapping
 
-from conftest import tiny_model, vocab_of
+from conftest import fixed_mapping, tiny_model, vocab_of
 
 
 def write_cfg(tmp_path, text, name="run.cfg"):
@@ -309,7 +310,7 @@ class TestMalformedInput:
                      np.zeros((10 + len(vocab), 16)),
                      np.zeros((len(vocab), 16))).save(tmp_path / "sw.model")
         write_embeddings(EmbeddingMatrix(["toza"], np.ones((1, 16))), tmp_path / "ev.npz")
-        save_mapping(MappingModel(np.eye(8), np.eye(8)), tmp_path / "mapping.npz")
+        save_mapping(fixed_mapping(np.eye(8), np.eye(8)), tmp_path / "mapping.npz")
         capsys.readouterr()
         assert cli("init-emb", "--strategy", "VecMap", "--vocab", tmp_path / "vocab.src",
                    "--ev", tmp_path / "ev.npz", "--subword-model", tmp_path / "sw.model",
@@ -320,6 +321,19 @@ class TestMalformedInput:
                      "E_M dim 16"):
             assert part in err
         assert "Traceback" not in err
+        assert not (tmp_path / "init.npz").exists()
+
+    def test_init_emb_mapping_without_preprocessing(self, tmp_path, capsys):
+        """A mapping artifact lacking pre_z is rejected, not applied to raw rows."""
+        vocab_of(["toza"]).save(tmp_path / "vocab.src")
+        path = tmp_path / "mapping.npz"
+        artifact.save(path, "mapping", {"dim": 2, "objective": 1.0},
+                      {"w_x": np.eye(2), "w_z": np.eye(2), "pre_x": np.zeros(2)})
+        assert_fails_naming(["init-emb", "--strategy", "VecMap",
+                             "--vocab", tmp_path / "vocab.src", "--mapping", path,
+                             "--out", tmp_path / "init.npz"],
+                            f"{path}: not a readable mapping: missing key 'pre_z'",
+                            capsys)
         assert not (tmp_path / "init.npz").exists()
 
     def train_mt_on_init(self, tmp_path, capsys, words, dim):
@@ -491,7 +505,10 @@ class TestPipeline:
         ("vocab.min_count=0", "vocab.min_count"), ("nmt.hidden=0", "hidden"),
         ("nmt.emb_dim=6", "emb_dim"), ("subword.epochs=0", "epochs"),
         ("subword.lr=nan", "lr"), ("subword.lr=inf", "lr"),
-        ("subword.subsample=nan", "subsample"), ("train.lr=nan", "lr")])
+        ("subword.subsample=nan", "subsample"), ("train.lr=nan", "lr"),
+        ("train.patience=0", "patience"), ("finetune.patience=-1", "patience"),
+        ("train.epochs=-1", "epochs"), ("subword.minn=0", "minn"),
+        ("subword.maxn=2", "maxn")])
     def test_bad_config_value_fails_before_any_stage(self, tmp_path, capsys, line,
                                                      named):
         cfg_path = write_cfg(tmp_path, micro_dataset(tmp_path) + line + "\n")

@@ -7,9 +7,9 @@ from xhembed.combine import (STRATEGY_ORDER, InitStrategy,
 from xhembed.corpus import PAD, SPECIALS
 from xhembed.embedstore import EmbeddingMatrix
 from xhembed.subword import SkipgramConfig, train_skipgram
-from xhembed.xmap import MappingModel, fit_mapping
+from xhembed.xmap import fit_mapping
 
-from conftest import vocab_of
+from conftest import fixed_mapping, vocab_of
 
 
 class FakeSubword:
@@ -117,7 +117,7 @@ class TestBuild:
 
     def test_vecmap_applies_mapping(self):
         q = np.linalg.qr(np.random.default_rng(3).normal(size=(4, 4)))[0]
-        mapping = MappingModel(q, np.eye(4))
+        mapping = fixed_mapping(q, np.eye(4))
         init = build_initial_embeddings(InitStrategy.VECMAP, self.vocab,
                                         e_v=self.ev, subword_model=self.sub,
                                         mapping=mapping)

@@ -8,7 +8,9 @@ from xhembed.embedstore import (EmbeddingFormatError, EmbeddingMatrix,
                                 nearest_neighbors, normalize_rows, read_dim,
                                 read_embeddings, unit_normalize,
                                 write_embeddings)
-from xhembed.xmap import MappingModel, csls, save_mapping
+from xhembed.xmap import csls, save_mapping
+
+from conftest import fixed_mapping
 
 
 class TestIO:
@@ -66,7 +68,7 @@ class TestIO:
 
     def test_other_artifact_kind_rejected(self, tmp_path):
         p = tmp_path / "mapping.npz"
-        save_mapping(MappingModel(np.eye(2), np.eye(2)), p)
+        save_mapping(fixed_mapping(np.eye(2), np.eye(2)), p)
         with pytest.raises(ArtifactError, match="embedding matrix"):
             read_embeddings(p)
 

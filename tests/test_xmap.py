@@ -1,11 +1,16 @@
+from contextlib import nullcontext
+
 import numpy as np
 import pytest
 
+from xhembed import artifact
+from xhembed.artifact import ArtifactError
 from xhembed.embedstore import EmbeddingMatrix, normalize_rows
-from xhembed.xmap import (CSLS_K, dictionary_objective, fit_mapping,
-                          fit_orthogonal_mapping, induce_dictionary,
-                          load_mapping, preprocess, save_mapping,
-                          self_learning_loop)
+from xhembed.xmap import (CSLS_K, fit_mapping, fit_orthogonal_mapping,
+                          induce_dictionary, load_mapping, preprocess,
+                          save_mapping, self_learning_loop)
+
+from objective import dictionary_objective
 
 
 def random_orthogonal(d, seed):
@@ -73,29 +78,46 @@ class TestProcrustes:
         rng = np.random.default_rng(6)
         x = rng.normal(size=(20, 4))
         z = rng.normal(size=(20, 4))
-        m = fit_orthogonal_mapping(x, z, [(i, i) for i in range(20)])
-        assert np.allclose(m.w_x.T @ m.w_x, np.eye(4), atol=1e-10)
-        assert np.allclose(m.w_z.T @ m.w_z, np.eye(4), atol=1e-10)
+        w_x, w_z, _ = fit_orthogonal_mapping(x, z, [(i, i) for i in range(20)])
+        assert np.allclose(w_x.T @ w_x, np.eye(4), atol=1e-10)
+        assert np.allclose(w_z.T @ w_z, np.eye(4), atol=1e-10)
 
     def test_recovers_rotation(self):
         x, _ = preprocess(np.random.default_rng(7).normal(size=(30, 6)))
         q = random_orthogonal(6, 8)
         z = x @ q
         pairs = [(i, i) for i in range(30)]
-        m = fit_orthogonal_mapping(x, z, pairs)
-        assert np.allclose(m.w_x @ m.w_z.T, q, atol=1e-10)
-        assert dictionary_objective(x, z, pairs, m) == pytest.approx(1.0, abs=1e-10)
+        w_x, w_z, _ = fit_orthogonal_mapping(x, z, pairs)
+        assert np.allclose(w_x @ w_z.T, q, atol=1e-10)
+        assert dictionary_objective(x, z, pairs, w_x, w_z) == pytest.approx(1.0, abs=1e-10)
 
     def test_optimal_among_random_orthogonal(self):
         rng = np.random.default_rng(9)
         x, _ = preprocess(rng.normal(size=(25, 4)))
         z, _ = preprocess(rng.normal(size=(25, 4)))
         pairs = [(i, i) for i in range(25)]
-        best = fit_orthogonal_mapping(x, z, pairs)
-        obj = dictionary_objective(x, z, pairs, best)
+        w_x, w_z, _ = fit_orthogonal_mapping(x, z, pairs)
+        obj = dictionary_objective(x, z, pairs, w_x, w_z)
         for s in range(20):
-            cand = type(best)(random_orthogonal(4, 100 + s), np.eye(4))
-            assert dictionary_objective(x, z, pairs, cand) <= obj + 1e-9
+            cand = (random_orthogonal(4, 100 + s), np.eye(4))
+            assert dictionary_objective(x, z, pairs, *cand) <= obj + 1e-9
+
+    @pytest.mark.parametrize("case", ["full_rank", "zero_rows", "rank_deficient"])
+    def test_objective_is_mean_cosine(self, case):
+        """sum(S) / |D| equals the mean common-space cosine of the pairs on
+        rows that are unit-length or zero."""
+        rng = np.random.default_rng(20)
+        x, _ = preprocess(rng.normal(size=(40, 6)))
+        z, _ = preprocess(rng.normal(size=(40, 6)))
+        pairs = [(i, int(j)) for i, j in enumerate(rng.permutation(40))]
+        if case == "zero_rows":
+            x[3] = 0.0
+            z[pairs[5][1]] = 0.0
+        if case == "rank_deficient":
+            pairs = pairs[:3]  # X_D^T Z_D has rank 3 < 6
+        with pytest.warns(UserWarning) if case == "rank_deficient" else nullcontext():
+            w_x, w_z, objective = fit_orthogonal_mapping(x, z, pairs)
+        assert abs(objective - dictionary_objective(x, z, pairs, w_x, w_z)) <= 1e-12
 
     def test_empty_dictionary(self):
         with pytest.raises(ValueError):
@@ -145,8 +167,8 @@ class TestSelfLearning:
         seed = [(i, i) for i in range(50)]
         for i in range(0, 50, 2):  # corrupt half of the seed pairs
             seed[i] = (seed[i][0], (seed[i][1] + 7) % 100)
-        model = self_learning_loop(x, z, seed)
-        pairs = induce_dictionary(x @ model.w_x, z @ model.w_z, CSLS_K)
+        w_x, w_z, _ = self_learning_loop(x, z, seed)
+        pairs = induce_dictionary(x @ w_x, z @ w_z, CSLS_K)
         correct = sum(1 for i, j in pairs if i == j)
         assert correct / 100 >= 0.95
 
@@ -155,10 +177,10 @@ class TestSelfLearning:
         x, _ = preprocess(rng.normal(size=(40, 8)))
         z, _ = preprocess(rng.normal(size=(40, 8)))
         seed = [(i, i) for i in range(20)]
-        base = fit_orthogonal_mapping(x, z, seed)
-        base_obj = dictionary_objective(x, z, seed, base)
-        model = self_learning_loop(x, z, seed)
-        assert model.objective >= base_obj - 1e-9
+        base_w_x, base_w_z, _ = fit_orthogonal_mapping(x, z, seed)
+        base_obj = dictionary_objective(x, z, seed, base_w_x, base_w_z)
+        _, _, objective = self_learning_loop(x, z, seed)
+        assert objective >= base_obj - 1e-9
 
 
 class TestSaveLoad:
@@ -178,6 +200,19 @@ class TestSaveLoad:
         # mapped vectors are compared to the last few ulps, not bit-exactly
         assert np.allclose(loaded.map_x(v), model.map_x(v), atol=1e-14)
         assert np.allclose(loaded.map_z(v), model.map_z(v), atol=1e-14)
+
+
+    def test_missing_preprocessing_named(self, tmp_path):
+        rng = np.random.default_rng(19)
+        ev = EmbeddingMatrix([f"x{i}" for i in range(12)], rng.normal(size=(12, 4)))
+        model = fit_mapping(ev, ev)
+        path = tmp_path / "map.npz"
+        artifact.save(path, "mapping", {"dim": 4, "objective": model.objective},
+                      {"w_x": model.w_x, "w_z": model.w_z,
+                       "pre_x": model.pre_x.column_means})
+        with pytest.raises(ArtifactError) as info:
+            load_mapping(path)
+        assert str(info.value) == f"{path}: not a readable mapping: missing key 'pre_z'"
 
 
 class TestFitMapping:
