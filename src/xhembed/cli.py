@@ -18,6 +18,7 @@ from .lexproject import build_projected_matrix, read_lexicon
 from .nmt import (Seq2SeqConfig, TrainConfig, build_model, load_checkpoint,
                   save_checkpoint, train_models, translate)
 from .nmt.data import encode_pairs
+from .nmt.train import FieldError
 from .subword import SkipgramConfig, SubwordModel, train_skipgram
 from .toydata import toy_config_text, write_toy_dataset
 from .xmap import fit_mapping, load_mapping, save_mapping
@@ -121,10 +122,15 @@ def _section_config(cfg, section):
 
 
 def _train_config(cfg, section="train"):
-    return TrainConfig(
-        lr=cfg[f"{section}.lr"], batch_size=cfg["train.batch"],
-        clip=cfg["train.clip"], epochs=cfg[f"{section}.epochs"],
-        patience=cfg[f"{section}.patience"], seed=cfg["train.seed"])
+    """The TrainConfig of `section` ("train" or "finetune"); a value out of
+    range is a ValidationError naming the config key that set it."""
+    keys = {"lr": f"{section}.lr", "batch_size": "train.batch", "clip": "train.clip",
+            "epochs": f"{section}.epochs", "patience": f"{section}.patience",
+            "seed": "train.seed"}
+    try:
+        return TrainConfig(**{name: cfg[key] for name, key in keys.items()})
+    except FieldError as e:
+        raise ValidationError(f"{keys[e.field]} {e.problem}") from e
 
 
 def _read_train_dev(args):

@@ -58,20 +58,21 @@ class ParallelCorpus:
         return [p[i] for p in self.pairs]
 
 
+def iter_lines(path):
+    """The lines of a UTF-8 text file, split on newlines only and read one at
+    a time; a byte that does not decode raises CorpusError naming the file
+    and line when that line is reached."""
+    with open(path, "rb") as f:
+        for i, line in enumerate(f, start=1):
+            try:
+                yield line.removesuffix(b"\n").decode("utf-8")
+            except UnicodeDecodeError as e:
+                raise CorpusError(f"{path}: undecodable bytes at line {i}: {e}") from e
+
+
 def read_lines(path):
-    """The lines of a UTF-8 text file, split on newlines only; a byte that
-    does not decode raises CorpusError naming the file and line."""
-    raw = Path(path).read_bytes()
-    lines = raw.split(b"\n")
-    if lines and lines[-1] == b"":
-        lines.pop()
-    out = []
-    for i, line in enumerate(lines, start=1):
-        try:
-            out.append(line.decode("utf-8"))
-        except UnicodeDecodeError as e:
-            raise CorpusError(f"{path}: undecodable bytes at line {i}: {e}") from e
-    return out
+    """The list of `iter_lines(path)`."""
+    return list(iter_lines(path))
 
 
 def write_lines(path, lines):

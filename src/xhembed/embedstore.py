@@ -1,10 +1,17 @@
 """Embedding matrix type, its I/O (artifacts written by the pipeline,
 word2vec-style text read from outside), normalization and cosine retrieval."""
 
+import itertools
+import os
+
 import numpy as np
 
 from . import artifact
-from .corpus import read_lines
+from .corpus import CorpusError, iter_lines
+
+# kept rows of a text file whose values are parsed in one np.loadtxt call
+# (about 2.5 MB of text and of floats at dim 300)
+_PARSE_ROWS = 1024
 
 KIND = "embedding matrix"
 
@@ -62,10 +69,10 @@ def read_dim(path):
     if first.startswith(artifact.SIGNATURE):
         return artifact.read_header(path, KIND)["dim"]
     line = first.decode("utf-8", errors="replace")  # the full read names bad bytes
-    dim = _header_dim(line)
-    if dim is None and line.strip():
-        dim = _split_row(line)[2]
-    return dim
+    head = _header(line)
+    if head is None:
+        return _split_row(line)[2] if line.strip() else None
+    return head[1]
 
 
 def _read_artifact(path):
@@ -76,13 +83,12 @@ def _read_artifact(path):
     return artifact.load(path, KIND, decode)
 
 
-def _header_dim(line):
-    """D of an "N D" header line; None when `line` is not one."""
+def _header(line):
+    """(N, D) of an "N D" header line; None when `line` is not one."""
     head = line.split()
     if len(head) == 2:
         try:
-            _, dim = int(head[0]), int(head[1])
-            return dim
+            return int(head[0]), int(head[1])
         except ValueError:
             pass
     return None
@@ -95,34 +101,62 @@ def _split_row(line):
 
 
 def _read_text(path):
-    """Header ("N D" first line) or headerless text embeddings.  Duplicate
-    tokens keep the first occurrence; the count of dropped duplicates is
-    returned on the matrix as .duplicates_dropped.  A dropped duplicate's
-    values are counted but never parsed."""
-    lines = read_lines(path)
-    dim = _header_dim(lines[0]) if lines else None
-    start = 0 if dim is None else 1
+    """Header ("N D" first line) or headerless text embeddings, parsed as
+    the file is read: the value texts of each _PARSE_ROWS kept rows go to one
+    np.loadtxt call, and the parsed rows fill an array sized by a header's N
+    and doubled when more rows come.  Duplicate tokens keep the first
+    occurrence; the count of dropped duplicates is returned on the matrix as
+    .duplicates_dropped.  A dropped duplicate's values are counted but never
+    parsed.  Of several faults in a file, the earliest line's is reported."""
+    lines = enumerate(iter_lines(path), start=1)
+    first = next(lines, None)
+    head = _header(first[1]) if first else None
+    if head is None and first:
+        lines = itertools.chain([first], lines)
+    n, dim = head or (0, None)
+    # a row of D values takes at least 2 D + 1 bytes, which bounds a header's N
+    n = max(0, min(n, os.path.getsize(path) // (2 * (dim or 0) + 1)))
+    rows = None  # allocated at the first parse, when dim is known
     tokens, fields, line_nos = [], [], []
     seen = set()
     dups = 0
-    for ln, line in enumerate(lines[start:], start=start + 1):
-        if not line.strip():
-            continue
-        tok, rest, n = _split_row(line)
-        if dim is None:
-            dim = n
-        if n != dim:
-            # a bad value on an earlier line is met first, so it is reported first
-            _parse_values(path, fields, line_nos, dim)
-            raise EmbeddingFormatError(f"{path}:{ln}: expected {dim} values, got {n}")
-        if tok in seen:
-            dups += 1
-            continue
-        seen.add(tok)
-        tokens.append(tok)
-        fields.append(rest)
-        line_nos.append(ln)
-    m = EmbeddingMatrix(tokens, _parse_values(path, fields, line_nos, dim or 0))
+
+    def parse_pending():
+        nonlocal rows
+        if rows is None:
+            rows = np.empty((n, dim or 0))
+        if len(tokens) > len(rows):  # rows has no views, so it can be resized in place
+            rows.resize((max(len(tokens), 2 * len(rows)), rows.shape[1]), refcheck=False)
+        rows[len(tokens) - len(fields):len(tokens)] = _parse_values(
+            path, fields, line_nos, rows.shape[1])
+        fields.clear()
+        line_nos.clear()
+
+    try:
+        for ln, line in lines:
+            if not line.strip():
+                continue
+            tok, rest, count = _split_row(line)
+            if dim is None:
+                dim = count
+            if count != dim:
+                parse_pending()  # a bad value on an earlier line is reported first
+                raise EmbeddingFormatError(f"{path}:{ln}: expected {dim} values, got {count}")
+            if tok in seen:
+                dups += 1
+                continue
+            seen.add(tok)
+            tokens.append(tok)
+            fields.append(rest)
+            line_nos.append(ln)
+            if len(fields) == _PARSE_ROWS:
+                parse_pending()
+    except CorpusError:
+        parse_pending()  # so is one before an undecodable line
+        raise
+    parse_pending()
+    rows.resize((len(tokens), rows.shape[1]), refcheck=False)
+    m = EmbeddingMatrix(tokens, rows)
     m.duplicates_dropped = dups
     return m
 

@@ -29,12 +29,22 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.batch_size < 1 or not 0 <= self.lr < math.inf or not self.clip > 0:
-            raise ValueError(f"batch_size >= 1, finite lr >= 0 and clip > 0 required, "
-                             f"got {self.batch_size}, {self.lr} and {self.clip}")
-        if self.patience < 1 or self.epochs < 0:
-            raise ValueError(f"patience >= 1 and epochs >= 0 required, got patience "
-                             f"{self.patience} and epochs {self.epochs}")
+        for name, ok, need in (("lr", 0 <= self.lr < math.inf, "finite and >= 0"),
+                               ("batch_size", self.batch_size >= 1, ">= 1"),
+                               ("clip", self.clip > 0, "> 0"),
+                               ("epochs", self.epochs >= 0, ">= 0"),
+                               ("patience", self.patience >= 1, ">= 1")):
+            if not ok:
+                raise FieldError(name, f"must be {need}, got {getattr(self, name)}")
+
+
+class FieldError(ValueError):
+    """A TrainConfig value out of range: `field` names the field and
+    `problem` says what is wrong, so a caller can name the value's source."""
+
+    def __init__(self, field, problem):
+        super().__init__(f"{field} {problem}")
+        self.field, self.problem = field, problem
 
 
 @dataclass

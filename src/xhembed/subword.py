@@ -295,7 +295,10 @@ class _Trainer:
             self.keep_prob[first:] = np.minimum(1.0, np.sqrt(t / rel) + t / rel)
         rng = np.random.default_rng(config.seed)
         n_in = config.buckets + len(self.vocab)
-        self.input_vectors = (rng.random((n_in, config.dim)) - 0.5) / config.dim
+        # uniform in [-0.5, 0.5) / dim, built in place: no full-size temporaries
+        self.input_vectors = rng.random((n_in, config.dim))
+        self.input_vectors -= 0.5
+        self.input_vectors /= config.dim
         self.output_vectors = np.zeros((len(self.vocab), config.dim))
         self.model = SubwordModel(self.vocab, config,
                                   self.input_vectors, self.output_vectors)

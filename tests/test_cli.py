@@ -498,7 +498,7 @@ class TestPipeline:
         assert not any(out.iterdir())
 
     @pytest.mark.parametrize("line, named", [
-        ("train.batch=0", "batch_size"), ("train.lr=-1", "lr"),
+        ("train.batch=0", "train.batch"), ("train.lr=-1", "lr"),
         ("nmt.dropout=1.0", "dropout"), ("nmt.enc_layers=0", "enc_layers"),
         ("split.train=nan", "ratios"), ("subword.dim=0", "dim"),
         ("subword.buckets=0", "buckets"), ("subword.min_count=0", "min_count"),
@@ -516,6 +516,9 @@ class TestPipeline:
         assert main(["run-all", "--config", str(cfg_path), "--out", str(out)]) == 1
         err = capsys.readouterr().err
         assert named in err and "Traceback" not in err
+        key = line.partition("=")[0]
+        if key.startswith(("train.", "finetune.")):  # the key, not the field it sets
+            assert f"error: {key} must be" in err and "batch_size" not in err
         assert not out.exists() or not any(out.iterdir())
 
 

@@ -2,15 +2,18 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from xhembed import embedstore
 from xhembed.artifact import ArtifactError
-from xhembed.corpus import read_lines
+from xhembed.corpus import CorpusError, read_lines
 from xhembed.embedstore import (EmbeddingFormatError, EmbeddingMatrix,
                                 nearest_neighbors, normalize_rows, read_dim,
                                 read_embeddings, unit_normalize,
                                 write_embeddings)
-from xhembed.xmap import csls, save_mapping
+from xhembed import xmap
+from xhembed.xmap import csls_blocks, save_mapping
 
 from conftest import fixed_mapping
+from memory import traced_peak
 
 
 class TestIO:
@@ -152,36 +155,40 @@ def assert_reads_like_reference(path):
     assert got.duplicates_dropped == want.duplicates_dropped
 
 
+# text files for the reader and its oracle, each read whole and in chunks
+READER_CASES = [
+    "3 2\na 1 2\nb 3 4\nc 5 6\n",                   # header
+    "a 1 2\nb 3 4\n",                                 # headerless
+    "a 1\nb 2\n",                                     # one value a row
+    "3 1.5\n4 2.5\n",                                 # a non-integer 2-field first row
+    "2 2\r\n\r\na 1 2\r\n   \r\nb 3 4\r\n",           # blank lines, CRLF
+    "\n\na 1 2\n\nb 3 4",                             # leading blanks, no final newline
+    "ümlaut 1 2\n日本語 3 4\nà\u00a0b -5 6\n",         # unicode tokens
+    "a 1e-3 -2.5E+02\nb +.5 5.\nc 1E5 -0\n",            # exponent forms
+    "a inf 1\n", "a 1 -Infinity\n", "a nan 0\n",       # non-finite values
+    "a 1e400 0\n",                                     # overflows to inf
+    "a 1 2\na 3 inf\nb 5 6\n",                         # a dropped inf
+    "a 1 2\na x y\nb 3 4\n",                           # a dropped non-numeric line
+    "a 1 2\na x y\na\t7 8\n",                          # a tab is part of the token
+    "a 1 2   \nb 3 4\t\n",                             # trailing whitespace
+    "a\nb\n", "2 0\na\nb\n",                          # zero values a row
+    "", "0 4\n", "\n\n",                                # nothing to read
+    # errors, by file line
+    "a 1 2\nb 3\n",                                    # wrong field count
+    "2 3\na 1 2 3\n\nb 1 2\n",                         # after a blank line
+    "a 1 2\na 5\nb 3 4\n",                             # a duplicate is counted too
+    "a 1 2\na 5 6\nb 3 x\n",                           # bad field after a duplicate
+    "2 2\n\na 1 2\na 1 2\n\nb 3 x\nc 1 2\n",             # ... with header and blanks
+    "a 1 x\nb 1\n",                                    # bad field before bad count
+    "a 1  2\n",                                        # an empty field
+    " 1 2\nb 3 4\n",                                   # an empty token
+]
+
+
 class TestTextReader:
     """The one-pass numpy reader against the per-line float() oracle."""
 
-    @pytest.mark.parametrize("text", [
-        "3 2\na 1 2\nb 3 4\nc 5 6\n",                   # header
-        "a 1 2\nb 3 4\n",                                 # headerless
-        "a 1\nb 2\n",                                     # one value a row
-        "3 1.5\n4 2.5\n",                                 # a non-integer 2-field first row
-        "2 2\r\n\r\na 1 2\r\n   \r\nb 3 4\r\n",           # blank lines, CRLF
-        "\n\na 1 2\n\nb 3 4",                             # leading blanks, no final newline
-        "ümlaut 1 2\n日本語 3 4\nà\u00a0b -5 6\n",         # unicode tokens
-        "a 1e-3 -2.5E+02\nb +.5 5.\nc 1E5 -0\n",            # exponent forms
-        "a inf 1\n", "a 1 -Infinity\n", "a nan 0\n",       # non-finite values
-        "a 1e400 0\n",                                     # overflows to inf
-        "a 1 2\na 3 inf\nb 5 6\n",                         # a dropped inf
-        "a 1 2\na x y\nb 3 4\n",                           # a dropped non-numeric line
-        "a 1 2\na x y\na\t7 8\n",                          # a tab is part of the token
-        "a 1 2   \nb 3 4\t\n",                             # trailing whitespace
-        "a\nb\n", "2 0\na\nb\n",                          # zero values a row
-        "", "0 4\n", "\n\n",                                # nothing to read
-        # errors, by file line
-        "a 1 2\nb 3\n",                                    # wrong field count
-        "2 3\na 1 2 3\n\nb 1 2\n",                         # after a blank line
-        "a 1 2\na 5\nb 3 4\n",                             # a duplicate is counted too
-        "a 1 2\na 5 6\nb 3 x\n",                           # bad field after a duplicate
-        "2 2\n\na 1 2\na 1 2\n\nb 3 x\nc 1 2\n",             # ... with header and blanks
-        "a 1 x\nb 1\n",                                    # bad field before bad count
-        "a 1  2\n",                                        # an empty field
-        " 1 2\nb 3 4\n",                                   # an empty token
-    ])
+    @pytest.mark.parametrize("text", READER_CASES)
     def test_matches_reference(self, tmp_path, text):
         p = tmp_path / "e.vec"
         p.write_bytes(text.encode("utf-8"))
@@ -219,6 +226,92 @@ class TestTextReader:
         assert len(reference_read_text(p)) == 2
         with pytest.raises(EmbeddingFormatError, match=":2: non-numeric"):
             read_embeddings(p)
+
+
+class TestChunkedReader:
+    """The reader parses 3 kept rows at a time here, so a few lines span
+    several np.loadtxt calls."""
+
+    @pytest.fixture(autouse=True)
+    def chunks_of_3(self, monkeypatch):
+        monkeypatch.setattr(embedstore, "_PARSE_ROWS", 3)
+
+    def read(self, tmp_path, text):
+        p = tmp_path / "e.vec"
+        p.write_bytes(text.encode("utf-8"))
+        assert_reads_like_reference(p)
+        return p
+
+    @pytest.mark.parametrize("text", READER_CASES)
+    def test_matches_reference(self, tmp_path, text):
+        self.read(tmp_path, text)
+
+    def test_bad_field_in_a_later_chunk(self, tmp_path):
+        rows = [f"w{i} {i} 1" for i in range(10)]
+        rows[7] = "w7 1 ?"
+        p = self.read(tmp_path, "\n".join(["10 2", *rows]) + "\n")
+        with pytest.raises(EmbeddingFormatError, match=":9: non-numeric"):
+            read_embeddings(p)
+
+    def test_bad_value_before_a_later_bad_count(self, tmp_path):
+        """Line 3's bad value is in the first chunk, line 9's missing value
+        in the third; the earlier line is reported."""
+        rows = [f"w{i} {i} 1" for i in range(10)]
+        rows[2], rows[8] = "w2 1 ?", "w8 1"
+        p = self.read(tmp_path, "\n".join(rows) + "\n")
+        with pytest.raises(EmbeddingFormatError, match=":3: non-numeric"):
+            read_embeddings(p)
+        rows[2] = "w2 1 2"
+        p = self.read(tmp_path, "\n".join(rows) + "\n")
+        with pytest.raises(EmbeddingFormatError, match=":9: expected 2 values, got 1"):
+            read_embeddings(p)
+
+    def test_bad_value_before_a_later_undecodable_line(self, tmp_path):
+        """Line 4's bad value waits in a chunk when line 5 fails to decode."""
+        p = tmp_path / "e.vec"
+        p.write_bytes(b"a 1 2\nb 1 2\nc 3 4\nd 5 x\n\xff 7 8\n")
+        with pytest.raises(EmbeddingFormatError, match=":4: non-numeric"):
+            read_embeddings(p)
+        p.write_bytes(b"a 1 2\nb 1 2\nc 3 4\nd 5 6\n\xff 7 8\n")
+        with pytest.raises(CorpusError, match="line 5"):
+            read_embeddings(p)
+
+    def test_duplicates_across_chunks(self, tmp_path):
+        text = "a 1 2\nb 3 4\nc 5 6\nb 0 0\nd 7 8\na 9 9\ne 1 1\nf 2 2\nc 3 3\n"
+        m = read_embeddings(self.read(tmp_path, text))
+        assert m.tokens == list("abcdef") and m.duplicates_dropped == 3
+        assert np.array_equal(m.rows[:3], [[1, 2], [3, 4], [5, 6]])
+
+    def test_headerless_with_blank_lines(self, tmp_path):
+        text = "\n".join(["", *(f"w{i} {i} {-i}" + "\n" * (i % 3) for i in range(8)), ""])
+        m = read_embeddings(self.read(tmp_path, text))
+        assert len(m) == 8 and np.array_equal(m.rows[:, 0], np.arange(8))
+
+    @pytest.mark.parametrize("n", [0, 1, 5, 7, 10 ** 12])
+    def test_header_row_count_need_not_hold(self, tmp_path, n):
+        """N presizes the rows; more rows or fewer than N still read."""
+        text = f"{n} 2\n" + "".join(f"w{i} {i} 1\n" for i in range(7))
+        assert len(read_embeddings(self.read(tmp_path, text))) == 7
+
+
+class TestReaderMemory:
+    def test_peak_is_the_matrix_and_one_chunk(self, tmp_path, monkeypatch):
+        """The traced peak of reading a 4.4 MB .vec into its 4.8 MB float64
+        matrix stays below 1.5 times the matrix plus one chunk, the text and
+        floats of 128 rows: the file's text is never held whole, and the
+        rows are never copied into a second matrix."""
+        monkeypatch.setattr(embedstore, "_PARSE_ROWS", 128)
+        n, dim = 2000, 300
+        rows = np.round(np.random.default_rng(5).normal(size=(n, dim)), 4)
+        p = tmp_path / "e.vec"
+        with open(p, "w") as f:
+            f.write(f"{n} {dim}\n")
+            for i, row in enumerate(rows):
+                f.write(f"w{i} " + " ".join(map(str, row)) + "\n")
+        matrix, peak = traced_peak(read_embeddings, p)
+        assert np.array_equal(matrix.rows, rows)
+        chunk = 128 / n * (p.stat().st_size + rows.nbytes)
+        assert peak < 1.5 * rows.nbytes + chunk
 
 
 class TestReadDim:
@@ -300,8 +393,15 @@ def brute_force_csls(x, y, x_space, y_space, k):
     return 2 * float(np.dot(x, y)) - mean_topk(x, y_space) - mean_topk(y, x_space)
 
 
+def csls(x, z, k):
+    """The score matrix that xmap.csls_blocks yields block by block."""
+    blocks = [(a, scores.copy()) for a, scores in csls_blocks(x, z, k)]
+    assert [a for a, _ in blocks] == list(range(0, len(x), xmap.CSLS_BLOCK))
+    return np.concatenate([scores for _, scores in blocks])
+
+
 class TestCsls:
-    """xmap.csls, the one CSLS implementation, against the oracle."""
+    """xmap.csls_blocks, the one CSLS implementation, against the oracle."""
 
     def test_single_candidate_zero(self):
         x = unit_normalize(np.array([1.0, 1.0]))
@@ -312,17 +412,25 @@ class TestCsls:
         space = normalize_rows(np.random.default_rng(1).normal(size=(4, 3)))
         assert np.allclose(np.diag(csls(space, space, 1)), 0.0, rtol=0, atol=1e-12)
 
-    def test_matches_brute_force(self):
+    def assert_matches_brute_force(self, n, m):
         rng = np.random.default_rng(2)
-        xs = normalize_rows(rng.normal(size=(3, 4)))
-        ys = normalize_rows(rng.normal(size=(3, 4)))
-        for k in (1, 2, 3):
+        xs = normalize_rows(rng.normal(size=(n, 4)))
+        ys = normalize_rows(rng.normal(size=(m, 4)))
+        for k in (1, 2, 3, 6):
             scores = csls(xs, ys, k)
-            assert scores.shape == (3, 3)
+            assert scores.shape == (n, m)
             for i, x in enumerate(xs):
                 for j, y in enumerate(ys):
                     assert scores[i, j] == pytest.approx(
                         brute_force_csls(x, y, xs, ys, k), abs=1e-9)
+
+    def test_matches_brute_force(self):
+        self.assert_matches_brute_force(3, 3)
+
+    def test_matches_brute_force_across_blocks(self, monkeypatch):
+        """Blocks of 2 rows: 5 rows of x in three blocks, 4 of z in two."""
+        monkeypatch.setattr(xmap, "CSLS_BLOCK", 2)
+        self.assert_matches_brute_force(5, 4)
 
     def test_empty_space_error(self):
         with pytest.raises(ValueError):

@@ -3,13 +3,16 @@ from contextlib import nullcontext
 import numpy as np
 import pytest
 
-from xhembed import artifact
+from xhembed import artifact, xmap
 from xhembed.artifact import ArtifactError
 from xhembed.embedstore import EmbeddingMatrix, normalize_rows
-from xhembed.xmap import (CSLS_K, fit_mapping, fit_orthogonal_mapping,
-                          induce_dictionary, load_mapping, preprocess,
-                          save_mapping, self_learning_loop)
+from xhembed.xmap import (CSLS_BLOCK, CSLS_K, fit_mapping,
+                          fit_orthogonal_mapping, induce_dictionary,
+                          load_mapping, preprocess, save_mapping,
+                          self_learning_loop)
 
+from full_csls import full_csls, full_induce_dictionary
+from memory import traced_peak
 from objective import dictionary_objective
 
 
@@ -156,6 +159,66 @@ class TestInduction:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             induce_dictionary(np.zeros((0, 3)), np.ones((2, 3)), CSLS_K)
+
+
+def tied_rows(n, rng, dim=8):
+    """n rows of four entries of +-1 and four zeros: unit rows of +-0.5 whose
+    cosines, multiples of 0.25, and CSLS scores are exact in any summation
+    order, so equal rows tie exactly wherever they fall in a block."""
+    rows = np.zeros((n, dim))
+    for row in rows:
+        row[rng.choice(dim, 4, replace=False)] = rng.choice([-1.0, 1.0], 4)
+    return rows
+
+
+def ties(scores, axis):
+    """How many rows (axis 1) or columns (axis 0) reach their maximum twice."""
+    return int(((scores == scores.max(axis=axis, keepdims=True)).sum(axis=axis) > 1).sum())
+
+
+class TestBlockedInduction:
+    """induce_dictionary, one block of x rows at a time, against the
+    full-matrix oracle."""
+
+    @pytest.mark.parametrize("n, m", [
+        (CSLS_BLOCK // 2 + 1, CSLS_BLOCK - 7), (CSLS_BLOCK, CSLS_BLOCK),
+        (CSLS_BLOCK + 1, 2 * CSLS_BLOCK + 9), (3 * CSLS_BLOCK - 5, CSLS_BLOCK + 3),
+        (2 * CSLS_BLOCK, 2 * CSLS_BLOCK - 1)])
+    def test_matches_oracle(self, n, m):
+        rng = np.random.default_rng(n * m)
+        x, z = rng.normal(size=(n, 6)), rng.normal(size=(m, 6))
+        assert induce_dictionary(x, z, CSLS_K) == full_induce_dictionary(x, z, CSLS_K)
+
+    @pytest.mark.parametrize("block", [1, 2, 3, CSLS_BLOCK])
+    def test_k_larger_than_either_side(self, monkeypatch, block):
+        monkeypatch.setattr(xmap, "CSLS_BLOCK", block)
+        rng = np.random.default_rng(block)
+        x, z = rng.normal(size=(5, 4)), rng.normal(size=(7, 4))
+        for k in (8, CSLS_K, 50):
+            assert induce_dictionary(x, z, k) == full_induce_dictionary(x, z, k)
+
+    @pytest.mark.parametrize("block", [1, 3, 7, CSLS_BLOCK])
+    def test_ties_keep_the_first_row(self, monkeypatch, block):
+        """Duplicated rows on both sides, repeats spread over blocks: a row
+        of z whose best score several rows of x reach takes the first, and a
+        row of x with several best rows of z takes the first of those."""
+        monkeypatch.setattr(xmap, "CSLS_BLOCK", block)
+        rng = np.random.default_rng(20 + block)
+        x, z = tied_rows(12, rng), tied_rows(9, rng)
+        x = np.concatenate([x, x[[5, 0, 11, 5]], tied_rows(6, rng), x[::-3]])
+        z = np.concatenate([z, z[[2, 2, 8]], tied_rows(4, rng), z[::2]])
+        for k in (1, 3, CSLS_K):
+            scores = full_csls(x, z, k)
+            assert ties(scores, axis=1) and ties(scores, axis=0)
+            assert induce_dictionary(x, z, k) == full_induce_dictionary(x, z, k)
+
+    def test_memory_grows_with_block_not_n_times_m(self):
+        n, m = 3000, 4000
+        rng = np.random.default_rng(30)
+        x, z = rng.normal(size=(n, 8)), rng.normal(size=(m, 8))
+        pairs, peak = traced_peak(induce_dictionary, x, z, CSLS_K)
+        assert len(pairs) >= m
+        assert peak < n * m * 8 / 4
 
 
 class TestSelfLearning:
