@@ -308,8 +308,6 @@ def run_pipeline(cfg, out_dir, strategies, deterministic=True, log=print):
             *(f"{k}={cfg[k]}" for k in sorted(cfg))])
         log(f"[done] results at {out / 'results.tsv'}")
         return out / "results.tsv"
-    except ValidationError:
-        raise
     except Exception as e:
         raise StageError(stage, e) from e
 

@@ -13,17 +13,10 @@ class LexiconError(ValueError):
     pass
 
 
-@dataclass
-class BilingualLexicon:
-    entries: list  # list of (source_word, [translation words])
-
-    def __len__(self):
-        return len(self.entries)
-
-
 def read_lexicon(path):
-    """TSV: source word <tab> space-separated translation words.
-    Blank lines skipped; duplicate source words rejected."""
+    """TSV: source word <tab> space-separated translation words, as a list
+    of (source word, [translation words]) entries.  Blank lines skipped;
+    duplicate source words rejected."""
     entries = []
     seen = {}
     for ln, line in enumerate(read_lines(path), start=1):
@@ -39,7 +32,7 @@ def read_lexicon(path):
                 f"(first at line {seen[word]})")
         seen[word] = ln
         entries.append((word, trans))
-    return BilingualLexicon(entries)
+    return entries
 
 
 def project_entry(entry, e_hr):
@@ -68,11 +61,11 @@ class ProjectionReport:
 
 
 def build_projected_matrix(lexicon, e_hr):
-    """One row per covered entry, dim = dim(e_hr); report accounts for every
-    entry (covered + skipped = |lexicon|)."""
+    """One row per covered entry of the `lexicon` list, dim = dim(e_hr);
+    report accounts for every entry (covered + skipped = |lexicon|)."""
     tokens, rows = [], []
     report = ProjectionReport()
-    for entry in lexicon.entries:
+    for entry in lexicon:
         word, trans = entry
         missing = [w for w in trans if w not in e_hr]
         vec = project_entry(entry, e_hr)

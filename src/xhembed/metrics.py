@@ -4,7 +4,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 
-from .corpus import read_lines
+from .corpus import read_aligned_lines
 
 
 class BleuError(ValueError):
@@ -116,12 +116,10 @@ def score_corpus(hyps, refs):
 
 def evaluate_translations(hyp_path, ref_path):
     """Score aligned hypothesis/reference files; emits both corpus BLEU and
-    mean sentence BLEU."""
-    hyps = [line.split() for line in read_lines(hyp_path)]
-    refs = [line.split() for line in read_lines(ref_path)]
-    if len(hyps) != len(refs):
-        raise BleuError(
-            f"line count mismatch: {hyp_path} has {len(hyps)}, {ref_path} has {len(refs)}")
+    mean sentence BLEU.  Files of different line counts raise CorpusError."""
+    hyp_lines, ref_lines = read_aligned_lines(hyp_path, ref_path)
+    hyps = [line.split() for line in hyp_lines]
+    refs = [line.split() for line in ref_lines]
     for ln, ref in enumerate(refs, start=1):
         if not ref:
             raise BleuError(f"{ref_path}:{ln}: empty reference")

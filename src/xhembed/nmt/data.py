@@ -11,9 +11,7 @@ from ..corpus import PAD, BOS, EOS
 class Batch:
     src_ids: np.ndarray    # (B, S) padded
     src_mask: np.ndarray   # (B, S) float32 0/1, exact in any model dtype
-    src_lens: np.ndarray
     tgt_ids: np.ndarray    # (B, T) BOS ... EOS padded
-    tgt_lens: np.ndarray   # framed lengths
 
 
 def encode_pairs(pairs, src_vocab, tgt_vocab):
@@ -32,14 +30,12 @@ def make_batch(id_pairs):
     t_max = max(len(p[1]) for p in id_pairs)
     src = np.full((b, s_max), PAD, dtype=np.int64)
     tgt = np.full((b, t_max), PAD, dtype=np.int64)
-    s_lens = np.empty(b, dtype=np.int64)
-    t_lens = np.empty(b, dtype=np.int64)
+    mask = np.zeros((b, s_max), dtype=np.float32)
     for i, (s, t) in enumerate(id_pairs):
         src[i, :len(s)] = s
         tgt[i, :len(t)] = t
-        s_lens[i], t_lens[i] = len(s), len(t)
-    mask = (np.arange(s_max)[None, :] < s_lens[:, None]).astype(np.float32)
-    return Batch(src, mask, s_lens, tgt, t_lens)
+        mask[i, :len(s)] = 1.0
+    return Batch(src, mask, tgt)
 
 
 def make_batches(id_pairs, batch_size, rng=None):

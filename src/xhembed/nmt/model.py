@@ -25,6 +25,13 @@ model at that model's shape, never one call over M folded into the rows, so
 each slice is computed exactly as the single model computes it.
 `forward_loss` is the single-model case.  Decoding runs one model at a time.
 
+A forward pass caches what its backward pass reads, each value once.
+`gru_forward` keeps the input, the states h_0..h_T and every step's [z|r]
+gates and candidate; `gru_backward` redoes the step's r * h_prev from them.
+`stack_forward` keeps each layer's dropout mask and GRU cache, `bridge` each
+decoder layer's encoder state and output, and `attention_output` h_enc @
+att_W^T, the attention weights, [h_top | context] and its output.
+
 `build_model` makes float32 tensors, the precision training and decoding run
 in.  Every kernel allocates in its parameters' dtype, so a float64 model (a
 checkpoint written in float64, or the tests' cast) runs in float64 throughout."""
@@ -83,11 +90,6 @@ def param_shapes(cfg, n_src, n_tgt):
     shapes.update({"att_W": (h, h), "comb_W": (2 * h, h), "comb_b": (h,),
                    "out_W": (h, n_tgt), "out_b": (n_tgt,)})
     return shapes
-
-
-def param_names(cfg):
-    """The tensor names build_model creates for `cfg`, in its order."""
-    return list(param_shapes(cfg, 0, 0))
 
 
 def build_model(cfg, source_init, target_vocab, init_scale=0.1, *, source_vocab):
@@ -226,15 +228,15 @@ def gru_forward(p, prefixes, x, mask, h0):
     hs = np.empty((t_len + 1, *lead, n_dir, b, hid), dtype)
     hs[0] = _split_dirs(h0, n_dir)
     zrs = np.empty((t_len, *lead, n_dir, b, 2 * hid), dtype)
-    rhs = np.empty((t_len, *lead, n_dir, b, hid), dtype)
-    cs = np.empty_like(rhs)
+    cs = np.empty((t_len, *lead, n_dir, b, hid), dtype)
+    rh = np.empty_like(cs[0])          # r * h_prev of one step: gru_backward redoes it
     xw_zr, xw_c = xw[..., :2 * hid], xw[..., 2 * hid:]
     for t in range(t_len):
-        _gru_step(u_zr, u_c, xw_zr[t], xw_c[t], hs[t], zrs[t], rhs[t], cs[t],
+        _gru_step(u_zr, u_c, xw_zr[t], xw_c[t], hs[t], zrs[t], rh, cs[t],
                   hs[t + 1])
     out = np.concatenate([_batch_major(_dir_time(hs[1:, ..., d, :, :], d))
                           for d in range(n_dir)], axis=-1)
-    return out, _join_dirs(hs[-1]), (prefixes, x, hs, zrs, rhs, cs)
+    return out, _join_dirs(hs[-1]), (prefixes, x, hs, zrs, cs)
 
 
 def _step_rows(a, d):
@@ -251,7 +253,7 @@ def gru_backward(p, cache, dhs, dh_last, grads):
     before the time loop, which carries only the recurrent terms; the weight
     grads and dx are taken after it.  Returns (dx (..., B,T,I), summed over
     the directions, dh0 (..., B,D*H))."""
-    prefixes, x, hs, zrs, rhs, cs = cache
+    prefixes, x, hs, zrs, cs = cache
     t_len, *lead, n_dir, b, hid = cs.shape
     h_prev = hs[:-1]
     z, r = zrs[..., :hid], zrs[..., hid:]
@@ -290,11 +292,12 @@ def gru_backward(p, cache, dhs, dh_last, grads):
         drh *= r[t]
         dh += drh
         dh += np.matmul(da_zr[t], u_zr_t)
-    del one_minus_z, f_z, f_c, f_r, dhs_t   # dead: free them before the copies below
+    del one_minus_z, f_z, f_c, f_r   # dead: free them before the copies below
+    rh = np.multiply(r, h_prev, out=dhs_t)   # the step's r * h_prev, bit for bit
     for d, q in enumerate(prefixes):
         g_u = grads[f"{q}_U"]
         g_u[..., :2 * hid] += _t(_step_rows(h_prev, d)) @ _step_rows(da_zr, d)
-        g_u[..., 2 * hid:] += _t(_step_rows(rhs, d)) @ _step_rows(da_c, d)
+        g_u[..., 2 * hid:] += _t(_step_rows(rh, d)) @ _step_rows(da_c, d)
     # back to (B,T) rows in the original time order, directions side by side
     da_flat = np.concatenate([_batch_major(_dir_time(da[:, ..., d, :, :], d))
                               for d in range(n_dir)], axis=-1)
@@ -374,11 +377,11 @@ def attention_output(params, h_top, h_enc, src_mask):
     comb_in = np.concatenate([h_top, ctx], axis=-1)
     a = np.tanh(comb_in @ _per_row(params["comb_W"])
                 + params["comb_b"][..., None, None, :])
-    return a, (proj, alpha, ctx, comb_in, a)
+    return a, (proj, alpha, comb_in, a)
 
 
 def attention_backward(params, cache, h_top, h_enc, da, grads):
-    proj, alpha, ctx, comb_in, a = cache
+    proj, alpha, comb_in, a = cache
     da_pre = da * (1.0 - a * a)
     *lead, _, _, h = a.shape
     grads["comb_W"] += (_t(comb_in.reshape(*lead, -1, 2 * h))
@@ -398,14 +401,26 @@ def attention_backward(params, cache, h_top, h_enc, da, grads):
     return dh_top, dh_enc
 
 
+def _encode(params, cfg, src_ids, src_mask, rng):
+    """The encoder stack over (B,S) source ids and the bridge to the
+    decoder's initial states: (h_enc, dec_h0, enc_finals, enc_cache,
+    bridge_cache).  Dropout applies iff `rng` is given."""
+    src_emb = params["src_emb"]
+    h0 = np.zeros((*src_emb.shape[:-2], src_ids.shape[0], cfg.hidden), src_emb.dtype)
+    h_enc, enc_finals, enc_cache = stack_forward(
+        params, _encoder_layers(cfg), src_emb[..., src_ids, :], src_mask,
+        [h0] * cfg.enc_layers, cfg.dropout, rng)
+    dec_h0, bridge_cache = bridge(params, cfg, enc_finals)
+    return h_enc, dec_h0, enc_finals, enc_cache, bridge_cache
+
+
 def forward_losses(params, cfg, batch, rng=None, compute_grads=True):
     """Mean token cross-entropy over non-PAD target positions of each model
     of a stack (tensors (M, ...)), as an (M,) array in the parameters' dtype,
     with gradients in that dtype for every parameter; on one model's tensors,
     a 0-d array.  Teacher-forced decoding with per-step attention.  Dropout
     at cfg.dropout applies iff `rng` is given, and draws its masks from it."""
-    src_emb, tgt_emb = params["src_emb"], params["tgt_emb"]
-    lead, dtype = src_emb.shape[:-2], src_emb.dtype
+    lead, dtype = params["src_emb"].shape[:-2], params["src_emb"].dtype
     src_ids, src_mask = batch.src_ids, batch.src_mask
     y_in, y_out = batch.tgt_ids[:, :-1], batch.tgt_ids[:, 1:]
     out_mask = (y_out != PAD).astype(dtype)
@@ -413,14 +428,11 @@ def forward_losses(params, cfg, batch, rng=None, compute_grads=True):
     if n_tokens == 0:
         raise ValueError("batch has no target tokens")
 
-    h0 = np.zeros((*lead, src_ids.shape[0], cfg.hidden), dtype)
-    h_enc, enc_finals, enc_cache = stack_forward(
-        params, _encoder_layers(cfg), src_emb[..., src_ids, :], src_mask,
-        [h0] * cfg.enc_layers, cfg.dropout, rng)
-    dec_h0, bridge_cache = bridge(params, cfg, enc_finals)
+    h_enc, dec_h0, enc_finals, enc_cache, bridge_cache = _encode(
+        params, cfg, src_ids, src_mask, rng)
     h_top, _, dec_cache = stack_forward(
         params, [(f"dec_{l}",) for l in range(cfg.dec_layers)],
-        tgt_emb[..., y_in, :], None, dec_h0, cfg.dropout, rng)
+        params["tgt_emb"][..., y_in, :], None, dec_h0, cfg.dropout, rng)
 
     a, att_cache = attention_output(params, h_top, h_enc, src_mask)
     a_d, a_mask = _dropout(a, cfg.dropout, rng)
@@ -503,9 +515,7 @@ def decoder_step(params, cfg, state, y_prev, h_enc, src_mask):
 
 
 def encode_for_decoding(params, cfg, src_ids, src_mask):
-    h0 = np.zeros((src_ids.shape[0], cfg.hidden), params["src_emb"].dtype)
-    h_enc, finals, _ = stack_forward(params, _encoder_layers(cfg),
-                                     params["src_emb"][src_ids], src_mask,
-                                     [h0] * cfg.enc_layers, 0.0, None)
-    state, _ = bridge(params, cfg, finals)
+    """(h_enc, the decoder's initial per-layer states) of one model, without
+    dropout."""
+    h_enc, state, *_ = _encode(params, cfg, src_ids, src_mask, None)
     return h_enc, state

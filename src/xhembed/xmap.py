@@ -153,15 +153,17 @@ def self_learning_loop(x, z, seed_dict):
 def save_mapping(model, path):
     arrays = {"w_x": model.w_x, "w_z": model.w_z,
               "pre_x": model.pre_x.column_means, "pre_z": model.pre_z.column_means}
-    header = {"dim": model.w_x.shape[0], "objective": model.objective}
-    artifact.save(path, "mapping", header, arrays)
+    artifact.save(path, "mapping", {"objective": model.objective}, arrays)
 
 
 def load_mapping(path):
-    """The mapping at `path`; an artifact missing any of its four arrays is
-    an ArtifactError naming the file."""
+    """The mapping at `path`.  Its width d is the row count of w_x; an
+    artifact missing any of its four arrays, or whose w_x and w_z are not
+    d x d or pre_x and pre_z not of length d, is an ArtifactError naming the
+    file."""
     def decode(header, arrays):
-        d, objective = header["dim"], float(header["objective"])
+        objective = float(header["objective"])
+        d = len(arrays["w_x"])
         w_x, w_z = (artifact.require_shape(arrays, name, (d, d)) for name in ("w_x", "w_z"))
         pre_x, pre_z = (PreprocessRecord(artifact.require_shape(arrays, name, (d,)))
                         for name in ("pre_x", "pre_z"))

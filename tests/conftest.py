@@ -61,3 +61,39 @@ def grid_models(n, seed=1, **model_kwargs):
 def stack(models):
     """The models' tensors on a leading model axis."""
     return {k: np.stack([m[k] for m in models]) for k in models[0]}
+
+
+def micro_dataset(tmp_path):
+    """Tiny deterministic corpus wired into a config for fast pipeline runs."""
+    rng = np.random.default_rng(0)
+    words = ["toza", "tozile", "meka", "mekile", "vusa", "vusile"]
+    en = {"toza": "go", "tozile": "went", "meka": "see",
+          "mekile": "saw", "vusa": "rise", "vusile": "rose"}
+    with open(tmp_path / "b.src", "w") as fs, open(tmp_path / "b.tgt", "w") as ft:
+        for _ in range(40):
+            sent = [words[int(rng.integers(6))] for _ in range(3)]
+            fs.write(" ".join(sent) + "\n")
+            ft.write(" ".join(en[w] for w in sent) + "\n")
+    with open(tmp_path / "c.src", "w") as fs, open(tmp_path / "c.tgt", "w") as ft:
+        for _ in range(20):
+            sent = [words[int(rng.integers(6))] for _ in range(2)]
+            fs.write(" ".join(sent) + "\n")
+            ft.write(" ".join(en[w] for w in sent) + "\n")
+    with open(tmp_path / "lex.tsv", "w") as f:
+        for w, e in en.items():
+            f.write(f"{w}\t{e}\n")
+    hr_words = sorted(set(en.values()))
+    with open(tmp_path / "hr.vec", "w") as f:
+        for w in hr_words:
+            vec = " ".join("%.4f" % v for v in rng.uniform(-1, 1, 8))
+            f.write(f"{w} {vec}\n")
+    return (f"data.bible_src={tmp_path}/b.src\n"
+            f"data.bible_tgt={tmp_path}/b.tgt\n"
+            f"data.corpus2_src={tmp_path}/c.src\n"
+            f"data.corpus2_tgt={tmp_path}/c.tgt\n"
+            f"data.lexicon={tmp_path}/lex.tsv\n"
+            f"data.hr_embeddings={tmp_path}/hr.vec\n"
+            "subword.dim=8\nsubword.epochs=1\nsubword.buckets=100\n"
+            "subword.subsample=0\n"
+            "nmt.emb_dim=8\nnmt.hidden=8\nnmt.dropout=0\nnmt.max_decode_len=6\n"
+            "nmt.beam=2\ntrain.epochs=1\ntrain.batch=16\nfinetune.epochs=1\n")

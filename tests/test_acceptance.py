@@ -14,8 +14,7 @@ from xhembed.combine import (STRATEGY_ORDER, InitStrategy,
                              build_initial_embeddings, meta_embedding)
 from xhembed.corpus import BOS, EOS, PAD, SplitSpec, ParallelCorpus, split_corpus
 from xhembed.embedstore import EmbeddingMatrix
-from xhembed.lexproject import BilingualLexicon, build_projected_matrix, \
-    project_entry
+from xhembed.lexproject import build_projected_matrix, project_entry
 from xhembed.metrics import corpus_bleu, sentence_bleu
 from xhembed.nmt import TrainConfig, build_model, train
 from xhembed.nmt.data import encode_pairs, make_batch
@@ -237,8 +236,7 @@ def test_criterion_9_composition_algebra():
         k = int(rng.integers(1, 4))
         entries.append((f"xh{i}", [hr_words[int(rng.integers(300))]
                                    for _ in range(k)]))
-    lex = BilingualLexicon(entries)
-    mat, _ = build_projected_matrix(lex, e_hr)
+    mat, _ = build_projected_matrix(entries, e_hr)
 
     sum_ok = True
     unit_ok = True

@@ -1,9 +1,12 @@
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 
 from xhembed import artifact
 from xhembed.artifact import ArtifactError
 from xhembed.nmt.checkpoint import load_checkpoint, save_checkpoint
+from xhembed.nmt.model import param_shapes
 from xhembed.xmap import MappingModel, PreprocessRecord, load_mapping, save_mapping
 
 from conftest import tiny_model
@@ -65,6 +68,17 @@ class TestRead:
         with pytest.raises(ArtifactError, match="'w_z' has shape"):
             load_mapping(path)
 
+    @pytest.mark.parametrize("name", ["w_z", "pre_x", "pre_z"])
+    def test_array_not_of_w_x_width(self, tmp_path, name):
+        m = small_mapping()
+        arrays = {"w_x": m.w_x, "w_z": m.w_z, "pre_x": m.pre_x.column_means,
+                  "pre_z": m.pre_z.column_means}
+        arrays[name] = np.zeros((4,) * arrays[name].ndim)
+        path = tmp_path / "map.npz"
+        artifact.save(path, "mapping", {"objective": 0.5}, arrays)
+        with pytest.raises(ArtifactError, match=f"'{name}' has shape"):
+            load_mapping(path)
+
     def test_missing_header_key(self, tmp_path):
         path = tmp_path / "map.npz"
         m = small_mapping()
@@ -95,3 +109,34 @@ class TestRead:
     def test_missing_file(self, tmp_path):
         with pytest.raises(ArtifactError, match="no.ckpt"):
             load_checkpoint(tmp_path / "no.ckpt")
+
+
+class TestRestatedHeaders:
+    """Files whose headers also restate what their arrays hold still load."""
+
+    def test_checkpoint_listing_its_tensors(self, tmp_path):
+        """A header that lists every tensor's shape; the archive holds the
+        tensors in reverse order, and they load in param_shapes order."""
+        cfg, params, sv, tv = tiny_model()
+        path = tmp_path / "old.ckpt"
+        header = {"config": asdict(cfg), "history": [],
+                  "tensors": {name: t.shape for name, t in params.items()}}
+        artifact.save(path, "checkpoint", header, dict(reversed(params.items())))
+        cfg2, loaded, history = load_checkpoint(path)
+        assert cfg2 == cfg and history == []
+        assert list(loaded) == list(param_shapes(cfg, len(sv), len(tv)))
+        for name, t in params.items():
+            assert loaded[name].dtype == t.dtype and np.array_equal(loaded[name], t)
+
+    def test_mapping_giving_its_dim(self, tmp_path):
+        m = small_mapping()
+        path = tmp_path / "old.npz"
+        artifact.save(path, "mapping", {"dim": 3, "objective": 0.5},
+                      {"w_x": m.w_x, "w_z": m.w_z, "pre_x": m.pre_x.column_means,
+                       "pre_z": m.pre_z.column_means})
+        loaded = load_mapping(path)
+        assert loaded.objective == 0.5
+        for got, want in ((loaded.w_x, m.w_x), (loaded.w_z, m.w_z),
+                          (loaded.pre_x.column_means, m.pre_x.column_means),
+                          (loaded.pre_z.column_means, m.pre_z.column_means)):
+            assert got.dtype == want.dtype and np.array_equal(got, want)

@@ -12,7 +12,7 @@ from xhembed.nmt import load_checkpoint, save_checkpoint
 from xhembed.subword import SkipgramConfig, SubwordModel
 from xhembed.xmap import save_mapping
 
-from conftest import fixed_mapping, tiny_model, vocab_of
+from conftest import fixed_mapping, micro_dataset, tiny_model, vocab_of
 
 
 def write_cfg(tmp_path, text, name="run.cfg"):
@@ -380,42 +380,6 @@ def tiny_translate_args(tmp_path, cfg, params, sv, tv):
             "--tgt-vocab", str(tmp_path / "vocab.tgt"), "--out", str(tmp_path / "hyp")]
 
 
-def micro_dataset(tmp_path):
-    """Tiny deterministic corpus wired into a config for fast pipeline runs."""
-    rng = np.random.default_rng(0)
-    words = ["toza", "tozile", "meka", "mekile", "vusa", "vusile"]
-    en = {"toza": "go", "tozile": "went", "meka": "see",
-          "mekile": "saw", "vusa": "rise", "vusile": "rose"}
-    with open(tmp_path / "b.src", "w") as fs, open(tmp_path / "b.tgt", "w") as ft:
-        for _ in range(40):
-            sent = [words[int(rng.integers(6))] for _ in range(3)]
-            fs.write(" ".join(sent) + "\n")
-            ft.write(" ".join(en[w] for w in sent) + "\n")
-    with open(tmp_path / "c.src", "w") as fs, open(tmp_path / "c.tgt", "w") as ft:
-        for _ in range(20):
-            sent = [words[int(rng.integers(6))] for _ in range(2)]
-            fs.write(" ".join(sent) + "\n")
-            ft.write(" ".join(en[w] for w in sent) + "\n")
-    with open(tmp_path / "lex.tsv", "w") as f:
-        for w, e in en.items():
-            f.write(f"{w}\t{e}\n")
-    hr_words = sorted(set(en.values()))
-    with open(tmp_path / "hr.vec", "w") as f:
-        for w in hr_words:
-            vec = " ".join("%.4f" % v for v in rng.uniform(-1, 1, 8))
-            f.write(f"{w} {vec}\n")
-    return (f"data.bible_src={tmp_path}/b.src\n"
-            f"data.bible_tgt={tmp_path}/b.tgt\n"
-            f"data.corpus2_src={tmp_path}/c.src\n"
-            f"data.corpus2_tgt={tmp_path}/c.tgt\n"
-            f"data.lexicon={tmp_path}/lex.tsv\n"
-            f"data.hr_embeddings={tmp_path}/hr.vec\n"
-            "subword.dim=8\nsubword.epochs=1\nsubword.buckets=100\n"
-            "subword.subsample=0\n"
-            "nmt.emb_dim=8\nnmt.hidden=8\nnmt.dropout=0\nnmt.max_decode_len=6\n"
-            "nmt.beam=2\ntrain.epochs=1\ntrain.batch=16\nfinetune.epochs=1\n")
-
-
 class TestPipeline:
     def test_run_all_smoke(self, tmp_path, capsys):
         cfg_path = write_cfg(tmp_path, micro_dataset(tmp_path))
@@ -449,6 +413,19 @@ class TestPipeline:
         assert rc == 0
         assert (out / "em.npz").exists()
         assert not (out / "ev.npz").exists()
+
+    def test_stage_failure_is_two(self, tmp_path, capsys):
+        """A lexicon that repeats a source word passes the validate step,
+        which does not read the lexicon, and fails the build-ev stage."""
+        cfg_path = write_cfg(tmp_path, micro_dataset(tmp_path))
+        with open(tmp_path / "lex.tsv", "a") as f:
+            f.write("meka\tlook\n")
+        capsys.readouterr()
+        assert main(["run-all", "--config", str(cfg_path), "--out",
+                     str(tmp_path / "out"), "--strategies", "XhPre"]) == 2
+        err = capsys.readouterr().err
+        assert "stage 'build-ev' failed" in err and "Traceback" not in err
+        assert f"{tmp_path / 'lex.tsv'}:7: duplicate source word 'meka'" in err
 
     def test_subword_dim_must_match_hr_dim(self, tmp_path, capsys):
         """The micro dataset's HR vectors are 8-d; a 6-d subword space cannot

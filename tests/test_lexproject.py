@@ -2,9 +2,8 @@ import numpy as np
 import pytest
 
 from xhembed.embedstore import EmbeddingMatrix
-from xhembed.lexproject import (BilingualLexicon, LexiconError,
-                                build_projected_matrix, project_entry,
-                                read_lexicon)
+from xhembed.lexproject import (LexiconError, build_projected_matrix,
+                                project_entry, read_lexicon)
 
 
 def hr(entries):
@@ -16,13 +15,12 @@ class TestReadLexicon:
     def test_single_word_entry(self, tmp_path):
         p = tmp_path / "lex.tsv"
         p.write_text("indoda\tman\n")
-        lex = read_lexicon(p)
-        assert lex.entries == [("indoda", ["man"])]
+        assert read_lexicon(p) == [("indoda", ["man"])]
 
     def test_multi_word_entry(self, tmp_path):
         p = tmp_path / "lex.tsv"
         p.write_text("bethuna\tlisten everyone\n")
-        assert read_lexicon(p).entries == [("bethuna", ["listen", "everyone"])]
+        assert read_lexicon(p) == [("bethuna", ["listen", "everyone"])]
 
     def test_blank_lines_skipped(self, tmp_path):
         p = tmp_path / "lex.tsv"
@@ -66,12 +64,12 @@ class TestProjectEntry:
 class TestBuildMatrix:
     def test_empty_lexicon(self):
         e = hr({"man": [1.0, 0.0]})
-        mat, rep = build_projected_matrix(BilingualLexicon([]), e)
+        mat, rep = build_projected_matrix([], e)
         assert len(mat) == 0 and rep.covered == 0 and not rep.skipped
 
     def test_skip_accounting(self):
         e = hr({"man": [1.0, 0.0]})
-        lex = BilingualLexicon([("a", ["man"]), ("b", ["ghost"])])
+        lex = [("a", ["man"]), ("b", ["ghost"])]
         mat, rep = build_projected_matrix(lex, e)
         assert len(mat) == 1
         assert rep.covered == 1 and rep.skipped == ["b"]
@@ -80,23 +78,22 @@ class TestBuildMatrix:
     def test_rows_match_project_entry(self):
         rng = np.random.default_rng(0)
         e = hr({w: rng.normal(size=2) for w in "abcdef"})
-        lex = BilingualLexicon([
-            ("w1", ["a"]), ("w2", ["a", "b"]), ("w3", ["c", "d", "e"]),
-            ("w4", ["f", "ghost"]), ("w5", ["b"])])
+        lex = [("w1", ["a"]), ("w2", ["a", "b"]), ("w3", ["c", "d", "e"]),
+               ("w4", ["f", "ghost"]), ("w5", ["b"])]
         mat, rep = build_projected_matrix(lex, e)
-        for word, targets in lex.entries:
+        for word, targets in lex:
             assert np.allclose(mat.get(word), project_entry((word, targets), e))
         assert rep.dropped_words == {"w4": ["ghost"]}
 
     def test_dim_matches_hr(self):
         e = hr({"man": [1.0, 0.0, 0.0]})
-        mat, _ = build_projected_matrix(BilingualLexicon([("a", ["man"])]), e)
+        mat, _ = build_projected_matrix([("a", ["man"])], e)
         assert mat.dim == 3
 
     def test_single_word_rows_unit_norm(self):
         rng = np.random.default_rng(1)
         e = hr({w: rng.normal(size=3) for w in "abc"})
-        lex = BilingualLexicon([(f"w_{w}", [w]) for w in "abc"])
+        lex = [(f"w_{w}", [w]) for w in "abc"]
         mat, _ = build_projected_matrix(lex, e)
         norms = np.linalg.norm(mat.rows, axis=1)
         assert np.allclose(norms, 1.0, atol=1e-9)
@@ -105,7 +102,7 @@ class TestBuildMatrix:
         rng = np.random.default_rng(2)
         e = hr({w: rng.normal(size=2) for w in "abcd"})
         entries = [("w1", ["a"]), ("w2", ["b", "c"]), ("w3", ["d"])]
-        m1, _ = build_projected_matrix(BilingualLexicon(entries), e)
-        m2, _ = build_projected_matrix(BilingualLexicon(entries[::-1]), e)
+        m1, _ = build_projected_matrix(entries, e)
+        m2, _ = build_projected_matrix(entries[::-1], e)
         for word, _ in entries:
             assert np.allclose(m1.get(word), m2.get(word))

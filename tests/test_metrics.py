@@ -1,10 +1,12 @@
 import math
+import re
 from collections import Counter
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from xhembed.corpus import CorpusError
 from xhembed.metrics import (BleuError, corpus_bleu, evaluate_translations,
                              score_corpus, sentence_bleu)
 
@@ -158,7 +160,7 @@ class TestEvaluate:
         r = tmp_path / "r"
         h.write_text("a\n")
         r.write_text("a\nb\n")
-        with pytest.raises(BleuError):
+        with pytest.raises(CorpusError, match=re.escape(f"{h} has 1 lines, {r} has 2")):
             evaluate_translations(h, r)
 
     def test_report_internally_consistent(self):
