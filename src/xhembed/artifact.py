@@ -74,9 +74,24 @@ def read_header(path, kind):
         return header
 
 
+def read_shape(path, kind, name, shape):
+    """The shape of array `name` of the artifact of `kind` at `path`, read
+    from the header of its .npy member alone and checked as by
+    `require_shape`; errors as in `_opened`."""
+    with _opened(path, kind) as (_, z), z.zip.open(f"{name}.npy") as f:
+        np.lib.format.read_magic(f)   # format 1.0: what np.savez writes for these arrays
+        got = np.lib.format.read_array_header_1_0(f)[0]
+        _check_shape(name, got, shape)
+        return got
+
+
 def require_shape(arrays, name, shape):
-    """arrays[name], checked to have exactly `shape`."""
-    if arrays[name].shape != tuple(shape):
-        raise ValueError(f"array {name!r} has shape {arrays[name].shape}, "
-                         f"expected {tuple(shape)}")
+    """arrays[name], checked to have `shape`, where a None entry allows any
+    length."""
+    _check_shape(name, arrays[name].shape, shape)
     return arrays[name]
+
+
+def _check_shape(name, got, shape):
+    if len(got) != len(shape) or any(want not in (None, n) for n, want in zip(got, shape)):
+        raise ValueError(f"array {name!r} has shape {got}, expected {tuple(shape)}")

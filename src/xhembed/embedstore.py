@@ -61,13 +61,13 @@ def read_embeddings(path):
 
 def read_dim(path):
     """Row width of the matrix at `path`, read from its start alone: the
-    artifact header, else the first text line as `read_embeddings` parses
-    it (an "N D" header, or a first row whose values are counted).  None
-    when a text file starts with a blank line."""
+    header of an artifact's rows array, else the first text line as
+    `read_embeddings` parses it (an "N D" header, or a first row whose values
+    are counted).  None when a text file starts with a blank line."""
     with open(path, "rb") as f:
         first = f.readline()
     if first.startswith(artifact.SIGNATURE):
-        return artifact.read_header(path, KIND)["dim"]
+        return artifact.read_shape(path, KIND, "rows", (None, None))[1]
     line = first.decode("utf-8", errors="replace")  # the full read names bad bytes
     head = _header(line)
     if head is None:
@@ -76,9 +76,12 @@ def read_dim(path):
 
 
 def _read_artifact(path):
+    """The matrix of the artifact at `path`: one row of its rows array per
+    token.  Its width is the rows array's; files whose header also gives it
+    (`dim`) still load."""
     def decode(header, arrays):
         tokens = header["tokens"]
-        rows = artifact.require_shape(arrays, "rows", (len(tokens), header["dim"]))
+        rows = artifact.require_shape(arrays, "rows", (len(tokens), None))
         return EmbeddingMatrix(tokens, rows)
     return artifact.load(path, KIND, decode)
 
@@ -192,8 +195,7 @@ def _parse_values(path, fields, line_nos, dim):
 def write_embeddings(matrix, path):
     """Write `matrix` to exactly `path` as an artifact; floats round-trip
     bit for bit."""
-    artifact.save(path, KIND, {"tokens": matrix.tokens, "dim": matrix.dim},
-                  {"rows": matrix.rows})
+    artifact.save(path, KIND, {"tokens": matrix.tokens}, {"rows": matrix.rows})
 
 
 def unit_normalize(v):

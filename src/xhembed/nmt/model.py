@@ -28,9 +28,14 @@ each slice is computed exactly as the single model computes it.
 A forward pass caches what its backward pass reads, each value once.
 `gru_forward` keeps the input, the states h_0..h_T and every step's [z|r]
 gates and candidate; `gru_backward` redoes the step's r * h_prev from them.
-`stack_forward` keeps each layer's dropout mask and GRU cache, `bridge` each
-decoder layer's encoder state and output, and `attention_output` h_enc @
-att_W^T, the attention weights, [h_top | context] and its output.
+`stack_forward` keeps each layer's dropout mask, as bool, and GRU cache,
+`bridge` each decoder layer's encoder state and output, and
+`attention_output` h_enc @ att_W^T, the attention weights, [h_top | context]
+and its output.  The output layer keeps nothing: `forward_losses` takes its
+logits, softmax, loss terms and gradients together, over blocks of the
+(B*T) target rows of at most OUT_BLOCK_BYTES of logits per model (one row,
+if a row is larger), so the logits a step holds at once do not grow with
+the batch.
 
 `build_model` makes float32 tensors, the precision training and decoding run
 in.  Every kernel allocates in its parameters' dtype, so a float64 model (a
@@ -41,6 +46,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..corpus import PAD
+
+# bytes of one model's output-layer buffer: forward_losses takes the logits,
+# softmax and dlogits of as many (B*T) rows at a time as fit in it
+OUT_BLOCK_BYTES = 4 << 20
 
 
 @dataclass
@@ -314,13 +323,21 @@ def gru_backward(p, cache, dhs, dh_last, grads):
 
 
 def _dropout(x, rate, rng):
-    """Inverted dropout on (..., B,T,I) activations: (x * mask, mask in x's
-    dtype), or (x, None) when rng is None or rate is zero.  The mask is drawn
-    at one model's (B,T,I) shape and shared by the models of a stack."""
+    """Inverted dropout on (..., B,T,I) activations: (x scaled by
+    _keep_scale(keep, rate), keep), keep the bool (B,T,I) mask of the units
+    kept, or (x, None) when rng is None or rate is zero.  The mask is drawn at
+    one model's (B,T,I) shape and shared by the models of a stack."""
     if rng is None or rate <= 0.0:
         return x, None
-    m = np.divide(rng.random(x.shape[-3:]) >= rate, 1.0 - rate, dtype=x.dtype)
-    return x * m, m
+    keep = rng.random(x.shape[-3:]) >= rate
+    return x * _keep_scale(keep, rate, x.dtype), keep
+
+
+def _keep_scale(keep, rate, dtype):
+    """The inverted-dropout multiplier of bool mask `keep` in `dtype`:
+    1 / (1 - rate) where a unit is kept, else 0.  The forward and backward
+    passes build it alike, so they scale by the same floats."""
+    return np.divide(keep, 1.0 - rate, dtype=dtype)
 
 
 def _encoder_layers(cfg):
@@ -334,23 +351,23 @@ def stack_forward(params, layers, x, mask, h0s, rate, rng):
     (top layer outputs (..., B,T,D*H), each layer's final state, cache)."""
     finals, cache = [], []
     for prefixes, h0 in zip(layers, h0s):
-        x, drop_mask = _dropout(x, rate, rng)
+        x, keep = _dropout(x, rate, rng)
         x, h_last, gru_cache = gru_forward(params, prefixes, x, mask, h0)
         finals.append(h_last)
-        cache.append((drop_mask, gru_cache))
+        cache.append((keep, gru_cache))
     return x, finals, cache
 
 
-def stack_backward(params, cache, dtop, dh_lasts, grads):
-    """Backward through stack_forward.  dtop: grads on the top layer's
-    outputs; dh_lasts: grads on each layer's final state.  Returns (dx on the
-    stack's input before dropout, each layer's dh0)."""
+def stack_backward(params, cache, dtop, dh_lasts, grads, rate):
+    """Backward through stack_forward run at dropout `rate`.  dtop: grads on
+    the top layer's outputs; dh_lasts: grads on each layer's final state.
+    Returns (dx on the stack's input before dropout, each layer's dh0)."""
     dx, dh0s = dtop, [None] * len(cache)
     for l in range(len(cache) - 1, -1, -1):
-        drop_mask, gru_cache = cache[l]
+        keep, gru_cache = cache[l]
         dx, dh0s[l] = gru_backward(params, gru_cache, dx, dh_lasts[l], grads)
-        if drop_mask is not None:
-            dx = dx * drop_mask
+        if keep is not None:
+            dx = dx * _keep_scale(keep, rate, dx.dtype)
     return dx, dh0s
 
 
@@ -435,38 +452,57 @@ def forward_losses(params, cfg, batch, rng=None, compute_grads=True):
         params["tgt_emb"][..., y_in, :], None, dec_h0, cfg.dropout, rng)
 
     a, att_cache = attention_output(params, h_top, h_enc, src_mask)
-    a_d, a_mask = _dropout(a, cfg.dropout, rng)
+    a_d, a_keep = _dropout(a, cfg.dropout, rng)
     # The output layer works on (B*T, .) rows, so each matmul is one 2-D BLAS
-    # call per model, and on one (B*T, V) buffer per model: the logits, then
-    # their exponents, then dlogits, each in place.
-    bsz, t_len = y_out.shape
-    a_flat = a_d.reshape(*lead, bsz * t_len, -1)
-    rows, gold_ids = np.arange(bsz * t_len), y_out.reshape(-1)
-    buf = a_flat @ params["out_W"] + params["out_b"][..., None, :]
-    buf -= buf.max(axis=-1, keepdims=True)
-    gold = buf[..., rows, gold_ids]
-    np.exp(buf, out=buf)
-    z = buf.sum(axis=-1)
-    losses = -((gold - np.log(z)) * out_mask.reshape(-1)).sum(axis=-1) / n_tokens
+    # call per model, and runs over blocks of those rows in one buffer of at
+    # most OUT_BLOCK_BYTES per model: a block's logits, then their exponents,
+    # then its dlogits, each in place.  The rows of a block come from one
+    # model's row bytes, so a model blocks alike alone and in a stack.  Each
+    # row's gold logit and softmax sum are kept, and the loss sums them once
+    # after the loop, so it does not depend on the block size.
+    out_w = params["out_W"]
+    n_rows, n_out = y_out.size, out_w.shape[-1]
+    step = min(n_rows, max(1, OUT_BLOCK_BYTES // (n_out * out_w.itemsize)))
+    a_flat = a_d.reshape(*lead, n_rows, -1)
+    gold_ids, mask_flat = y_out.reshape(-1), out_mask.reshape(-1)
+    gold, z = np.empty((2, *lead, n_rows), dtype)
+    buf = np.empty((*lead, step, n_out), dtype)
+    if compute_grads:
+        grads = zero_grads(params)
+        da_d = np.empty_like(a_flat)
+    for lo in range(0, n_rows, step):
+        rows = slice(lo, lo + step)
+        a_blk, ids = a_flat[..., rows, :], gold_ids[rows]
+        blk, at = buf[..., :len(ids), :], np.arange(len(ids))
+        np.matmul(a_blk, out_w, out=blk)
+        blk += params["out_b"][..., None, :]
+        blk -= blk.max(axis=-1, keepdims=True)
+        gold[..., rows] = blk[..., at, ids]
+        np.exp(blk, out=blk)
+        np.sum(blk, axis=-1, out=z[..., rows])
+        if compute_grads:
+            m = mask_flat[rows]
+            blk *= (m / (z[..., rows] * n_tokens))[..., None]   # softmax * mask / n
+            blk[..., at, ids] -= m / n_tokens
+            grads["out_W"] += _t(a_blk) @ blk
+            grads["out_b"] += blk.sum(axis=-2)
+            np.matmul(blk, _t(out_w), out=da_d[..., rows, :])
+    del buf, blk, a_blk
+    losses = -((gold - np.log(z)) * mask_flat).sum(axis=-1) / n_tokens
     if not compute_grads:
         return losses, None
 
-    grads = zero_grads(params)
-    mask_flat = out_mask.reshape(-1)
-    buf *= (mask_flat / (z * n_tokens))[..., None]   # softmax * mask / n
-    buf[..., rows, gold_ids] -= mask_flat / n_tokens
-    grads["out_W"] += _t(a_flat) @ buf
-    grads["out_b"] += buf.sum(axis=-2)
-    da_d = (buf @ _t(params["out_W"])).reshape(a_d.shape)
-    da = da_d if a_mask is None else da_d * a_mask
+    da_d = da_d.reshape(a_d.shape)
+    da = da_d if a_keep is None else da_d * _keep_scale(a_keep, cfg.dropout, dtype)
     # the output layer's and then the attention's arrays are dead: free them,
     # so that the peak memory of the backward passes below leaves them out
-    del buf, a_flat, a_d, da_d
+    del a_flat, a_d, da_d, gold, z
     dh_top, dh_enc = attention_backward(params, att_cache, h_top, h_enc, da, grads)
     del da, a, att_cache, h_top
 
     demb, d_h0 = stack_backward(params, dec_cache, dh_top,
-                                [np.zeros_like(h) for h in dec_h0], grads)
+                                [np.zeros_like(h) for h in dec_h0], grads,
+                                cfg.dropout)
     np.add.at(grads["tgt_emb"], (..., y_in, slice(None)), demb)
 
     # bridge
@@ -478,7 +514,8 @@ def forward_losses(params, cfg, batch, rng=None, compute_grads=True):
         grads[f"bridge_{l}_b"] += dpre.sum(axis=-2)
         d_enc_finals[min(l, len(enc_finals) - 1)] += dpre @ _t(params[f"bridge_{l}_W"])
 
-    demb, _ = stack_backward(params, enc_cache, dh_enc, d_enc_finals, grads)
+    demb, _ = stack_backward(params, enc_cache, dh_enc, d_enc_finals, grads,
+                             cfg.dropout)
     np.add.at(grads["src_emb"], (..., src_ids, slice(None)), demb)
     return losses, grads
 

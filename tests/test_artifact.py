@@ -3,8 +3,9 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
-from xhembed import artifact
+from xhembed import artifact, embedstore
 from xhembed.artifact import ArtifactError
+from xhembed.embedstore import read_dim, read_embeddings
 from xhembed.nmt.checkpoint import load_checkpoint, save_checkpoint
 from xhembed.nmt.model import param_shapes
 from xhembed.xmap import MappingModel, PreprocessRecord, load_mapping, save_mapping
@@ -140,3 +141,13 @@ class TestRestatedHeaders:
                           (loaded.pre_x.column_means, m.pre_x.column_means),
                           (loaded.pre_z.column_means, m.pre_z.column_means)):
             assert got.dtype == want.dtype and np.array_equal(got, want)
+
+    def test_embedding_matrix_giving_its_dim(self, tmp_path):
+        rows = np.arange(6.0).reshape(2, 3)
+        path = tmp_path / "old.npz"
+        artifact.save(path, embedstore.KIND, {"tokens": ["a", "b"], "dim": 3},
+                      {"rows": rows})
+        assert read_dim(path) == 3
+        loaded = read_embeddings(path)
+        assert loaded.tokens == ["a", "b"]
+        assert loaded.rows.dtype == rows.dtype and np.array_equal(loaded.rows, rows)

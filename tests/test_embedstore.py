@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from xhembed import embedstore
+from xhembed import artifact, embedstore
 from xhembed.artifact import ArtifactError
 from xhembed.corpus import CorpusError, read_lines
 from xhembed.embedstore import (EmbeddingFormatError, EmbeddingMatrix,
@@ -323,9 +323,25 @@ class TestReadDim:
             assert read_dim(p) == dim, text
 
     def test_artifact_header(self, tmp_path):
+        """The width comes from the rows array's own .npy header; the JSON
+        header does not restate it."""
         p = tmp_path / "e.npz"
         write_embeddings(EmbeddingMatrix(["a", "b"], np.ones((2, 5))), p)
         assert read_dim(p) == 5
+        assert "dim" not in artifact.read_header(p, embedstore.KIND)
+
+    @pytest.mark.parametrize("rows", [np.ones(5), np.ones((2, 5, 1)), np.ones((3, 5))],
+                             ids=["1-d", "3-d", "3-rows"])
+    def test_malformed_rows_named(self, tmp_path, rows):
+        """A rows array that is not one 2-D row per token is an ArtifactError
+        naming the file, from the header alone as from the full read."""
+        p = tmp_path / "e.npz"
+        artifact.save(p, embedstore.KIND, {"tokens": ["a", "b"]}, {"rows": rows})
+        with pytest.raises(ArtifactError, match=f"{p}.*'rows' has shape"):
+            read_embeddings(p)
+        if rows.ndim != 2:
+            with pytest.raises(ArtifactError, match=f"{p}.*'rows' has shape"):
+                read_dim(p)
 
 
 class TestNormalize:
