@@ -23,7 +23,10 @@ drawn once at one model's shape and shared by the M models, so every model
 sees the masks it would draw alone.  A stacked matmul is one BLAS call per
 model at that model's shape, never one call over M folded into the rows, so
 each slice is computed exactly as the single model computes it.
-`forward_loss` is the single-model case.  Decoding runs one model at a time.
+`forward_loss` is the single-model case.  Decoding runs one model at a time;
+`decoder_step` takes the live hypotheses of several sources at once, those
+of each source side by side, and `attention_keys` lets a search take each
+source's h_enc @ att_W^T once.
 
 A forward pass caches what its backward pass reads, each value once.
 `gru_forward` keeps the input, the states h_0..h_T and every step's [z|r]
@@ -381,10 +384,18 @@ def bridge(params, cfg, enc_finals):
     return states, pres
 
 
-def attention_output(params, h_top, h_enc, src_mask):
+def attention_keys(params, h_enc):
+    """h_enc @ att_W^T (..., B,S,H): the term of the attention scores that
+    depends on the source alone."""
+    return h_enc @ _per_row(_t(params["att_W"]))
+
+
+def attention_output(params, h_top, h_enc, src_mask, proj=None):
     """Global multiplicative attention + tanh combination layer, vectorized
-    over decoder time steps.  h_top: (..., B,T,H); h_enc: (..., B,S,H)."""
-    proj = h_enc @ _per_row(_t(params["att_W"]))               # (..., B,S,H)
+    over decoder time steps.  h_top: (..., B,T,H); h_enc: (..., B,S,H); proj:
+    attention_keys(params, h_enc), taken here when not given."""
+    if proj is None:
+        proj = attention_keys(params, h_enc)
     scores = np.einsum("...bth,...bsh->...bts", h_top, proj)
     scores = scores - 1e9 * (1.0 - src_mask[:, None, :])
     scores -= scores.max(axis=-1, keepdims=True)
@@ -528,10 +539,13 @@ def forward_loss(params, cfg, batch, rng=None, compute_grads=True):
     return float(loss), grads
 
 
-def decoder_step(params, cfg, state, y_prev, h_enc, src_mask):
+def decoder_step(params, cfg, state, y_prev, h_enc, src_mask, proj=None):
     """One decode step for a (B,) batch of previous tokens, through the
-    _gru_step that training runs.  Returns (log_probs (B,Vt), new per-layer
-    states)."""
+    _gru_step that training runs.  The B rows go to the N sources of h_enc
+    (N,S,H) and src_mask (N,S) in order, B / N rows each, so the hypotheses
+    of one source share its encoder states; proj is attention_keys(params,
+    h_enc), taken here when not given.  Returns (log_probs (B,Vt), new
+    per-layer states)."""
     x = params["tgt_emb"][y_prev]
     new_state = []
     for l in range(cfg.dec_layers):
@@ -543,9 +557,9 @@ def decoder_step(params, cfg, state, y_prev, h_enc, src_mask):
         _gru_step(u[:, :2 * hid], u[:, 2 * hid:], xw[:, :2 * hid],
                   xw[:, 2 * hid:], h_prev, zr, rh, c, x)
         new_state.append(x)
-    h_top = x[:, None, :]
-    a, _ = attention_output(params, h_top, h_enc, src_mask)
-    logits = a[:, 0] @ params["out_W"] + params["out_b"]
+    h_top = x.reshape(len(h_enc), -1, x.shape[-1])            # (N, B/N, H)
+    a, _ = attention_output(params, h_top, h_enc, src_mask, proj)
+    logits = a.reshape(x.shape) @ params["out_W"] + params["out_b"]
     logits -= logits.max(axis=1, keepdims=True)
     log_probs = logits - np.log(np.exp(logits).sum(axis=1, keepdims=True))
     return log_probs, new_state

@@ -5,15 +5,17 @@ import pytest
 
 from xhembed.corpus import BOS, EOS, PAD, UNK
 from xhembed.metrics import corpus_bleu
-from xhembed.nmt import decode
+from xhembed.nmt import decode, model as nmt_model
 from xhembed.nmt.data import encode_pairs, make_batch
-from xhembed.nmt.decode import beam_search, best_hypothesis, translate
+from xhembed.nmt.decode import (beam_search, best_hypotheses, best_hypothesis,
+                                translate)
 from xhembed.nmt.model import decoder_step, encode_for_decoding
 from xhembed.nmt.train import TrainConfig, train
 
 import greedy
 from conftest import random_pairs, tiny_model
 from greedy import greedy_decode
+from memory import traced_peak
 
 
 def sequence_score(params, cfg, src_ids, tokens):
@@ -163,9 +165,9 @@ class TestBatchedStep:
         greedy oracle make."""
         sizes = []
 
-        def counting(params, cfg, state, y_prev, h_enc, src_mask):
+        def counting(params, cfg, state, y_prev, *source):
             sizes.append(len(y_prev))
-            return decoder_step(params, cfg, state, y_prev, h_enc, src_mask)
+            return decoder_step(params, cfg, state, y_prev, *source)
         monkeypatch.setattr(decode, "decoder_step", counting)
         monkeypatch.setattr(greedy, "decoder_step", counting)
         return sizes
@@ -182,6 +184,16 @@ class TestBatchedStep:
             assert max(step_batches) <= 5
             largest = max(largest, max(step_batches))
         assert largest > 1
+
+    def test_translate_makes_one_call_per_step(self, step_batches, tmp_path):
+        """S sentences in one chunk take at most max_decode_len decoder_step
+        calls, not S times as many, none over the chunk's S * beam rows."""
+        cfg, params, sv, tv = tiny_model(max_decode_len=6)
+        rng = np.random.default_rng(2)
+        sents = [src for src, _ in random_pairs(sv, tv, 20, rng)]
+        translate(params, cfg, sents, sv, tv, tmp_path / "hyp.txt", beam=5)
+        assert 1 <= len(step_batches) <= 6
+        assert 5 < max(step_batches) <= 20 * 5
 
     def test_greedy_calls_at_batch_one(self, step_batches):
         cfg, params, sv, tv = tiny_model()
@@ -211,23 +223,102 @@ class TestTranslateFile:
         assert len(out.read_text().splitlines()) == 1
 
     def test_failure_part_way_keeps_old_file(self, tmp_path, monkeypatch):
+        """A decoder failure in the second of three one-sentence chunks,
+        after the first chunk's line was written to the temporary file."""
         cfg, params, sv, tv = tiny_model()
         out = tmp_path / "hyp.txt"
         out.write_bytes(b"old hypotheses\n")
-        calls = []
+        monkeypatch.setattr(nmt_model, "OUT_BLOCK_BYTES",
+                            cfg.beam * len(tv) * params["out_W"].itemsize)
+        chunks, calls = [], []
 
-        def failing_beam_search(*args, **kwargs):
-            calls.append(args)
-            if len(calls) == 2:
+        def counting_encode(*args):
+            chunks.append(args)
+            return encode_for_decoding(*args)
+
+        def failing_step(*args):
+            calls.append(len(chunks))
+            if len(chunks) == 2:
                 raise RuntimeError("decoder failed")
-            return beam_search(*args, **kwargs)
+            return decoder_step(*args)
 
-        monkeypatch.setattr(decode, "beam_search", failing_beam_search)
+        monkeypatch.setattr(decode, "encode_for_decoding", counting_encode)
+        monkeypatch.setattr(decode, "decoder_step", failing_step)
         with pytest.raises(RuntimeError, match="decoder failed"):
             translate(params, cfg, [["w1"], ["w2"], ["w3"]], sv, tv, out)
-        assert len(calls) == 2
+        assert len(chunks) == 2 and calls.count(1) >= 1 and calls.count(2) == 1
         assert out.read_bytes() == b"old hypotheses\n"
         assert [p.name for p in tmp_path.iterdir()] == ["hyp.txt"]
+
+
+class TestBatchedSearch:
+    """Sentences beam-searched together, as translate searches a chunk."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("beam", [1, 2, 3, 5])
+    def test_equals_per_hypothesis_search(self, seed, beam):
+        """All of one random_pairs draw in one batch: sources of 3 to 6
+        tokens, whose searches stop at different steps, some on EOS and some
+        at max_decode_len.  Each is the per-sentence oracle's result."""
+        cfg, params, sv, tv = tiny_model(seed=seed, max_decode_len=12)
+        rng = np.random.default_rng(seed)
+        sources = [[sv.id(t) for t in src] for src, _ in random_pairs(sv, tv, 50, rng)]
+        got = best_hypotheses(params, cfg, sources, beam)
+        assert len({len(src) for src in sources}) > 1
+        assert len({len(hyp.tokens) for hyp in got if hyp.tokens[-1] == EOS}) > 1
+        assert any(hyp.tokens[-1] != EOS for hyp in got)
+        for src, hyp in zip(sources, got):
+            want = reference_beam(params, cfg, src, beam)
+            assert hyp.tokens == want.tokens
+            assert abs(hyp.log_prob - want.log_prob) <= 1e-12
+
+    @pytest.mark.parametrize("chunk", [1, 3, 7])
+    def test_chunks_write_the_same_lines(self, chunk, tmp_path, monkeypatch):
+        """Chunks of 1, 3 and 7 sentences, the last one ragged, write the
+        lines one chunk writes, each the sentence's own beam_search; an empty
+        sentence between others still gives an empty line."""
+        cfg, params, sv, tv = tiny_model(max_decode_len=12)
+        rng = np.random.default_rng(3)
+        sents = [src for src, _ in random_pairs(sv, tv, 20, rng)]
+        sents[5:5], sents[12:12] = [[]], [[]]
+        assert len(sents) % 3 and len(sents) % 7
+        want = [" ".join(map(tv.token, beam_search(params, cfg, [sv.id(t) for t in s])))
+                if s else "" for s in sents]
+        translate(params, cfg, sents, sv, tv, tmp_path / "one.hyp")
+        assert (tmp_path / "one.hyp").read_text().splitlines() == want
+        encodes = []
+
+        def counting_encode(*args):
+            encodes.append(len(args[2]))
+            return encode_for_decoding(*args)
+
+        monkeypatch.setattr(decode, "encode_for_decoding", counting_encode)
+        monkeypatch.setattr(nmt_model, "OUT_BLOCK_BYTES",
+                            chunk * cfg.beam * len(tv) * params["out_W"].itemsize)
+        translate(params, cfg, sents, sv, tv, tmp_path / "chunked.hyp")
+        assert encodes == [sum(1 for s in sents[lo:lo + chunk] if s)
+                           for lo in range(0, len(sents), chunk)
+                           if any(sents[lo:lo + chunk])]
+        assert (tmp_path / "chunked.hyp").read_text().splitlines() == want
+
+    def test_peak_memory_of_a_long_file(self, tmp_path, monkeypatch):
+        """2,000 short sentences in 40-sentence chunks peak within 1.5 times
+        the peak of one such chunk, not with the file's length: one chunk
+        traced 0.40 MB and all 2,000 0.45 MB, where 2,000 in one chunk take
+        17.6 MB."""
+        cfg, params, sv, tv = tiny_model(max_decode_len=4)
+        rng = np.random.default_rng(0)
+        words = sv.tokens()
+        sents = [[words[i] for i in rng.integers(len(words), size=3)]
+                 for _ in range(2000)]
+        monkeypatch.setattr(nmt_model, "OUT_BLOCK_BYTES",
+                            40 * cfg.beam * len(tv) * params["out_W"].itemsize)
+        _, one_chunk = traced_peak(translate, params, cfg, sents[:40], sv, tv,
+                                   tmp_path / "chunk.hyp")
+        _, whole = traced_peak(translate, params, cfg, sents, sv, tv,
+                               tmp_path / "all.hyp")
+        assert len((tmp_path / "all.hyp").read_text().splitlines()) == 2000
+        assert whole <= 1.5 * one_chunk, (whole, one_chunk)
 
 
 @pytest.fixture(scope="module")
@@ -269,6 +360,14 @@ class TestCopyTask:
 
     @pytest.mark.parametrize("beam", [2, 3, 5])
     def test_batched_equals_per_hypothesis_search(self, copy_model, beam):
+        """Each sentence alone and all of them searched together.  The
+        trained model's searches go on with fewer live hypotheses than others
+        of the batch, which the random models' searches do not."""
         cfg, params, sv, tv, pairs = copy_model
-        for src, _ in pairs[:30]:
-            assert_matches_reference(params, cfg, [sv.id(t) for t in src], beam)
+        sources = [[sv.id(t) for t in src] for src, _ in pairs[:30]]
+        together = best_hypotheses(params, cfg, sources, beam)
+        for src, hyp in zip(sources, together):
+            want = reference_beam(params, cfg, src, beam)
+            for got in (best_hypothesis(params, cfg, src, beam), hyp):
+                assert got.tokens == want.tokens
+                assert abs(got.log_prob - want.log_prob) <= 1e-12
