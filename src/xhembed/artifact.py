@@ -68,12 +68,6 @@ def load(path, kind, decode):
         return decode(header, {name: z[name] for name in z.files if name != "header"})
 
 
-def read_header(path, kind):
-    """The header of the artifact of `kind` at `path`; no array is read."""
-    with _opened(path, kind) as (header, _):
-        return header
-
-
 def read_shape(path, kind, name, shape):
     """The shape of array `name` of the artifact of `kind` at `path`, read
     from the header of its .npy member alone and checked as by

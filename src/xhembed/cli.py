@@ -238,7 +238,7 @@ def run_pipeline(cfg, out_dir, strategies, deterministic=True, log=print):
             corp = load_parallel_corpus(cfg[f"data.{name}_src"], cfg[f"data.{name}_tgt"],
                                         name)
             write_lines(out / f"{name}.stats.txt", _stats_lines(corpus_stats(corp)))
-            write_lines(out / f"{name}.load.txt", _text_lines(str(corp.report)))
+            write_lines(out / f"{name}.load.txt", corp.report.lines())
             parts = splits[name] = stage_split(corp, split_spec, out)
             log(f"[{name}] {len(corp)} pairs -> "
                 f"{len(parts[0])}/{len(parts[1])}/{len(parts[2])}")
@@ -266,7 +266,7 @@ def run_pipeline(cfg, out_dir, strategies, deterministic=True, log=print):
             lex = read_lexicon(cfg["data.lexicon"])
             e_v, report = stage_build_ev(lex, read_embeddings(cfg["data.hr_embeddings"]),
                                          out / "ev.npz")
-            write_lines(out / "ev.report.txt", _text_lines(report.to_text()))
+            write_lines(out / "ev.report.txt", report.lines())
             log(f"[build-ev] covered {report.covered}/{len(lex)} entries")
 
         if "mapping" in needs:
@@ -293,7 +293,7 @@ def run_pipeline(cfg, out_dir, strategies, deterministic=True, log=print):
                 strat, hyp = strategies[i], sdirs[i] / f"{name}.test.hyp"
                 translate(params, nmt_cfg, parts[2].side("src"), src_vocab, tgt_vocab, hyp)
                 report = metrics.evaluate_translations(hyp, out / f"{name}.test.tgt")
-                write_lines(sdirs[i] / f"{name}.bleu.tsv", _text_lines(report.to_tsv()))
+                write_lines(sdirs[i] / f"{name}.bleu.tsv", report.lines())
                 results[i] += f"\t{report.corpus:.4f}\t{report.mean_sentence:.4f}"
                 log(f"[{strat}/{name}] corpus BLEU {report.corpus:.2f} "
                     f"mean sentence BLEU {report.mean_sentence:.2f}")
@@ -312,11 +312,6 @@ def run_pipeline(cfg, out_dir, strategies, deterministic=True, log=print):
         raise StageError(stage, e) from e
 
 
-def _text_lines(text):
-    """The lines of a report's text, which ends in a newline."""
-    return text.split("\n")[:-1]
-
-
 def _stats_lines(stats):
     lines = [f"sentences\t{stats.sentences}"]
     for side, st in (("src", stats.src), ("tgt", stats.tgt)):
@@ -332,7 +327,7 @@ def _stats_lines(stats):
 def _cmd_make_toy(args):
     paths = write_toy_dataset(args.out)
     write_lines(Path(args.out) / "toy.cfg",
-                _text_lines(toy_config_text(paths, Path(args.out) / "run")))
+                toy_config_text(paths, Path(args.out) / "run").splitlines())
     print(f"toy dataset and config written under {args.out}")
 
 
@@ -363,7 +358,7 @@ def _cmd_train_subword(args):
 def _cmd_build_ev(args):
     _, report = stage_build_ev(read_lexicon(args.lexicon),
                                read_embeddings(args.hr_embeddings), args.out)
-    print(report.to_text(), end="")
+    print(*report.lines(), sep="\n")
 
 
 def _cmd_map(args):
@@ -441,7 +436,7 @@ def _cmd_translate(args):
 
 def _cmd_evaluate(args):
     report = metrics.evaluate_translations(args.hyp, args.ref)
-    print(report.to_tsv(), end="")
+    print(*report.lines(), sep="\n")
 
 
 def _cmd_neighbors(args):

@@ -37,10 +37,10 @@ class LoadReport:
     tgt_lines: int = 0
     dropped: int = 0
 
-    def __str__(self):
-        return (f"source lines\t{self.src_lines}\n"
-                f"target lines\t{self.tgt_lines}\n"
-                f"dropped pairs\t{self.dropped}\n")
+    def lines(self):
+        return [f"source lines\t{self.src_lines}",
+                f"target lines\t{self.tgt_lines}",
+                f"dropped pairs\t{self.dropped}"]
 
 
 @dataclass

@@ -51,13 +51,11 @@ class ProjectionReport:
     skipped: list = field(default_factory=list)      # source words fully OOV
     dropped_words: dict = field(default_factory=dict)  # source word -> OOV translations
 
-    def to_text(self):
-        lines = [f"covered\t{self.covered}", f"skipped\t{len(self.skipped)}"]
-        for w in self.skipped:
-            lines.append(f"skip\t{w}\tall translations OOV")
-        for w, dropped in self.dropped_words.items():
-            lines.append(f"dropped\t{w}\t{' '.join(dropped)}")
-        return "\n".join(lines) + "\n"
+    def lines(self):
+        return [f"covered\t{self.covered}", f"skipped\t{len(self.skipped)}",
+                *(f"skip\t{w}\tall translations OOV" for w in self.skipped),
+                *(f"dropped\t{w}\t{' '.join(dropped)}"
+                  for w, dropped in self.dropped_words.items())]
 
 
 def build_projected_matrix(lexicon, e_hr):

@@ -70,8 +70,8 @@ class BleuReport:
     sentences: int
     beer: str = "n/a (external trained metric)"
 
-    def to_tsv(self):
-        lines = [
+    def lines(self):
+        return [
             f"sentences\t{self.sentences}",
             f"corpus_bleu\t{self.corpus:.4f}",
             f"mean_sentence_bleu\t{self.mean_sentence:.4f}",
@@ -81,7 +81,6 @@ class BleuReport:
             f"ref_tokens\t{self.ref_tokens}",
             f"beer\t{self.beer}",
         ]
-        return "\n".join(lines) + "\n"
 
 
 def score_corpus(hyps, refs):

@@ -56,8 +56,11 @@ def _extend(live, lp, beam, row0, finished):
 def best_hypotheses(params, cfg, sources, beam=None):
     """The best BeamHypothesis of each of the non-empty id lists `sources`,
     BOS and any final EOS included, all searched together as beam_search
-    searches one.  Raises ValueError if beam < 1."""
+    searches one.  Raises ValueError if beam < 1 or a source is empty."""
     beam = _beam_width(cfg, beam)
+    for i, src in enumerate(sources):
+        if len(src) == 0:
+            raise ValueError(f"cannot search an empty source: sources[{i}]")
     batch = make_batch([(list(src), [BOS]) for src in sources])
     h_enc, state = encode_for_decoding(params, cfg, batch.src_ids, batch.src_mask)
     src_mask, proj = batch.src_mask, attention_keys(params, h_enc)
@@ -91,28 +94,23 @@ def best_hypotheses(params, cfg, sources, beam=None):
             for done, alive in zip(finished, live)]
 
 
-def best_hypothesis(params, cfg, src_ids, beam=None):
-    """The highest-scoring BeamHypothesis of beam_search, BOS and any final
-    EOS included.  Raises ValueError if beam < 1."""
-    return best_hypotheses(params, cfg, [src_ids], beam)[0]
-
-
 def _output_tokens(hyp):
     toks = hyp.tokens[1:]
     return toks[:-1] if toks and toks[-1] == EOS else toks
 
 
 def beam_search(params, cfg, src_ids, beam=None):
-    """Breadth-limited search over cumulative log-probability, no length
-    normalization.  The `beam` best extensions (live hypothesis, token) of
-    each step survive, ties going to the earlier live hypothesis and then to
-    the lower token id; EOS-terminated ones move to a finished pool.  Stops
-    when the best finished score cannot be beaten or cfg.max_decode_len is
-    reached.  Each step advances all live hypotheses in one batched
-    decoder_step call, so a search costs at most max_decode_len calls, of
-    this one sentence here or of a whole chunk of them in translate.
-    Raises ValueError if beam < 1."""
-    return _output_tokens(best_hypothesis(params, cfg, src_ids, beam))
+    """The output tokens of one sentence's best_hypotheses: breadth-limited
+    search over cumulative log-probability, no length normalization.  The
+    `beam` best extensions (live hypothesis, token) of each step survive, ties
+    going to the earlier live hypothesis and then to the lower token id;
+    EOS-terminated ones move to a finished pool.  Stops when the best
+    finished score cannot be beaten or cfg.max_decode_len is reached.  Each
+    step advances all live hypotheses in one batched decoder_step call, so a
+    search costs at most max_decode_len calls, of this one sentence here or
+    of a whole chunk of them in translate.
+    Raises ValueError if beam < 1 or src_ids is empty."""
+    return _output_tokens(best_hypotheses(params, cfg, [src_ids], beam)[0])
 
 
 def translate(params, cfg, sentences, src_vocab, tgt_vocab, out_path, beam=None):

@@ -10,10 +10,10 @@ any other names or shapes (such as the nine per-gate tensors per GRU of
 earlier versions) are rejected when loaded.
 
 `gru_forward` runs one GRU, or both directions of an encoder layer, in one
-time-major loop of `_gru_step`, the step `decoder_step` also takes.
-`stack_forward` and `stack_backward` run a stack of such layers, the encoder
-and the decoder alike.  Dropout applies to the input of each GRU layer and to
-the attention output.
+time-major loop of `_gru_step`.  `stack_forward` and `stack_backward` run a
+stack of such layers, the encoder and the decoder alike; `_encoder_layers` and
+`_decoder_layers` name them.  Dropout applies to the input of each GRU layer
+and to the attention output.
 
 The training kernels take an optional leading model axis M on every
 parameter, activation and gradient: `forward_losses` on tensors stacked as
@@ -23,8 +23,10 @@ drawn once at one model's shape and shared by the M models, so every model
 sees the masks it would draw alone.  A stacked matmul is one BLAS call per
 model at that model's shape, never one call over M folded into the rows, so
 each slice is computed exactly as the single model computes it.
-`forward_loss` is the single-model case.  Decoding runs one model at a time;
-`decoder_step` takes the live hypotheses of several sources at once, those
+`forward_loss` is the single-model case.  Decoding runs one model at a time.
+`decoder_step` is one position of the training decoder: the same
+`stack_forward` over the same layers, without dropout, then the attention and
+a log-softmax.  It takes the live hypotheses of several sources at once, those
 of each source side by side, and `attention_keys` lets a search take each
 source's h_enc @ att_W^T once.
 
@@ -347,6 +349,10 @@ def _encoder_layers(cfg):
     return [(f"enc_{l}_f", f"enc_{l}_b") for l in range(cfg.enc_layers)]
 
 
+def _decoder_layers(cfg):
+    return [(f"dec_{l}",) for l in range(cfg.dec_layers)]
+
+
 def stack_forward(params, layers, x, mask, h0s, rate, rng):
     """Run a stack of GRU layers over (..., B,T,I) input x, each layer named
     by its tuple of prefixes as in gru_forward and started from its entry of
@@ -459,8 +465,8 @@ def forward_losses(params, cfg, batch, rng=None, compute_grads=True):
     h_enc, dec_h0, enc_finals, enc_cache, bridge_cache = _encode(
         params, cfg, src_ids, src_mask, rng)
     h_top, _, dec_cache = stack_forward(
-        params, [(f"dec_{l}",) for l in range(cfg.dec_layers)],
-        params["tgt_emb"][..., y_in, :], None, dec_h0, cfg.dropout, rng)
+        params, _decoder_layers(cfg), params["tgt_emb"][..., y_in, :], None,
+        dec_h0, cfg.dropout, rng)
 
     a, att_cache = attention_output(params, h_top, h_enc, src_mask)
     a_d, a_keep = _dropout(a, cfg.dropout, rng)
@@ -541,25 +547,17 @@ def forward_loss(params, cfg, batch, rng=None, compute_grads=True):
 
 def decoder_step(params, cfg, state, y_prev, h_enc, src_mask, proj=None):
     """One decode step for a (B,) batch of previous tokens, through the
-    _gru_step that training runs.  The B rows go to the N sources of h_enc
-    (N,S,H) and src_mask (N,S) in order, B / N rows each, so the hypotheses
-    of one source share its encoder states; proj is attention_keys(params,
-    h_enc), taken here when not given.  Returns (log_probs (B,Vt), new
-    per-layer states)."""
-    x = params["tgt_emb"][y_prev]
-    new_state = []
-    for l in range(cfg.dec_layers):
-        u, h_prev = params[f"dec_{l}_U"], state[l]
-        b, hid = h_prev.shape
-        xw = x @ params[f"dec_{l}_W"] + params[f"dec_{l}_b"]
-        zr = np.empty((b, 2 * hid), u.dtype)
-        rh, c, x = np.empty((3, b, hid), u.dtype)
-        _gru_step(u[:, :2 * hid], u[:, 2 * hid:], xw[:, :2 * hid],
-                  xw[:, 2 * hid:], h_prev, zr, rh, c, x)
-        new_state.append(x)
-    h_top = x.reshape(len(h_enc), -1, x.shape[-1])            # (N, B/N, H)
+    decoder stack that training runs, without dropout.  The B rows go to the
+    N sources of h_enc (N,S,H) and src_mask (N,S) in order, B / N rows each,
+    so the hypotheses of one source share its encoder states; proj is
+    attention_keys(params, h_enc), taken here when not given.  Returns
+    (log_probs (B,Vt), new per-layer states)."""
+    h_top, new_state, _ = stack_forward(
+        params, _decoder_layers(cfg), params["tgt_emb"][y_prev][:, None, :],
+        None, state, cfg.dropout, None)
+    h_top = h_top.reshape(len(h_enc), -1, h_top.shape[-1])     # (N, B/N, H)
     a, _ = attention_output(params, h_top, h_enc, src_mask, proj)
-    logits = a.reshape(x.shape) @ params["out_W"] + params["out_b"]
+    logits = a.reshape(len(y_prev), -1) @ params["out_W"] + params["out_b"]
     logits -= logits.max(axis=1, keepdims=True)
     log_probs = logits - np.log(np.exp(logits).sum(axis=1, keepdims=True))
     return log_probs, new_state

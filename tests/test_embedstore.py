@@ -328,7 +328,7 @@ class TestReadDim:
         p = tmp_path / "e.npz"
         write_embeddings(EmbeddingMatrix(["a", "b"], np.ones((2, 5))), p)
         assert read_dim(p) == 5
-        assert "dim" not in artifact.read_header(p, embedstore.KIND)
+        assert "dim" not in artifact.load(p, embedstore.KIND, lambda header, _: header)
 
     @pytest.mark.parametrize("rows", [np.ones(5), np.ones((2, 5, 1)), np.ones((3, 5))],
                              ids=["1-d", "3-d", "3-rows"])

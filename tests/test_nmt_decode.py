@@ -7,8 +7,7 @@ from xhembed.corpus import BOS, EOS, PAD, UNK
 from xhembed.metrics import corpus_bleu
 from xhembed.nmt import decode, model as nmt_model
 from xhembed.nmt.data import encode_pairs, make_batch
-from xhembed.nmt.decode import (beam_search, best_hypotheses, best_hypothesis,
-                                translate)
+from xhembed.nmt.decode import beam_search, best_hypotheses, translate
 from xhembed.nmt.model import decoder_step, encode_for_decoding
 from xhembed.nmt.train import TrainConfig, train
 
@@ -78,7 +77,7 @@ def reference_beam(params, cfg, src_ids, beam):
 
 def assert_matches_reference(params, cfg, src_ids, beam):
     want = reference_beam(params, cfg, src_ids, beam)
-    got = best_hypothesis(params, cfg, src_ids, beam)
+    [got] = best_hypotheses(params, cfg, [src_ids], beam)
     assert got.tokens == want.tokens
     assert abs(got.log_prob - want.log_prob) <= 1e-12
 
@@ -117,6 +116,20 @@ class TestBeam:
         with pytest.raises(ValueError, match="beam must be >= 1"):
             beam_search(params, cfg, [4, 5, 6], beam=beam)
 
+    def test_empty_source_rejected(self, monkeypatch):
+        """An empty source is a ValueError naming its index, raised before
+        anything is encoded."""
+        cfg, params, sv, tv = tiny_model()
+
+        def no_encoding(*args):
+            raise AssertionError("encoded")
+
+        monkeypatch.setattr(decode, "encode_for_decoding", no_encoding)
+        with pytest.raises(ValueError, match=r"empty source: sources\[0\]"):
+            beam_search(params, cfg, [])
+        with pytest.raises(ValueError, match=r"empty source: sources\[1\]"):
+            best_hypotheses(params, cfg, [[4, 5], [], [6]])
+
     @pytest.mark.parametrize("seed", [0, 1, 2])
     @pytest.mark.parametrize("beam", [2, 3, 5])
     def test_batched_equals_per_hypothesis_search(self, seed, beam):
@@ -136,7 +149,7 @@ class TestBeam:
         short = replace(cfg, max_decode_len=5)
         assert beam_search(params, short, ids, beam=1) == \
             greedy_decode(params, short, ids) == [UNK] * 5
-        assert best_hypothesis(params, cfg, ids, beam=3).tokens == [BOS, EOS]
+        assert best_hypotheses(params, cfg, [ids], beam=3)[0].tokens == [BOS, EOS]
 
 
 class TestBatchedStep:
@@ -368,6 +381,6 @@ class TestCopyTask:
         together = best_hypotheses(params, cfg, sources, beam)
         for src, hyp in zip(sources, together):
             want = reference_beam(params, cfg, src, beam)
-            for got in (best_hypothesis(params, cfg, src, beam), hyp):
+            for got in (*best_hypotheses(params, cfg, [src], beam), hyp):
                 assert got.tokens == want.tokens
                 assert abs(got.log_prob - want.log_prob) <= 1e-12

@@ -346,10 +346,14 @@ class TestModelAxis:
 
 
 class TestDecoderStep:
-    def test_chained_steps_give_forward_loss(self):
+    @pytest.mark.parametrize("cfg_kwargs", [
+        {"dropout": 0.0}, {"dropout": 0.3}, {"dropout": 0.3, "dec_layers": 3}],
+        ids=["no-dropout", "dropout", "dropout-3-dec-layers"])
+    def test_chained_steps_give_forward_loss(self, cfg_kwargs):
         """Teacher-forced decoder_step calls score the gold tokens as the
-        training loss does: one GRU step formula for both."""
-        cfg, params, sv, tv = tiny_model()
+        training loss without dropout does: the step runs the training
+        decoder stack, every layer of it, and never drops units."""
+        cfg, params, sv, tv = tiny_model(**cfg_kwargs)
         batch = make_batch([([4, 5, 6, 7], [BOS, 4, 9, 5, 6, EOS])])
         loss, _ = forward_loss(params, cfg, batch, compute_grads=False)
         h_enc, state = encode_for_decoding(params, cfg, batch.src_ids,
