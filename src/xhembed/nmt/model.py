@@ -23,6 +23,12 @@ drawn once at one model's shape and shared by the M models, so every model
 sees the masks it would draw alone.  A stacked matmul is one BLAS call per
 model at that model's shape, never one call over M folded into the rows, so
 each slice is computed exactly as the single model computes it.
+The attention's contractions over source and decoder positions are batched
+matmuls over the leading (..., B) axes, one BLAS call per model and batch
+row, in training, dev perplexity and every `decoder_step` alike.  The
+embedding gradients are scattered by `_scatter_add_rows`: a stable sort of
+the ids and one np.add.reduceat sum per id, which rounds the sum of an id of
+three or more rows otherwise than adding them one at a time would.
 `forward_loss` is the single-model case.  Decoding runs one model at a time.
 `decoder_step` is one position of the training decoder: the same
 `stack_forward` over the same layers, without dropout, then the attention and
@@ -402,12 +408,12 @@ def attention_output(params, h_top, h_enc, src_mask, proj=None):
     attention_keys(params, h_enc), taken here when not given."""
     if proj is None:
         proj = attention_keys(params, h_enc)
-    scores = np.einsum("...bth,...bsh->...bts", h_top, proj)
+    scores = h_top @ _t(proj)
     scores = scores - 1e9 * (1.0 - src_mask[:, None, :])
     scores -= scores.max(axis=-1, keepdims=True)
     exp = np.exp(scores) * src_mask[:, None, :]
     alpha = exp / exp.sum(axis=-1, keepdims=True)
-    ctx = np.einsum("...bts,...bsh->...bth", alpha, h_enc)
+    ctx = alpha @ h_enc
     comb_in = np.concatenate([h_top, ctx], axis=-1)
     a = np.tanh(comb_in @ _per_row(params["comb_W"])
                 + params["comb_b"][..., None, None, :])
@@ -415,6 +421,9 @@ def attention_output(params, h_top, h_enc, src_mask, proj=None):
 
 
 def attention_backward(params, cache, h_top, h_enc, da, grads):
+    """Backward through attention_output: adds the grads of comb_W, comb_b
+    and att_W, and returns (dh_top, dh_enc).  Each temporary is dropped as
+    soon as it is dead."""
     proj, alpha, comb_in, a = cache
     da_pre = da * (1.0 - a * a)
     *lead, _, _, h = a.shape
@@ -422,16 +431,19 @@ def attention_backward(params, cache, h_top, h_enc, da, grads):
                         @ da_pre.reshape(*lead, -1, h))
     grads["comb_b"] += da_pre.sum(axis=(-3, -2))
     dcomb_in = da_pre @ _per_row(_t(params["comb_W"]))
+    del da_pre
     dh_top = dcomb_in[..., :h].copy()
     dctx = dcomb_in[..., h:]
-    dalpha = np.einsum("...bth,...bsh->...bts", dctx, h_enc)
-    dh_enc = np.einsum("...bts,...bth->...bsh", alpha, dctx)
-    dscores = alpha * (dalpha - np.sum(dalpha * alpha, axis=-1, keepdims=True))
-    dh_top += np.einsum("...bts,...bsh->...bth", dscores, proj)
-    tmp = np.einsum("...bts,...bsh->...bth", dscores, h_enc)   # d(h_top @ att_W)
+    dscores = dctx @ _t(h_enc)                  # dalpha, made dscores in place
+    dh_enc = _t(alpha) @ dctx
+    del dcomb_in, dctx
+    dscores -= np.sum(dscores * alpha, axis=-1, keepdims=True)
+    dscores *= alpha
+    dh_top += dscores @ proj
+    tmp = dscores @ h_enc                       # d(h_top @ att_W)
     grads["att_W"] += _t(h_top.reshape(*lead, -1, h)) @ tmp.reshape(*lead, -1, h)
-    dh_enc += np.einsum("...bts,...bth->...bsh", dscores,
-                        h_top @ _per_row(params["att_W"]))
+    del tmp
+    dh_enc += _t(dscores) @ (h_top @ _per_row(params["att_W"]))
     return dh_top, dh_enc
 
 
@@ -446,6 +458,22 @@ def _encode(params, cfg, src_ids, src_mask, rng):
         [h0] * cfg.enc_layers, cfg.dropout, rng)
     dec_h0, bridge_cache = bridge(params, cfg, enc_finals)
     return h_enc, dec_h0, enc_finals, enc_cache, bridge_cache
+
+
+def _scatter_add_rows(table, ids, rows):
+    """table[..., i, :] += the sum of the rows of `rows` (..., *ids.shape, K)
+    whose id in `ids` is i.  A stable sort of the ids keeps each id's rows in
+    batch order, and np.add.reduceat sums each id's run of rows in one call.
+    It adds the first row of a run to the pairwise sum of the others, where a
+    scatter of one row at a time adds them left to right, so the sum of an id
+    of three or more rows may differ from that scatter's in the last bits."""
+    rows = rows.reshape(*rows.shape[:rows.ndim - ids.ndim - 1], ids.size, -1)
+    ids = ids.reshape(-1)
+    order = np.argsort(ids, kind="stable")
+    ids = ids[order]
+    starts = np.flatnonzero(np.concatenate([[True], ids[1:] != ids[:-1]]))
+    table[..., ids[starts], :] += np.add.reduceat(rows[..., order, :], starts,
+                                                  axis=-2)
 
 
 def forward_losses(params, cfg, batch, rng=None, compute_grads=True):
@@ -520,7 +548,7 @@ def forward_losses(params, cfg, batch, rng=None, compute_grads=True):
     demb, d_h0 = stack_backward(params, dec_cache, dh_top,
                                 [np.zeros_like(h) for h in dec_h0], grads,
                                 cfg.dropout)
-    np.add.at(grads["tgt_emb"], (..., y_in, slice(None)), demb)
+    _scatter_add_rows(grads["tgt_emb"], y_in, demb)
 
     # bridge
     d_enc_finals = [np.zeros_like(f) for f in enc_finals]
@@ -533,7 +561,7 @@ def forward_losses(params, cfg, batch, rng=None, compute_grads=True):
 
     demb, _ = stack_backward(params, enc_cache, dh_enc, d_enc_finals, grads,
                              cfg.dropout)
-    np.add.at(grads["src_emb"], (..., src_ids, slice(None)), demb)
+    _scatter_add_rows(grads["src_emb"], src_ids, demb)
     return losses, grads
 
 

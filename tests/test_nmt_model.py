@@ -8,13 +8,15 @@ from xhembed.embedstore import EmbeddingMatrix
 from xhembed.nmt import Seq2SeqConfig, build_model
 from xhembed.nmt import model as nmt_model
 from xhembed.nmt.data import Batch, encode_pairs, make_batch, make_batches
-from xhembed.nmt.model import (attention_backward, attention_output, bridge,
-                               decoder_step, encode_for_decoding, forward_loss,
+from xhembed.nmt.model import (attention_backward, attention_keys,
+                               attention_output, bridge, decoder_step,
+                               encode_for_decoding, forward_loss,
                                forward_losses, gru_backward, gru_forward,
                                param_shapes, zero_grads)
 
 import gradcheck
 from conftest import grid_models, random_pairs, stack, tiny_model, vocab_of
+from einsum_attention import einsum_attention_backward, einsum_attention_output
 from gradcheck import gradient_check
 from memory import traced_peak
 
@@ -311,12 +313,13 @@ class TestModelAxis:
 
     def test_peak_memory_of_a_stacked_step(self):
         """One forward and backward pass of three stacked models (hidden 32,
-        16 pairs of 10 to 13 tokens each side, dropout on) peaks at 6.75 MB
-        as tracemalloc sees it.  With float dropout masks in the caches and
-        the output layer's logits and `+ out_b` transient side by side it
-        peaked at 6.95 MB, and with caches that also kept every step's
-        r * h_prev and the attention context at 7.80 MB: the bound sits 2.3%
-        above the first and 0.7% below the second."""
+        16 pairs of 10 to 13 tokens each side, dropout on) peaks at 6.51 MB
+        as tracemalloc sees it.  With the attention backward's temporaries
+        held until it returned it peaked at 6.75 MB; with float dropout
+        masks in the caches and the output layer's logits and `+ out_b`
+        transient side by side as well, at 6.95 MB; and with caches that
+        also kept every step's r * h_prev and the attention context, at
+        7.80 MB.  The bound sits 6% above the first and 0.7% below 6.95 MB."""
         cfg, models, sv, tv = grid_models(3, hidden=32, emb=16, n_tgt=20,
                                           dropout=0.3)
         rng = np.random.default_rng(0)
@@ -459,6 +462,11 @@ def assert_close(got, want, what):
     assert err <= 1e-12, (what, err)
 
 
+def ragged_mask(lens):
+    """The (B, S) source mask of rows of the given lengths."""
+    return (np.arange(max(lens)) < np.array(lens)[:, None]).astype(np.float64)
+
+
 class TestGruScan:
     """The one-loop GRU scan against the per-step reference GRU."""
 
@@ -509,8 +517,130 @@ class TestGruScan:
         rng = np.random.default_rng(seed)
         lens = [6, 2, 4, 1]
         x = rng.normal(size=(len(lens), max(lens), cfg.emb_dim))
-        mask = (np.arange(max(lens)) < np.array(lens)[:, None]).astype(np.float64)
-        self.check(params, ("enc_0_f", "enc_0_b"), x, mask, seed)
+        self.check(params, ("enc_0_f", "enc_0_b"), x, ragged_mask(lens), seed)
+
+
+class TestAttention:
+    """The attention's batched matmuls against the einsum oracle, in float64."""
+
+    NAMES = ("comb_W", "comb_b", "att_W")
+
+    def check(self, params, h_top, h_enc, src_mask, proj=None, da=None):
+        """attention_output and attention_backward, the latter on the grads
+        `da` (random when not given), against the oracle, to 1e-12 of each
+        array's largest value; returns their outputs."""
+        a, cache = attention_output(params, h_top, h_enc, src_mask, proj)
+        want_a, want_cache = einsum_attention_output(params, h_top, h_enc,
+                                                     src_mask, proj)
+        for got, want, what in zip((a, *cache), (want_a, *want_cache),
+                                   ("a", "proj", "alpha", "comb_in", "cached a")):
+            assert_close(got, want, what)
+        if da is None:
+            da = np.random.default_rng(0).normal(size=a.shape)
+        grads = {k: np.zeros_like(params[k]) for k in self.NAMES}
+        want_grads = {k: np.zeros_like(params[k]) for k in self.NAMES}
+        dh = attention_backward(params, cache, h_top, h_enc, da, grads)
+        want_dh = einsum_attention_backward(params, want_cache, h_top, h_enc,
+                                            da, want_grads)
+        for got, want, what in zip(dh, want_dh, ("dh_top", "dh_enc")):
+            assert_close(got, want, what)
+        for k in self.NAMES:
+            assert np.any(want_grads[k] != 0), k
+            assert_close(grads[k], want_grads[k], k)
+        return a, dh, grads
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_ragged_source_mask(self, seed):
+        cfg, params, _, _ = tiny_model(seed=seed)
+        rng = np.random.default_rng(seed)
+        lens = [6, 2, 4, 1]
+        h_top = rng.normal(size=(len(lens), 5, cfg.hidden))
+        h_enc = rng.normal(size=(len(lens), max(lens), cfg.hidden))
+        self.check(params, h_top, h_enc, ragged_mask(lens))
+
+    def test_stack_of_three_models(self):
+        """Three models with their own attention tensors, each slice also the
+        model's own result bit for bit."""
+        models = [tiny_model(seed=s)[1] for s in (1, 2, 3)]
+        rng = np.random.default_rng(5)
+        lens = [3, 5, 1]
+        hid = models[0]["att_W"].shape[0]
+        h_top = rng.normal(size=(3, len(lens), 4, hid))
+        h_enc = rng.normal(size=(3, len(lens), max(lens), hid))
+        mask, da = ragged_mask(lens), rng.normal(size=h_top.shape)
+        a, dh, grads = self.check(stack(models), h_top, h_enc, mask, da=da)
+        for i, params in enumerate(models):
+            want_a, want_dh, want_grads = self.check(params, h_top[i], h_enc[i],
+                                                     mask, da=da[i])
+            assert np.array_equal(a[i], want_a)
+            for got, want in zip(dh, want_dh):
+                assert np.array_equal(got[i], want)
+            for k, g in want_grads.items():
+                assert np.array_equal(grads[k][i], g), k
+
+    def test_decoder_step_layout(self):
+        """The (N, k, H) hypotheses of N sources with the given attention
+        keys, as decoder_step passes them."""
+        cfg, params, _, _ = tiny_model(seed=3)
+        rng = np.random.default_rng(3)
+        lens = [4, 1, 6]
+        h_enc = rng.normal(size=(len(lens), max(lens), cfg.hidden))
+        h_top = rng.normal(size=(len(lens), 5, cfg.hidden))
+        proj = attention_keys(params, h_enc)
+        self.check(params, h_top, h_enc, ragged_mask(lens), proj=proj)
+
+
+class TestScatterAddRows:
+    """The sorted segment sums of _scatter_add_rows against np.add.at."""
+
+    @staticmethod
+    def case(lead, pad_share, dtype, seed):
+        """(table, ids, rows): ids (6, 9) over 12 types, so ids repeat, a
+        share of them PAD; rows (*lead, 6, 9, 5)."""
+        rng = np.random.default_rng(seed)
+        ids = rng.integers(0, 12, (6, 9))
+        ids[rng.random(ids.shape) < pad_share] = PAD
+        rows = rng.normal(size=(*lead, *ids.shape, 5)).astype(dtype)
+        table = np.zeros((*lead, 12, 5), dtype)
+        return table, ids, rows
+
+    @staticmethod
+    def add_at(table, ids, rows):
+        want = table.copy()
+        np.add.at(want, (..., ids, slice(None)), rows)
+        return want
+
+    @pytest.mark.parametrize("lead", [(), (1,), (5,)], ids=["no-axis", "M1", "M5"])
+    @pytest.mark.parametrize("pad_share", [0.0, 0.7], ids=["few-pads", "pad-heavy"])
+    def test_float64_matches_add_at(self, lead, pad_share):
+        table, ids, rows = self.case(lead, pad_share, np.float64, seed=len(lead))
+        table += np.random.default_rng(9).normal(size=table.shape)
+        want = self.add_at(table, ids, rows)
+        nmt_model._scatter_add_rows(table, ids, rows)
+        assert_close(table, want, "table")
+
+    @pytest.mark.parametrize("lead", [(), (1,), (5,)], ids=["no-axis", "M1", "M5"])
+    @pytest.mark.parametrize("pad_share", [0.0, 0.7], ids=["few-pads", "pad-heavy"])
+    def test_float32_within_summation_bound(self, lead, pad_share):
+        """In float32 each sum of k rows r_i is within (k - 1) eps sum |r_i|
+        of the exact sum, the bound of any order of k - 1 float32 additions,
+        and so is np.add.at's; models of a stack get their own sums bit for
+        bit."""
+        table, ids, rows = self.case(lead, pad_share, np.float32, seed=len(lead))
+        want = self.add_at(table, ids, rows)
+        nmt_model._scatter_add_rows(table, ids, rows)
+        r64 = rows.astype(np.float64)
+        exact = self.add_at(np.zeros(table.shape), ids, r64)
+        abs_sum = self.add_at(np.zeros(table.shape), ids, np.abs(r64))
+        k = np.bincount(ids.reshape(-1), minlength=table.shape[-2])[:, None]
+        bound = np.maximum(k - 1, 0) * np.finfo(np.float32).eps * abs_sum
+        assert k.max() > 2                          # some sums can round otherwise
+        assert np.all(np.abs(table - exact) <= bound)
+        assert np.all(np.abs(want - exact) <= bound)
+        for i in range(len(table) if lead else 0):
+            alone = np.zeros_like(table[i])
+            nmt_model._scatter_add_rows(alone, ids, rows[i])
+            assert np.array_equal(table[i], alone)
 
 
 class _Dropout:
