@@ -106,8 +106,10 @@ def _require(cfg, *keys):
     for key in keys:
         if cfg[key] is None:
             raise ValidationError(f"config key {key!r} is required but unset")
-        if key.startswith("data.") and not Path(cfg[key]).exists():
-            raise ValidationError(f"config key {key!r}: path {cfg[key]!r} does not exist")
+        path = Path(cfg[key])
+        if key.startswith("data.") and not path.is_file():
+            problem = "is not a file" if path.exists() else "does not exist"
+            raise ValidationError(f"config key {key!r}: path {cfg[key]!r} {problem}")
 
 
 def _split_spec(cfg):
@@ -562,7 +564,7 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         args.func(args)
-    except (ValidationError, ValueError, FileNotFoundError) as e:
+    except (ValidationError, ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_VALIDATION
     except StageError as e:

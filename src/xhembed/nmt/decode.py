@@ -4,10 +4,11 @@ translation.
 Sentences are searched together, in chunks: one encoder pass per chunk, the
 attention keys h_enc @ att_W^T taken once per chunk, and one decoder_step per
 step over the live hypotheses of every sentence of the chunk still searched.
-Each sentence keeps its own beam, candidate selection and stop rule.  The
-sentences searched with it change only the shapes of the step's matmuls, so
-its scores can round differently, by float ulps, than if it were searched
-alone."""
+The search state is arrays over (open sentence, slot); one partition and one
+sort over the (sentences, k*V) scores select each sentence's own beam per step.
+The sentences searched with a sentence change only the shapes of the step's
+matmuls, so its scores can round differently, by float ulps, than if it were
+searched alone."""
 
 from dataclasses import dataclass
 from itertools import islice
@@ -24,7 +25,6 @@ from .model import attention_keys, decoder_step, encode_for_decoding
 class BeamHypothesis:
     tokens: list            # starts with BOS
     log_prob: float
-    row: int = 0            # row of its decoder state in the last step's batch
 
 
 def _beam_width(cfg, beam):
@@ -34,29 +34,16 @@ def _beam_width(cfg, beam):
     return beam
 
 
-def _extend(live, lp, beam, row0, finished):
-    """The `beam` best (hypothesis, token) extensions of one sentence's live
-    hypotheses, whose step log-probs are the rows of lp and whose new states
-    are rows row0, row0 + 1, ... of the step's batch.  They come from one
-    partition of all extensions; those tied with the k-th best go by flat
-    index, so earlier hypothesis, then lower token id.  EOS-terminated ones
-    are appended to `finished`; the others are returned, best first."""
-    total = (np.array([hyp.log_prob for hyp in live])[:, None] + lp).ravel()
-    k = min(beam, int(np.isfinite(total).sum()))
-    kth = np.partition(total, total.size - k)[total.size - k]
-    top = np.flatnonzero(total >= kth)
-    grown = []
-    for flat in top[np.lexsort((top, -total[top]))][:k]:
-        i, tok = divmod(int(flat), lp.shape[1])
-        hyp = BeamHypothesis(live[i].tokens + [tok], float(total[flat]), row0 + i)
-        (finished if tok == EOS else grown).append(hyp)
-    return grown
-
-
 def best_hypotheses(params, cfg, sources, beam=None):
     """The best BeamHypothesis of each of the non-empty id lists `sources`,
-    BOS and any final EOS included, all searched together as beam_search
-    searches one.  Raises ValueError if beam < 1 or a source is empty."""
+    BOS and any final EOS included, all searched together.  Breadth-limited
+    search over cumulative log-probability, no length normalization: the
+    `beam` best extensions (live hypothesis, token) of a sentence survive each
+    step, ties going to the earlier live hypothesis and then to the lower
+    token id, and EOS-terminated ones finish.  A sentence stops when its best
+    finished score cannot be beaten or cfg.max_decode_len is reached, and
+    gives its best finished hypothesis, the earliest of equals, else its best
+    live one.  Raises ValueError if beam < 1 or a source is empty."""
     beam = _beam_width(cfg, beam)
     for i, src in enumerate(sources):
         if len(src) == 0:
@@ -64,34 +51,52 @@ def best_hypotheses(params, cfg, sources, beam=None):
     batch = make_batch([(list(src), [BOS]) for src in sources])
     h_enc, state = encode_for_decoding(params, cfg, batch.src_ids, batch.src_mask)
     src_mask, proj = batch.src_mask, attention_keys(params, h_enc)
-    live = [[BeamHypothesis([BOS], 0.0, i)] for i in range(len(sources))]
-    finished = [[] for _ in sources]
-    searched = list(range(len(sources)))    # in the order of h_enc's rows
+    # (open sentence, slot) arrays: the live log-probs, best first, then -inf
+    # in empty slots, which repeat the sentence's last live hypothesis; each
+    # slot's tokens; the row of its decoder state in the last step's batch
+    n = len(sources)
+    scores, tokens, rows = np.zeros((n, 1)), np.full((n, 1, 1), BOS), np.arange(n)
+    searched = np.arange(n)             # index in sources of each open sentence
+    finished, ends = np.full(n, -np.inf), [None] * n    # best finished of each
     for _ in range(cfg.max_decode_len):
-        # k rows per searched sentence: its live hypotheses, then copies of
-        # its last one, whose log-probs are never read
-        k = max(len(live[i]) for i in searched)
-        rows = [hyp for i in searched
-                for hyp in live[i] + live[i][-1:] * (k - len(live[i]))]
-        state = [s[[hyp.row for hyp in rows]] for s in state]
-        lp, state = decoder_step(params, cfg, state,
-                                 np.array([hyp.tokens[-1] for hyp in rows]),
+        m, k = scores.shape
+        state = [s[rows.ravel()] for s in state]
+        lp, state = decoder_step(params, cfg, state, tokens[:, :, -1].ravel(),
                                  h_enc, src_mask, proj)
         lp[:, [PAD, BOS]] = -np.inf        # never proposed
-        lp = lp.reshape(len(searched), k, -1)
-        kept = []
-        for j, i in enumerate(searched):
-            live[i] = _extend(live[i], lp[j, :len(live[i])], beam, j * k, finished[i])
-            if live[i] and not (finished[i] and max(h.log_prob for h in finished[i])
-                                >= live[i][0].log_prob):
-                kept.append(j)
-        if not kept:
+        total = (scores[:, :, None] + lp.reshape(m, k, -1)).reshape(m, -1)
+        # each sentence's `beam` best finite totals, ties by lower flat index
+        cut = max(total.shape[1] - beam, 0)
+        kth = np.partition(total, cut, axis=1)[:, cut, None]
+        sent, flat = np.nonzero((total >= kth) & np.isfinite(total))
+        order = np.lexsort((flat, -total[sent, flat], sent))
+        sent, flat = sent[order], flat[order]
+        top = np.arange(sent.size) - np.searchsorted(sent, sent) < beam
+        sent, flat = sent[top], flat[top]
+        score, (slot, tok) = total[sent, flat], np.divmod(flat, lp.shape[1])
+        grown = np.concatenate([tokens[sent, slot], tok[:, None]], axis=1)
+        eos = tok == EOS
+        for j, p, toks in zip(searched[sent[eos]], score[eos], grown[eos]):
+            if p > finished[j]:
+                finished[j], ends[j] = p, toks.tolist()
+        live = np.flatnonzero(~eos)
+        count = np.bincount(sent[live], minlength=m)
+        first = np.cumsum(count) - count
+        kept = np.flatnonzero(count)
+        kept = kept[finished[searched[kept]] < score[live[first[kept]]]]
+        if not kept.size:
             break
-        if len(kept) < len(searched):
-            searched = [searched[j] for j in kept]
+        slots = np.arange(count[kept].max())
+        pick = live[first[kept, None] + np.minimum(slots, count[kept, None] - 1)]
+        scores = np.where(slots < count[kept, None], score[pick], -np.inf)
+        tokens, rows = grown[pick], (sent * k + slot)[pick]
+        if kept.size < m:
+            searched = searched[kept]
             h_enc, src_mask, proj = h_enc[kept], src_mask[kept], proj[kept]
-    return [max(done or alive, key=lambda h: h.log_prob)
-            for done, alive in zip(finished, live)]
+    for j, i in enumerate(searched):
+        if ends[i] is None:
+            finished[i], ends[i] = scores[j, 0], tokens[j, 0].tolist()
+    return [BeamHypothesis(toks, float(p)) for toks, p in zip(ends, finished)]
 
 
 def _output_tokens(hyp):
@@ -100,15 +105,10 @@ def _output_tokens(hyp):
 
 
 def beam_search(params, cfg, src_ids, beam=None):
-    """The output tokens of one sentence's best_hypotheses: breadth-limited
-    search over cumulative log-probability, no length normalization.  The
-    `beam` best extensions (live hypothesis, token) of each step survive, ties
-    going to the earlier live hypothesis and then to the lower token id;
-    EOS-terminated ones move to a finished pool.  Stops when the best
-    finished score cannot be beaten or cfg.max_decode_len is reached.  Each
-    step advances all live hypotheses in one batched decoder_step call, so a
-    search costs at most max_decode_len calls, of this one sentence here or
-    of a whole chunk of them in translate.
+    """The output tokens of one sentence's best hypothesis, searched by
+    best_hypotheses alone.  Each step advances all live hypotheses in one
+    batched decoder_step call, so a search costs at most max_decode_len calls,
+    of this one sentence here or of a whole chunk of them in translate.
     Raises ValueError if beam < 1 or src_ids is empty."""
     return _output_tokens(best_hypotheses(params, cfg, [src_ids], beam)[0])
 

@@ -108,6 +108,17 @@ class TestValidation:
         with pytest.raises(ValidationError, match="missing.src"):
             run_pipeline(cfg, tmp_path / "out", [InitStrategy.RANDOM])
 
+    def test_directory_data_path(self, tmp_path):
+        """A directory passes no longer as a data file: the run stops in
+        validation, naming the key and the path, with no stage's output."""
+        cfg = self.base_cfg(tmp_path)
+        cfg["data.corpus2_tgt"] = str(tmp_path / "held")
+        (tmp_path / "held").mkdir()
+        with pytest.raises(ValidationError,
+                           match=r"'data.corpus2_tgt': path '.*held' is not a file"):
+            run_pipeline(cfg, tmp_path / "out", [InitStrategy.RANDOM])
+        assert not any((tmp_path / "out").iterdir())
+
 
 class TestExitCodes:
     def test_validation_failure_is_one(self, tmp_path, capsys):
@@ -176,6 +187,19 @@ class TestMalformedInput:
         assert_fails_naming(["stats", "--src", tmp_path / "a.src",
                              "--tgt", tmp_path / "a.tgt"],
                             tmp_path / "a.tgt", capsys)
+
+    def test_stats_directory_as_source(self, tmp_path, capsys):
+        (tmp_path / "a.src").mkdir()
+        (tmp_path / "a.tgt").write_text("eins zwei\n")
+        assert_fails_naming(["stats", "--src", tmp_path / "a.src",
+                             "--tgt", tmp_path / "a.tgt"],
+                            tmp_path / "a.src", capsys)
+
+    def test_make_toy_out_is_a_file(self, tmp_path, capsys):
+        (tmp_path / "toy").write_text("not a directory\n")
+        assert_fails_naming(["make-toy", "--out", tmp_path / "toy"],
+                            tmp_path / "toy", capsys)
+        assert (tmp_path / "toy").read_text() == "not a directory\n"
 
     @pytest.mark.parametrize("lexicon", [b"indoda man\n", b"indoda\tman\n\xff\tx\n"])
     def test_build_ev_malformed_lexicon(self, tmp_path, capsys, lexicon):

@@ -53,7 +53,7 @@ def reference_beam(params, cfg, src_ids, beam):
                                          batch.src_mask)
             lp = lp[0].copy()
             lp[[PAD, BOS]] = -np.inf
-            top = np.argsort(-lp)[:beam]
+            top = np.argsort(-lp, kind="stable")[:beam]   # ties: lower id
             for tok in top:
                 if lp[tok] == -np.inf:
                     continue
@@ -80,6 +80,16 @@ def assert_matches_reference(params, cfg, src_ids, beam):
     [got] = best_hypotheses(params, cfg, [src_ids], beam)
     assert got.tokens == want.tokens
     assert abs(got.log_prob - want.log_prob) <= 1e-12
+
+
+def assert_batch_matches_reference(params, cfg, sources, beam):
+    """`sources` searched together give each one's oracle result."""
+    got = best_hypotheses(params, cfg, sources, beam)
+    for src, hyp in zip(sources, got):
+        want = reference_beam(params, cfg, src, beam)
+        assert hyp.tokens == want.tokens
+        assert abs(hyp.log_prob - want.log_prob) <= 1e-12
+    return got
 
 
 class TestGreedy:
@@ -284,6 +294,42 @@ class TestBatchedSearch:
             want = reference_beam(params, cfg, src, beam)
             assert hyp.tokens == want.tokens
             assert abs(hyp.log_prob - want.log_prob) <= 1e-12
+
+    @pytest.mark.parametrize("eos_bias", [0.0, -1.0])
+    @pytest.mark.parametrize("beam", [1, 3, 5])
+    def test_all_extensions_tied(self, beam, eos_bias):
+        """A zero output layer ties every extension, so each step's beam is
+        the first extensions in (live hypothesis, token id) order.  With EOS
+        held back, the searches run to max_decode_len on ties alone."""
+        cfg, params, sv, tv = tiny_model(max_decode_len=12)
+        params["out_W"][:] = 0.0
+        params["out_b"][:] = 0.0
+        params["out_b"][EOS] = eos_bias
+        rng = np.random.default_rng(6)
+        sources = [[sv.id(t) for t in src] for src, _ in random_pairs(sv, tv, 10, rng)]
+        assert len({len(src) for src in sources}) > 1
+        got = assert_batch_matches_reference(params, cfg, sources, beam)
+        ends_on_eos = beam > 1 and eos_bias == 0.0
+        assert all((hyp.tokens[-1] == EOS) == ends_on_eos for hyp in got)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_beam_wider_than_the_first_step(self, seed, monkeypatch):
+        """Beam 12 over V = 10, of which PAD and BOS are never proposed:
+        the first step has 8 finite extensions, all of which survive, and
+        no later step is fed PAD or BOS, not even in an empty slot."""
+        cfg, params, sv, tv = tiny_model(n_tgt=6, seed=seed, max_decode_len=12)
+        assert len(tv) == 10
+        rng = np.random.default_rng(seed)
+        sources = [[sv.id(t) for t in src] for src, _ in random_pairs(sv, tv, 10, rng)]
+        fed = []
+
+        def recording(params, cfg, state, y_prev, *source):
+            fed.append(y_prev.copy())
+            return decoder_step(params, cfg, state, y_prev, *source)
+        monkeypatch.setattr(decode, "decoder_step", recording)
+        assert_batch_matches_reference(params, cfg, sources, 12)
+        assert set(fed[0]) == {BOS} and len(fed) > 1
+        assert not any(np.isin(y_prev, [PAD, BOS]).any() for y_prev in fed[1:])
 
     @pytest.mark.parametrize("chunk", [1, 3, 7])
     def test_chunks_write_the_same_lines(self, chunk, tmp_path, monkeypatch):
