@@ -9,16 +9,15 @@ from pathlib import Path
 from . import metrics
 from .combine import (STRATEGY_INPUTS, STRATEGY_ORDER, InitStrategy,
                       build_initial_embeddings)
-from .corpus import (SplitSpec, Vocabulary, build_vocabulary, corpus_stats,
-                     load_parallel_corpus, read_aligned_lines, read_lines,
-                     split_corpus, write_lines, write_splits)
+from .corpus import (FieldError, SplitSpec, Vocabulary, build_vocabulary,
+                     corpus_stats, load_parallel_corpus, read_aligned_lines,
+                     read_lines, split_corpus, write_lines, write_splits)
 from .embedstore import (nearest_neighbors, read_dim, read_embeddings,
                          write_embeddings)
 from .lexproject import build_projected_matrix, read_lexicon
 from .nmt import (Seq2SeqConfig, TrainConfig, build_model, load_checkpoint,
                   save_checkpoint, train_models, translate)
 from .nmt.data import encode_pairs
-from .nmt.train import FieldError
 from .subword import SkipgramConfig, SubwordModel, train_skipgram
 from .toydata import toy_config_text, write_toy_dataset
 from .xmap import fit_mapping, load_mapping, save_mapping
@@ -37,18 +36,28 @@ class StageError(Exception):
         self.stage = stage
 
 
-# the sections whose keys are the fields of a config class, each with the
-# field's type and default
-SECTION_CONFIGS = {"subword": SkipgramConfig, "nmt": Seq2SeqConfig}
+def _section(cls, section, skip=(), **keys):
+    """`cls` and the key that sets each of its fields but `skip`: the field
+    under `section` unless `keys` names another."""
+    return cls, {f.name: keys.get(f.name, f"{section}.{f.name}")
+                 for f in fields(cls) if f.name not in skip}
 
 
-def _section_fields(section):
+# each section's config class and the key of each field it reads
+SECTIONS = {
     # SkipgramConfig.workers is no key: it accepts only 1 and goes once the
     # benchmark's SGNS workload stops passing it (see CHANGES.md)
-    return [f for f in fields(SECTION_CONFIGS[section]) if f.name != "workers"]
+    "subword": _section(SkipgramConfig, "subword", skip=("workers",)),
+    "nmt": _section(Seq2SeqConfig, "nmt"),
+    "train": _section(TrainConfig, "train", batch_size="train.batch"),
+    # fine-tuning shares train's batch, clip and seed
+    "finetune": _section(TrainConfig, "finetune", batch_size="train.batch",
+                         clip="train.clip", seed="train.seed"),
+}
 
-
-# key -> (type, default); None default means required when used
+# key -> (type, default); None default means required when used.  A section
+# key takes its field's type and default; only fine-tuning's own lr and
+# epochs state theirs.
 CONFIG_KEYS = {
     "data.bible_src": (str, None),
     "data.bible_tgt": (str, None),
@@ -61,19 +70,10 @@ CONFIG_KEYS = {
     "split.test": (float, 0.1),
     "split.seed": (int, 13),
     "vocab.min_count": (int, 1),
-    **{f"{section}.{f.name}": (f.type, f.default)
-       for section in SECTION_CONFIGS for f in _section_fields(section)},
-    # the train and finetune keys differ from TrainConfig's fields in name
-    # (train.batch) or default (finetune.lr), and two sections share some
-    "train.lr": (float, 1e-3),
-    "train.batch": (int, 64),
-    "train.clip": (float, 5.0),
-    "train.epochs": (int, 10),
-    "train.patience": (int, 5),
-    "train.seed": (int, 0),
+    **{keys[f.name]: (f.type, f.default)
+       for cls, keys in SECTIONS.values() for f in fields(cls) if f.name in keys},
     "finetune.lr": (float, 1e-4),
     "finetune.epochs": (int, 5),
-    "finetune.patience": (int, 5),
     "run.strategies": (str, "Random,VecMap,XhSub,XhPre,XhMeta"),
     "run.out": (str, "runs/out"),
 }
@@ -113,26 +113,21 @@ def _require(cfg, *keys):
 
 
 def _split_spec(cfg):
-    return SplitSpec((cfg["split.train"], cfg["split.dev"], cfg["split.test"]),
-                     cfg["split.seed"])
+    try:
+        return SplitSpec((cfg["split.train"], cfg["split.dev"], cfg["split.test"]),
+                         cfg["split.seed"])
+    except FieldError as e:
+        raise ValidationError(f"split.train, split.dev and split.test {e.problem}") from e
 
 
 def _section_config(cfg, section):
-    """The config object of `section` ("subword" or "nmt") from its keys."""
-    return SECTION_CONFIGS[section](
-        **{f.name: cfg[f"{section}.{f.name}"] for f in _section_fields(section)})
-
-
-def _train_config(cfg, section="train"):
-    """The TrainConfig of `section` ("train" or "finetune"); a value out of
-    range is a ValidationError naming the config key that set it."""
-    keys = {"lr": f"{section}.lr", "batch_size": "train.batch", "clip": "train.clip",
-            "epochs": f"{section}.epochs", "patience": f"{section}.patience",
-            "seed": "train.seed"}
+    """The config object of `section` from its keys; a value out of range is
+    a ValidationError naming the key that set it."""
+    cls, keys = SECTIONS[section]
     try:
-        return TrainConfig(**{name: cfg[key] for name, key in keys.items()})
+        return cls(**{name: cfg[key] for name, key in keys.items()})
     except FieldError as e:
-        raise ValidationError(f"{keys[e.field]} {e.problem}") from e
+        raise ValidationError(f"{keys.get(e.field, e.field)} {e.problem}") from e
 
 
 def _read_train_dev(args):
@@ -212,7 +207,7 @@ def run_pipeline(cfg, out_dir, strategies, deterministic=True, log=print):
     split_spec = _split_spec(cfg)
     sg_cfg = _section_config(cfg, "subword")
     nmt_cfg = _section_config(cfg, "nmt")
-    hypers = {section: _train_config(cfg, section) for section in ("train", "finetune")}
+    hypers = {section: _section_config(cfg, section) for section in ("train", "finetune")}
     if cfg["vocab.min_count"] < 1:
         raise ValidationError(
             f"vocab.min_count must be >= 1, got {cfg['vocab.min_count']}")
@@ -401,7 +396,7 @@ def _checkpoint_vocabularies(args, params):
 def _train_one(args, cfg, nmt_cfg, params, src_vocab, tgt_vocab, section):
     """Train one model at the `section` hyperparameters and print its history."""
     [(_, hist)] = stage_train_mt([params], nmt_cfg, _read_train_dev(args), src_vocab,
-                                 tgt_vocab, _train_config(cfg, section), [args.out])
+                                 tgt_vocab, _section_config(cfg, section), [args.out])
     for rec in hist:
         print(f"epoch {rec.epoch}\tloss {rec.train_loss:.4f}\tdev_ppl {rec.dev_ppl:.4f}")
 

@@ -186,15 +186,33 @@ def build_vocabulary(side, min_count=1):
     return Vocabulary(counts, min_count)
 
 
+class FieldError(ValueError):
+    """A config value out of range: `field` names the field and `problem`
+    says what is wrong, so a caller can name the value's source."""
+
+    def __init__(self, field, problem):
+        super().__init__(f"{field} {problem}")
+        self.field, self.problem = field, problem
+
+
+def check_fields(config, *checks):
+    """Raise FieldError at the first (field, ok, need) of `checks` whose `ok`
+    is false: the field's value must be `need`."""
+    for name, ok, need in checks:
+        if not ok:
+            raise FieldError(name, f"must be {need}, got {getattr(config, name)}")
+
+
 @dataclass
 class SplitSpec:
     ratios: tuple = (0.7, 0.2, 0.1)
     seed: int = 0
 
     def __post_init__(self):
-        # `not r >= 0`, unlike `r < 0`, also holds for a NaN ratio
-        if any(not r >= 0 for r in self.ratios) or abs(sum(self.ratios) - 1.0) > 1e-9:
-            raise ValueError(f"split ratios must be non-negative and sum to 1: {self.ratios}")
+        # `r >= 0` and `<= 1e-9`, unlike `r < 0` and `> 1e-9`, fail on a NaN
+        check_fields(self, ("ratios", all(r >= 0 for r in self.ratios)
+                            and abs(sum(self.ratios) - 1.0) <= 1e-9,
+                            "non-negative ratios that sum to 1"))
 
 
 def split_corpus(corpus, spec):

@@ -166,8 +166,9 @@ def _read_text(path):
 
 def _parse_values(path, fields, line_nos, dim):
     """(len(fields), dim) float64 rows of the value texts `fields`, parsed in
-    one np.loadtxt call.  A field that does not parse is found by bisection
-    and raises EmbeddingFormatError naming its file line `line_nos[i]`."""
+    one np.loadtxt call.  If that fails, the fields are parsed one at a time
+    and the first that fails raises EmbeddingFormatError naming its file line
+    `line_nos[i]` (the first line, if none fails alone)."""
     def parse(part):
         return np.loadtxt(part, delimiter=" ", comments=None, quotechar=None, ndmin=2)
     if not (fields and dim):
@@ -175,21 +176,15 @@ def _parse_values(path, fields, line_nos, dim):
     try:
         return parse(fields)
     except ValueError as e:
-        error = e
-    lo, hi = 0, len(fields)  # the first line that fails is in fields[lo:hi]
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
+        fault = line_nos[0], e
+    for field, ln in zip(fields, line_nos):
         try:
-            parse(fields[lo:mid])
-            lo = mid
-        except ValueError:
-            hi = mid
-    try:
-        parse(fields[lo:hi])
-    except ValueError as e:
-        error = e
-    raise EmbeddingFormatError(
-        f"{path}:{line_nos[lo]}: non-numeric field: {error}") from error
+            parse([field])
+        except ValueError as e:
+            fault = ln, e
+            break
+    ln, error = fault
+    raise EmbeddingFormatError(f"{path}:{ln}: non-numeric field: {error}") from error
 
 
 def write_embeddings(matrix, path):

@@ -56,7 +56,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..corpus import PAD
+from ..corpus import PAD, check_fields
 
 # bytes of one model's output-layer buffer: forward_losses takes the logits,
 # softmax and dlogits of as many (B*T) rows at a time as fit in it
@@ -75,18 +75,13 @@ class Seq2SeqConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.hidden < 2 or self.hidden % 2 != 0:
-            raise ValueError(f"hidden size must be even and >= 2 (split across "
-                             f"directions), got {self.hidden}")
-        if self.beam < 1:
-            raise ValueError("beam must be >= 1")
-        if self.max_decode_len < 1:
-            raise ValueError("max_decode_len must be >= 1")
-        if self.enc_layers < 1 or self.dec_layers < 1:
-            raise ValueError(f"enc_layers and dec_layers must be >= 1, got "
-                             f"{self.enc_layers} and {self.dec_layers}")
-        if not 0 <= self.dropout < 1:
-            raise ValueError(f"dropout must be in [0, 1), got {self.dropout}")
+        check_fields(self, ("enc_layers", self.enc_layers >= 1, ">= 1"),
+                     ("dec_layers", self.dec_layers >= 1, ">= 1"),
+                     ("hidden", self.hidden >= 2 and self.hidden % 2 == 0,
+                      "even and >= 2 (split across directions)"),
+                     ("dropout", 0 <= self.dropout < 1, "in [0, 1)"),
+                     ("max_decode_len", self.max_decode_len >= 1, ">= 1"),
+                     ("beam", self.beam >= 1, ">= 1"))
 
 
 def param_shapes(cfg, n_src, n_tgt):

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..corpus import PAD
+from ..corpus import PAD, check_fields
 from .data import make_batches
 from .model import forward_losses
 
@@ -29,22 +29,11 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for name, ok, need in (("lr", 0 <= self.lr < math.inf, "finite and >= 0"),
-                               ("batch_size", self.batch_size >= 1, ">= 1"),
-                               ("clip", self.clip > 0, "> 0"),
-                               ("epochs", self.epochs >= 0, ">= 0"),
-                               ("patience", self.patience >= 1, ">= 1")):
-            if not ok:
-                raise FieldError(name, f"must be {need}, got {getattr(self, name)}")
-
-
-class FieldError(ValueError):
-    """A TrainConfig value out of range: `field` names the field and
-    `problem` says what is wrong, so a caller can name the value's source."""
-
-    def __init__(self, field, problem):
-        super().__init__(f"{field} {problem}")
-        self.field, self.problem = field, problem
+        check_fields(self, ("lr", 0 <= self.lr < math.inf, "finite and >= 0"),
+                     ("batch_size", self.batch_size >= 1, ">= 1"),
+                     ("clip", self.clip > 0, "> 0"),
+                     ("epochs", self.epochs >= 0, ">= 0"),
+                     ("patience", self.patience >= 1, ">= 1"))
 
 
 @dataclass

@@ -9,7 +9,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import artifact
-from .corpus import SPECIALS, Vocabulary, build_vocabulary
+from .corpus import SPECIALS, Vocabulary, build_vocabulary, check_fields
 from .embedstore import EmbeddingMatrix
 
 FNV_OFFSET = 2166136261
@@ -62,21 +62,17 @@ class SkipgramConfig:
     workers: int = 1
 
     def __post_init__(self):
-        if self.dim < 1 or self.window < 1 or self.negatives < 1:
-            raise ValueError("dim >= 1, window >= 1, negatives >= 1 required")
-        if not 0 < self.lr < math.inf:
-            raise ValueError(f"lr must be finite and > 0, got {self.lr}")
-        if math.isnan(self.subsample):
-            raise ValueError("subsample must be a number, got nan")
-        if not 1 <= self.minn <= self.maxn:
-            raise ValueError(f"1 <= minn <= maxn required, got minn {self.minn} "
-                             f"and maxn {self.maxn}")
-        for name in ("buckets", "min_count", "epochs"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
-        if self.workers != 1:
-            raise ValueError(f"workers must be 1 (training is single-threaded), "
-                             f"got {self.workers}")
+        check_fields(self, ("dim", self.dim >= 1, ">= 1"),
+                     ("window", self.window >= 1, ">= 1"),
+                     ("negatives", self.negatives >= 1, ">= 1"),
+                     ("epochs", self.epochs >= 1, ">= 1"),
+                     ("lr", 0 < self.lr < math.inf, "finite and > 0"),
+                     ("subsample", not math.isnan(self.subsample), "a number"),
+                     ("min_count", self.min_count >= 1, ">= 1"),
+                     ("minn", self.minn >= 1, ">= 1"),
+                     ("maxn", self.maxn >= self.minn, f">= minn {self.minn}"),
+                     ("buckets", self.buckets >= 1, ">= 1"),
+                     ("workers", self.workers == 1, "1 (training is single-threaded)"))
 
 
 class SubwordModel:

@@ -1,14 +1,15 @@
-from dataclasses import replace
+from dataclasses import fields, replace
+from functools import partial
 
 import numpy as np
 import pytest
 
 from xhembed import artifact
-from xhembed.cli import (CONFIG_KEYS, ValidationError, load_config, main,
+from xhembed.cli import (CONFIG_KEYS, SECTIONS, ValidationError, load_config, main,
                          run_pipeline)
 from xhembed.combine import InitStrategy
 from xhembed.embedstore import EmbeddingMatrix, read_embeddings, write_embeddings
-from xhembed.nmt import load_checkpoint, save_checkpoint
+from xhembed.nmt import Seq2SeqConfig, TrainConfig, load_checkpoint, save_checkpoint
 from xhembed.subword import SkipgramConfig, SubwordModel
 from xhembed.xmap import save_mapping
 
@@ -69,6 +70,70 @@ class TestConfig:
     def test_every_key_has_type_and_default_slot(self):
         for key, (typ, _) in CONFIG_KEYS.items():
             assert typ in (str, int, float), key
+
+
+class TestSectionKeys:
+    """Each config section's keys are its dataclass's fields; a value out of
+    range names its key in every subcommand that reads it."""
+
+    @pytest.mark.parametrize("section, cls", [
+        ("subword", SkipgramConfig), ("nmt", Seq2SeqConfig), ("train", TrainConfig),
+        ("finetune", TrainConfig)])
+    def test_each_field_is_set_by_one_key(self, section, cls):
+        config_cls, keys = SECTIONS[section]
+        assert config_cls is cls
+        assert set(keys) == {f.name for f in fields(cls)} - {"workers"}
+        assert len(set(keys.values())) == len(keys)
+        # finetune shares train's batch, clip and seed; no key is left unread
+        assert all(k.startswith((f"{section}.", "train.")) for k in keys.values())
+        assert {k for k in CONFIG_KEYS if k.startswith(f"{section}.")} <= set(keys.values())
+        own_default = set()
+        for f in fields(cls):
+            if f.name in keys:
+                typ, default = CONFIG_KEYS[keys[f.name]]
+                assert typ is f.type, keys[f.name]
+                if default != f.default:
+                    own_default.add(keys[f.name])
+        assert own_default == ({"finetune.lr", "finetune.epochs"}
+                               if section == "finetune" else set())
+
+    def test_field_without_a_key_is_an_error(self, tmp_path, capsys, monkeypatch):
+        """A FieldError on workers, which no key sets, exits 1 naming the field."""
+        monkeypatch.setitem(SECTIONS, "subword", (partial(SkipgramConfig, workers=2),
+                                                  SECTIONS["subword"][1]))
+        (tmp_path / "t.txt").write_text("a b c\n")
+        assert cli("train-subword", "--text", tmp_path / "t.txt",
+                   "--out", tmp_path / "m") == 1
+        err = capsys.readouterr().err
+        assert "error: workers must be 1" in err and "Traceback" not in err
+        assert not (tmp_path / "m").exists()
+
+    @pytest.mark.parametrize("command, line", [
+        ("train-subword", "subword.window=0"), ("train-mt", "nmt.hidden=3"),
+        ("split", "split.dev=nan"), ("finetune", "finetune.lr=-1")])
+    def test_stage_subcommand_names_the_key(self, tmp_path, capsys, command, line):
+        micro_dataset(tmp_path)
+        cfg, params, sv, tv = tiny_model()
+        tiny_translate_args(tmp_path, cfg, params, sv, tv)
+        write_embeddings(EmbeddingMatrix(sv.id_to_token, params["src_emb"]),
+                         tmp_path / "init.npz")
+        for part in ("train", "dev"):
+            (tmp_path / f"c.{part}.src").write_text("w1 w2 w3\n")
+            (tmp_path / f"c.{part}.tgt").write_text("v1 v2\n")
+        out = tmp_path / "out"
+        data = ["--data", tmp_path, "--name", "c", "--src-vocab", tmp_path / "vocab.src",
+                "--tgt-vocab", tmp_path / "vocab.tgt", "--out", out]
+        argv = {"train-subword": ["--text", tmp_path / "b.src", "--out", out],
+                "train-mt": [*data, "--init", tmp_path / "init.npz"],
+                "split": ["--src", tmp_path / "b.src", "--tgt", tmp_path / "b.tgt",
+                          "--out", out],
+                "finetune": [*data, "--checkpoint", tmp_path / "model.ckpt"]}[command]
+        assert cli(command, *argv, "--config", write_cfg(tmp_path, line + "\n")) == 1
+        err = capsys.readouterr().err
+        key = ("split.train, split.dev and split.test" if command == "split"
+               else line.partition("=")[0])
+        assert f"error: {key} must be" in err and "Traceback" not in err
+        assert not out.exists()
 
 
 class TestValidation:
@@ -509,7 +574,9 @@ class TestPipeline:
         ("subword.subsample=nan", "subsample"), ("train.lr=nan", "lr"),
         ("train.patience=0", "patience"), ("finetune.patience=-1", "patience"),
         ("train.epochs=-1", "epochs"), ("subword.minn=0", "minn"),
-        ("subword.maxn=2", "maxn")])
+        ("subword.maxn=2", "maxn"), ("subword.window=0", "window"),
+        ("subword.negatives=0", "negatives"), ("nmt.beam=0", "beam"),
+        ("nmt.max_decode_len=0", "max_decode_len"), ("nmt.dec_layers=0", "dec_layers")])
     def test_bad_config_value_fails_before_any_stage(self, tmp_path, capsys, line,
                                                      named):
         cfg_path = write_cfg(tmp_path, micro_dataset(tmp_path) + line + "\n")
@@ -518,7 +585,10 @@ class TestPipeline:
         err = capsys.readouterr().err
         assert named in err and "Traceback" not in err
         key = line.partition("=")[0]
-        if key.startswith(("train.", "finetune.")):  # the key, not the field it sets
+        if key.startswith("split."):  # the ratios are checked together
+            key = "split.train, split.dev and split.test"
+        if key != "nmt.emb_dim":  # in range, but narrower than subword.dim
+            # the key, not the field it sets
             assert f"error: {key} must be" in err and "batch_size" not in err
         assert not out.exists() or not any(out.iterdir())
 
