@@ -43,10 +43,9 @@ def save(path, kind, header, arrays):
         np.savez(fh, allow_pickle=False, header=meta, **arrays)
 
 
-@contextmanager
-def _opened(path, kind):
-    """The header and open archive of the artifact of `kind` at `path`.  Any
-    failure to open or parse it, or raised in the block (truncation, a
+def load(path, kind, decode):
+    """Return decode(header, arrays) for the artifact of `kind` at `path`.
+    Any failure to open or parse it, or raised by `decode` (truncation, a
     missing key, a shape rejected by `require_shape`), becomes an
     ArtifactError."""
     try:
@@ -54,38 +53,17 @@ def _opened(path, kind):
             header = json.loads(z["header"][()])
             if header["kind"] != kind:
                 raise ValueError(f"expected a {kind}, found a {header['kind']}")
-            yield header, z
+            return decode(header, {name: z[name] for name in z.files if name != "header"})
     except (OSError, EOFError, KeyError, TypeError, ValueError,
             zipfile.BadZipFile) as e:
         reason = f"missing key {e}" if isinstance(e, KeyError) else e
         raise ArtifactError(f"{path}: not a readable {kind}: {reason}") from e
 
 
-def load(path, kind, decode):
-    """Return decode(header, arrays) for the artifact of `kind` at `path`;
-    errors as in `_opened`."""
-    with _opened(path, kind) as (header, z):
-        return decode(header, {name: z[name] for name in z.files if name != "header"})
-
-
-def read_shape(path, kind, name, shape):
-    """The shape of array `name` of the artifact of `kind` at `path`, read
-    from the header of its .npy member alone and checked as by
-    `require_shape`; errors as in `_opened`."""
-    with _opened(path, kind) as (_, z), z.zip.open(f"{name}.npy") as f:
-        np.lib.format.read_magic(f)   # format 1.0: what np.savez writes for these arrays
-        got = np.lib.format.read_array_header_1_0(f)[0]
-        _check_shape(name, got, shape)
-        return got
-
-
 def require_shape(arrays, name, shape):
     """arrays[name], checked to have `shape`, where a None entry allows any
     length."""
-    _check_shape(name, arrays[name].shape, shape)
-    return arrays[name]
-
-
-def _check_shape(name, got, shape):
+    got = arrays[name].shape
     if len(got) != len(shape) or any(want not in (None, n) for n, want in zip(got, shape)):
         raise ValueError(f"array {name!r} has shape {got}, expected {tuple(shape)}")
+    return arrays[name]

@@ -6,7 +6,7 @@ import sys
 from dataclasses import fields
 from pathlib import Path
 
-from . import metrics
+from . import __version__, metrics
 from .combine import (STRATEGY_INPUTS, STRATEGY_ORDER, InitStrategy,
                       build_initial_embeddings)
 from .corpus import (FieldError, SplitSpec, Vocabulary, build_vocabulary,
@@ -198,7 +198,6 @@ def run_pipeline(cfg, out_dir, strategies, deterministic=True, log=print):
     out.mkdir(parents=True, exist_ok=True)
     strategies = [s for s in STRATEGY_ORDER if s in strategies]
     needs = {name for s in strategies for name in STRATEGY_INPUTS[s]}
-    stage = "validate"
     _require(cfg, "data.bible_src", "data.bible_tgt", "data.corpus2_src",
              "data.corpus2_tgt")
     if "e_v" in needs:
@@ -300,7 +299,7 @@ def run_pipeline(cfg, out_dir, strategies, deterministic=True, log=print):
             "strategy\tbible_corpus_bleu\tbible_mean_sentence_bleu\t"
             "corpus2_corpus_bleu\tcorpus2_mean_sentence_bleu", *results])
         write_lines(out / "manifest.txt", [
-            "xhembed_version=0.1.0", f"deterministic={deterministic}",
+            f"xhembed_version={__version__}", f"deterministic={deterministic}",
             "strategies=" + ",".join(str(s) for s in strategies),
             *(f"{k}={cfg[k]}" for k in sorted(cfg))])
         log(f"[done] results at {out / 'results.tsv'}")

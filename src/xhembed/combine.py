@@ -19,8 +19,9 @@ class InitStrategy(enum.Enum):
 
     @classmethod
     def parse(cls, name):
+        """The strategy named `name`, ignoring case and surrounding spaces."""
         for s in cls:
-            if s.value.lower() == name.lower():
+            if s.value.lower() == name.strip().lower():
                 return s
         raise ValueError(f"unknown strategy {name!r}; "
                          f"choose from {[s.value for s in cls]}")

@@ -60,14 +60,15 @@ def read_embeddings(path):
 
 
 def read_dim(path):
-    """Row width of the matrix at `path`, read from its start alone: the
-    header of an artifact's rows array, else the first text line as
-    `read_embeddings` parses it (an "N D" header, or a first row whose values
-    are counted).  None when a text file starts with a blank line."""
+    """Row width of the matrix at `path`.  An artifact is read whole, so a
+    malformed one is an ArtifactError naming the file; of a text file only
+    the first line is read, as `read_embeddings` parses it (an "N D" header,
+    or a first row whose values are counted).  None when a text file starts
+    with a blank line."""
     with open(path, "rb") as f:
         first = f.readline()
     if first.startswith(artifact.SIGNATURE):
-        return artifact.read_shape(path, KIND, "rows", (None, None))[1]
+        return _read_artifact(path).dim
     line = first.decode("utf-8", errors="replace")  # the full read names bad bytes
     head = _header(line)
     if head is None:

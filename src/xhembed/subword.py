@@ -264,93 +264,75 @@ class EpochReport:
                 f"mean_loss {self.mean_loss:.6f}\ttokens/s {self.tokens_per_sec:.0f}")
 
 
-class _Trainer:
-    def __init__(self, sentences, config):
-        self.cfg = config
-        self.vocab = build_vocabulary(sentences, config.min_count)
-        if len(self.vocab.tokens()) < 2:
-            raise ValueError("negative sampling needs at least two distinct words "
-                             "after min_count filtering")
-        # sentences as vocab ids, dropping filtered tokens and literal specials
-        self.sentences = []
-        for sent in sentences:
-            ids = [self.vocab.id(t) for t in sent
-                   if t in self.vocab and t not in SPECIALS]
-            if ids:
-                self.sentences.append(np.array(ids, dtype=np.int64))
-        self.total_tokens = sum(len(s) for s in self.sentences)
-        freqs = np.array([self.vocab.freq[t] for t in self.vocab.id_to_token],
-                         dtype=np.float64)
-        self.neg_cdf = negative_cdf(self.vocab)
-        # subsampling: keep probability per word (<= 0 disables)
-        t = config.subsample
-        first = len(SPECIALS)
-        rel = freqs[first:] / freqs.sum()
-        self.keep_prob = np.ones_like(freqs)
-        if t > 0:
-            self.keep_prob[first:] = np.minimum(1.0, np.sqrt(t / rel) + t / rel)
-        rng = np.random.default_rng(config.seed)
-        n_in = config.buckets + len(self.vocab)
-        # uniform in [-0.5, 0.5) / dim, built in place: no full-size temporaries
-        self.input_vectors = rng.random((n_in, config.dim))
-        self.input_vectors -= 0.5
-        self.input_vectors /= config.dim
-        self.output_vectors = np.zeros((len(self.vocab), config.dim))
-        self.model = SubwordModel(self.vocab, config,
-                                  self.input_vectors, self.output_vectors)
-        self.units, self.unit_weights = unit_table(self.model.vocab_units)
-        window = np.arange(1, config.window + 1)
-        self.offsets = np.concatenate([-window[::-1], window])
-        self.processed = 0  # kept tokens so far; drives the linear lr decay
-
-    def run_sentences(self, sent_indices, rng):
-        """One update per sentence: every pair of the sentence is scored
-        against the vectors as they stood at its start."""
-        cfg = self.cfg
-        inp, out = self.input_vectors, self.output_vectors
-        loss_sum, pair_count = 0.0, 0
-        planned = max(1, cfg.epochs * self.total_tokens)
-        for si in sent_indices:
-            sent = self.sentences[si]
-            kept = sent[rng.random(len(sent)) < self.keep_prob[sent]]
-            n = len(kept)
-            lr = cfg.lr * np.maximum(
-                1e-4, 1.0 - (self.processed + np.arange(1, n + 1)) / planned)
-            self.processed += n
-            if n < 2:
-                continue
-            b = rng.integers(1, cfg.window + 1, size=n)
-            ctx_pos = np.arange(n)[:, None] + self.offsets
-            valid = ((np.abs(self.offsets) <= b[:, None])
-                     & (ctx_pos >= 0) & (ctx_pos < n))
-            centres, slots = np.nonzero(valid)
-            context = kept[ctx_pos[centres, slots]]
-            targets = np.column_stack(
-                [context, draw_negatives(rng, self.neg_cdf, context, cfg.negatives)])
-            loss, (in_rows, g_in), (out_rows, g_out) = sgns_loss_and_grads(
-                inp, out, self.units[kept], self.unit_weights[kept],
-                centres, targets, lr[centres])
-            inp[in_rows] -= g_in
-            out[out_rows] -= g_out
-            loss_sum += loss
-            pair_count += len(centres)
-        return loss_sum, pair_count
-
-
 def train_skipgram(sentences, config):
     """Train a subword skip-gram model; returns (model, list of EpochReport).
-    Single-threaded and deterministic: the same sentences and config give
-    bit-identical vectors."""
-    tr = _Trainer(list(sentences), config)
+    Each sentence is one update: every pair of the sentence is scored against
+    the vectors as they stood at its start.  Single-threaded and
+    deterministic: the same sentences and config give bit-identical vectors."""
+    sentences = list(sentences)
+    vocab = build_vocabulary(sentences, config.min_count)
+    if len(vocab.tokens()) < 2:
+        raise ValueError("negative sampling needs at least two distinct words "
+                         "after min_count filtering")
+    # sentences as vocab ids, dropping filtered tokens and literal specials
+    id_sents = []
+    for sent in sentences:
+        ids = [vocab.id(t) for t in sent if t in vocab and t not in SPECIALS]
+        if ids:
+            id_sents.append(np.array(ids, dtype=np.int64))
+    total_tokens = sum(len(s) for s in id_sents)
+    freqs = np.array([vocab.freq[t] for t in vocab.id_to_token], dtype=np.float64)
+    neg_cdf = negative_cdf(vocab)
+    # subsampling: keep probability per word (<= 0 disables)
+    t = config.subsample
+    first = len(SPECIALS)
+    rel = freqs[first:] / freqs.sum()
+    keep_prob = np.ones_like(freqs)
+    if t > 0:
+        keep_prob[first:] = np.minimum(1.0, np.sqrt(t / rel) + t / rel)
+    rng = np.random.default_rng(config.seed)
+    # uniform in [-0.5, 0.5) / dim, built in place: no full-size temporaries
+    inp = rng.random((config.buckets + len(vocab), config.dim))
+    inp -= 0.5
+    inp /= config.dim
+    out = np.zeros((len(vocab), config.dim))
+    model = SubwordModel(vocab, config, inp, out)
+    units, unit_weights = unit_table(model.vocab_units)
+    window = np.arange(1, config.window + 1)
+    offsets = np.concatenate([-window[::-1], window])
+    processed = 0  # kept tokens so far; drives the linear lr decay
+    planned = max(1, config.epochs * total_tokens)
     reports = []
-    order = np.arange(len(tr.sentences))
+    order = np.arange(len(id_sents))
     for epoch in range(1, config.epochs + 1):
         t0 = time.time()
         rng = np.random.default_rng((config.seed, epoch))
         rng.shuffle(order)
-        loss, pairs = tr.run_sentences(order.tolist(), rng)
+        loss_sum, pair_count = 0.0, 0
+        for si in order.tolist():
+            sent = id_sents[si]
+            kept = sent[rng.random(len(sent)) < keep_prob[sent]]
+            n = len(kept)
+            lr = config.lr * np.maximum(
+                1e-4, 1.0 - (processed + np.arange(1, n + 1)) / planned)
+            processed += n
+            if n < 2:
+                continue
+            b = rng.integers(1, config.window + 1, size=n)
+            ctx_pos = np.arange(n)[:, None] + offsets
+            valid = (np.abs(offsets) <= b[:, None]) & (ctx_pos >= 0) & (ctx_pos < n)
+            centres, slots = np.nonzero(valid)
+            context = kept[ctx_pos[centres, slots]]
+            targets = np.column_stack(
+                [context, draw_negatives(rng, neg_cdf, context, config.negatives)])
+            loss, (in_rows, g_in), (out_rows, g_out) = sgns_loss_and_grads(
+                inp, out, units[kept], unit_weights[kept], centres, targets,
+                lr[centres])
+            inp[in_rows] -= g_in
+            out[out_rows] -= g_out
+            loss_sum += loss
+            pair_count += len(centres)
         dt = max(time.time() - t0, 1e-9)
-        reports.append(EpochReport(epoch, pairs,
-                                   loss / max(pairs, 1),
-                                   tr.total_tokens / dt))
-    return tr.model, reports
+        reports.append(EpochReport(epoch, pair_count, loss_sum / max(pair_count, 1),
+                                   total_tokens / dt))
+    return model, reports

@@ -77,41 +77,39 @@ def fit_orthogonal_mapping(x, z, pairs):
     return u, vt.T, float(s.sum() / len(pairs))
 
 
+def _similarity_blocks(a, b):
+    """Yields (start, a[start:start + CSLS_BLOCK] @ b.T), each block in one
+    buffer that the next block overwrites."""
+    buf = np.empty((min(CSLS_BLOCK, a.shape[0]), b.shape[0]))
+    for start in range(0, a.shape[0], CSLS_BLOCK):
+        block = a[start:start + CSLS_BLOCK]
+        yield start, np.matmul(block, b.T, out=buf[:len(block)])
+
+
 def csls_blocks(x_mapped, z_mapped, k):
     """CSLS(x_i, z_j) = 2 cos(x_i, z_j) - r_z(x_i) - r_x(z_j), where r_z(x_i)
     is the mean cosine of x_i's k nearest rows of z_mapped and r_x(z_j) that
     of z_j's k nearest rows of x_mapped (Conneau et al. 2018).  Yields
     (start, scores): the scores of the CSLS_BLOCK rows of x from `start` on,
-    in one buffer that the next block overwrites.  No step holds more than
-    two blocks of similarities to either side."""
+    in one buffer that the next block overwrites.  A first pass of z against
+    x forms r_x(z) and releases its buffer before the scores' pass, so no
+    step holds more than two blocks of similarities."""
     if x_mapped.size == 0 or z_mapped.size == 0:
         raise ValueError("empty mapped matrix")
     xn = normalize_rows(x_mapped)
     zn = normalize_rows(z_mapped)
-    kx = min(k, zn.shape[0])
-    r_z = _column_neighborhoods(xn, zn, min(k, xn.shape[0]))
-    buf = np.empty((min(CSLS_BLOCK, xn.shape[0]), zn.shape[0]))
-    for a in range(0, xn.shape[0], CSLS_BLOCK):
-        block = xn[a:a + CSLS_BLOCK]
-        sims = np.matmul(block, zn.T, out=buf[:len(block)])
+    kx, kz = min(k, zn.shape[0]), min(k, xn.shape[0])
+    r_z = np.empty(zn.shape[0])  # z's neighborhood in x
+    for a, sims in _similarity_blocks(zn, xn):
+        sims.partition(-kz, axis=1)
+        r_z[a:a + len(sims)] = sims[:, -kz:].mean(axis=1)
+    del sims  # the first pass's buffer
+    for a, sims in _similarity_blocks(xn, zn):
         r_x = np.partition(sims, -kx, axis=1)[:, -kx:].mean(axis=1)  # x's neighborhood in z
         sims *= 2.0
         sims -= r_x[:, None]
         sims -= r_z[None, :]
         yield a, sims
-
-
-def _column_neighborhoods(xn, zn, k):
-    """Mean of each column's k largest entries of xn @ zn.T (z's neighborhood
-    in x), formed as rows of zn @ xn.T, CSLS_BLOCK rows of zn at a time."""
-    out = np.empty(zn.shape[0])
-    buf = np.empty((min(CSLS_BLOCK, zn.shape[0]), xn.shape[0]))
-    for a in range(0, zn.shape[0], CSLS_BLOCK):
-        block = zn[a:a + CSLS_BLOCK]
-        sims = np.matmul(block, xn.T, out=buf[:len(block)])
-        sims.partition(-k, axis=1)
-        out[a:a + len(block)] = sims[:, -k:].mean(axis=1)
-    return out
 
 
 def induce_dictionary(x_mapped, z_mapped, k):

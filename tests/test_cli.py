@@ -4,7 +4,7 @@ from functools import partial
 import numpy as np
 import pytest
 
-from xhembed import artifact
+from xhembed import artifact, embedstore
 from xhembed.cli import (CONFIG_KEYS, SECTIONS, ValidationError, load_config, main,
                          run_pipeline)
 from xhembed.combine import InitStrategy
@@ -533,8 +533,8 @@ class TestPipeline:
     def test_emb_dim_narrower_than_hr_vectors_fails_before_any_stage(
             self, tmp_path, capsys, as_artifact):
         """The micro dataset's HR vectors are 8-d; a 6-d NMT embedding cannot
-        hold them.  Only the file's header or first line is read, so a bad
-        row further down is not what is reported."""
+        hold them.  Of a text file only the first line is read, so a bad row
+        further down is not what is reported; an artifact is read whole."""
         text = micro_dataset(tmp_path) + "subword.dim=6\nnmt.emb_dim=6\n"
         hr = tmp_path / "hr.vec"
         if not as_artifact:
@@ -551,6 +551,27 @@ class TestPipeline:
         err = capsys.readouterr().err
         assert str(hr) in err and "emb_dim 6" in err and "8-d" in err
         assert not any(out.iterdir())
+
+    @pytest.mark.parametrize("rows", [np.ones((3, 8)), np.full((2, 8), np.nan)],
+                             ids=["3-rows-2-tokens", "nan"])
+    def test_malformed_hr_artifact_fails_before_any_stage(self, tmp_path, capsys, rows):
+        hr = tmp_path / "hr.npz"
+        artifact.save(hr, embedstore.KIND, {"tokens": ["go", "see"]}, {"rows": rows})
+        cfg_path = write_cfg(tmp_path, micro_dataset(tmp_path)
+                             + f"data.hr_embeddings={hr}\n")
+        out = tmp_path / "out"
+        assert main(["run-all", "--config", str(cfg_path), "--out", str(out),
+                     "--strategies", "XhPre"]) == 1
+        assert str(hr) in capsys.readouterr().err
+        assert not any(out.iterdir())
+
+    def test_strategy_names_may_hold_spaces(self, tmp_path):
+        cfg_path = write_cfg(tmp_path, micro_dataset(tmp_path))
+        out = tmp_path / "out"
+        assert main(["run-all", "--config", str(cfg_path), "--out", str(out),
+                     "--strategies", "XhSub, Random"]) == 0
+        lines = (out / "results.tsv").read_text().splitlines()
+        assert [l.split("\t")[0] for l in lines[1:]] == ["Random", "XhSub"]
 
     def test_unreadable_hr_vectors_fail_before_any_stage(self, tmp_path, capsys):
         (tmp_path / "hr.d").mkdir()

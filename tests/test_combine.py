@@ -39,6 +39,10 @@ class TestStrategyEnum:
     def test_parse_case_insensitive(self):
         assert InitStrategy.parse("vecmap") is InitStrategy.VECMAP
 
+    def test_parse_strips_spaces(self):
+        assert InitStrategy.parse(" XhPre") is InitStrategy.XH_PRE
+        assert InitStrategy.parse("\txhsub \n") is InitStrategy.XH_SUB
+
     def test_parse_unknown(self):
         with pytest.raises(ValueError, match="nope"):
             InitStrategy.parse("nope")

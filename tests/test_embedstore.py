@@ -323,8 +323,8 @@ class TestReadDim:
             assert read_dim(p) == dim, text
 
     def test_artifact_header(self, tmp_path):
-        """The width comes from the rows array's own .npy header; the JSON
-        header does not restate it."""
+        """The width comes from the rows array's shape; the JSON header does
+        not restate it."""
         p = tmp_path / "e.npz"
         write_embeddings(EmbeddingMatrix(["a", "b"], np.ones((2, 5))), p)
         assert read_dim(p) == 5
@@ -334,14 +334,12 @@ class TestReadDim:
                              ids=["1-d", "3-d", "3-rows"])
     def test_malformed_rows_named(self, tmp_path, rows):
         """A rows array that is not one 2-D row per token is an ArtifactError
-        naming the file, from the header alone as from the full read."""
+        naming the file, from `read_dim` as from `read_embeddings`."""
         p = tmp_path / "e.npz"
         artifact.save(p, embedstore.KIND, {"tokens": ["a", "b"]}, {"rows": rows})
-        with pytest.raises(ArtifactError, match=f"{p}.*'rows' has shape"):
-            read_embeddings(p)
-        if rows.ndim != 2:
+        for read in (read_embeddings, read_dim):
             with pytest.raises(ArtifactError, match=f"{p}.*'rows' has shape"):
-                read_dim(p)
+                read(p)
 
 
 class TestNormalize:
