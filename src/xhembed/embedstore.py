@@ -21,10 +21,13 @@ class EmbeddingFormatError(ValueError):
 
 
 class EmbeddingMatrix:
-    """Token-indexed dense matrix.  Immutable after construction."""
+    """Token-indexed dense matrix.  Immutable after construction.  float32
+    and float64 rows are kept as given; any other rows become float64."""
 
     def __init__(self, tokens, rows):
-        rows = np.asarray(rows, dtype=np.float64)
+        rows = np.asarray(rows)
+        if rows.dtype not in (np.float32, np.float64):
+            rows = rows.astype(np.float64)
         if rows.ndim != 2:
             rows = rows.reshape(len(tokens), -1)
         if len(tokens) != rows.shape[0]:

@@ -16,6 +16,8 @@ FNV_OFFSET = 2166136261
 FNV_PRIME = 16777619
 # unit rows gathered at once when composing word vectors (about 10 MB at dim 300)
 _GATHER_ROWS = 4096
+# bytes of float64 uniforms drawn at once to fill the input table
+_DRAW_BYTES = 1 << 20
 
 
 def fnv1a_32(data):
@@ -128,7 +130,8 @@ class SubwordModel:
         word; a word with no units (out of vocabulary, and shorter than minn
         with its brackets) gets a zero row, as in fastText.  Each row sums its
         units in unit order, as `input_vectors[ids].mean(axis=0)` does, so a
-        row does not depend on which other words share the call."""
+        row does not depend on which other words share the call.  Rows are
+        summed and divided in the table's dtype, float32 or float64."""
         lists = self.unit_lists(words)
         counts = np.array([len(ids) for ids in lists], dtype=np.int64)
         width = int(counts.max(initial=1))
@@ -136,12 +139,12 @@ class SubwordModel:
         for i, ids in enumerate(lists):
             table[i, :len(ids)] = ids
         live = (np.arange(width) < counts[:, None])[:, :, None]
-        sums = np.empty((len(lists), self.dim))
+        sums = np.empty((len(lists), self.dim), dtype=self.input_vectors.dtype)
         step = max(1, _GATHER_ROWS // width)
         for a in range(0, len(lists), step):
             np.add.reduce(self.input_vectors[table[a:a + step]], axis=1,
                           where=live[a:a + step], out=sums[a:a + step])
-        return sums / np.maximum(counts, 1)[:, None]
+        return sums / np.maximum(counts, 1).astype(sums.dtype)[:, None]
 
     def compose(self, word):
         return self.compose_rows([word])[0]
@@ -159,6 +162,8 @@ class SubwordModel:
 
     @classmethod
     def load(cls, path):
+        """The model saved at `path`.  Its two tables must share one dtype,
+        float32 or float64, which the model then composes in."""
         def decode(header, arrays):
             cfg = SkipgramConfig(**header["config"])
             vocab = Vocabulary.from_freqs(header["vocab"])
@@ -166,6 +171,12 @@ class SubwordModel:
                                          (cfg.buckets + len(vocab), cfg.dim))
             out = artifact.require_shape(arrays, "output_vectors",
                                          (len(vocab), cfg.dim))
+            if inp.dtype not in (np.float32, np.float64):
+                raise ValueError(f"array 'input_vectors' has dtype {inp.dtype}, "
+                                 "expected float32 or float64")
+            if out.dtype != inp.dtype:
+                raise ValueError(f"array 'output_vectors' has dtype {out.dtype}, "
+                                 f"expected {inp.dtype} as 'input_vectors'")
             return cls(vocab, cfg, inp, out)
         return artifact.load(path, "subword model", decode)
 
@@ -205,12 +216,15 @@ def sgns_loss_and_grads(input_vectors, output_vectors, units, unit_weights,
     the summed loss, then the distinct touched rows of each matrix, sorted,
     with one gradient row each.  Both gradients are matmuls with small
     weight matrices that link centres to rows, so repeated rows need no
-    scatter-add."""
+    scatter-add.  The weight matrices are cast to the vectors' dtype, so
+    scores and gradients are computed in it: float32 tables give float32
+    gradients, float64 tables float64 ones."""
     n_c = len(units)
     in_rows, in_inv = np.unique(units.ravel(), return_inverse=True)
     cells = np.repeat(np.arange(n_c) * len(in_rows), units.shape[1]) + in_inv
     mix = np.bincount(cells, weights=unit_weights.ravel(),
                       minlength=n_c * len(in_rows)).reshape(n_c, len(in_rows))
+    mix = mix.astype(input_vectors.dtype)
     h = mix @ input_vectors[in_rows]
     out_rows, out_inv = np.unique(targets.ravel(), return_inverse=True)
     out_inv = out_inv.reshape(targets.shape)
@@ -226,6 +240,7 @@ def sgns_loss_and_grads(input_vectors, output_vectors, units, unit_weights,
     weight = np.bincount((out_inv * n_c + centres[:, None]).ravel(),
                          weights=g.ravel(),
                          minlength=len(out_rows) * n_c).reshape(len(out_rows), n_c)
+    weight = weight.astype(o.dtype)
     return (loss, (in_rows, mix.T @ (weight.T @ o)), (out_rows, weight @ h))
 
 
@@ -267,7 +282,9 @@ class EpochReport:
 def train_skipgram(sentences, config):
     """Train a subword skip-gram model; returns (model, list of EpochReport).
     Each sentence is one update: every pair of the sentence is scored against
-    the vectors as they stood at its start.  Single-threaded and
+    the vectors as they stood at its start.  Both tables are float32, as in
+    fastText; the input table starts from float64 uniforms rounded to
+    float32, and every update is computed in float32.  Single-threaded and
     deterministic: the same sentences and config give bit-identical vectors."""
     sentences = list(sentences)
     vocab = build_vocabulary(sentences, config.min_count)
@@ -291,11 +308,16 @@ def train_skipgram(sentences, config):
     if t > 0:
         keep_prob[first:] = np.minimum(1.0, np.sqrt(t / rel) + t / rel)
     rng = np.random.default_rng(config.seed)
-    # uniform in [-0.5, 0.5) / dim, built in place: no full-size temporaries
-    inp = rng.random((config.buckets + len(vocab), config.dim))
-    inp -= 0.5
-    inp /= config.dim
-    out = np.zeros((len(vocab), config.dim))
+    # uniform in [-0.5, 0.5) / dim, drawn in float64 into one reused block
+    # of rows and rounded into place: no full-size float64 temporary
+    inp = np.empty((config.buckets + len(vocab), config.dim), dtype=np.float32)
+    block = np.empty((max(1, _DRAW_BYTES // (8 * config.dim)), config.dim))
+    for a in range(0, len(inp), len(block)):
+        u = rng.random(out=block[:len(inp) - a])
+        u -= 0.5
+        u /= config.dim
+        inp[a:a + len(u)] = u
+    out = np.zeros((len(vocab), config.dim), dtype=np.float32)
     model = SubwordModel(vocab, config, inp, out)
     units, unit_weights = unit_table(model.vocab_units)
     window = np.arange(1, config.window + 1)

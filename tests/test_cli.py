@@ -490,6 +490,21 @@ class TestPipeline:
             assert (out / sub / "init.provenance.tsv").exists()
             assert (out / sub / "init.npz").exists()
 
+    def test_artifact_dtypes(self, tmp_path):
+        """SGNS's tables and E_M are float32; E_V, the mapping and the
+        initial embeddings are float64."""
+        cfg_path = write_cfg(tmp_path, micro_dataset(tmp_path))
+        out = tmp_path / "out"
+        assert main(["run-all", "--config", str(cfg_path), "--out", str(out),
+                     "--strategies", "XhSub,VecMap"]) == 0
+        want = {"subword.model": np.float32, "em.npz": np.float32,
+                "ev.npz": np.float64, "mapping.npz": np.float64,
+                "XhSub/init.npz": np.float64, "VecMap/init.npz": np.float64}
+        for name, dtype in want.items():
+            with np.load(out / name) as z:
+                assert {z[a].dtype for a in z.files if a != "header"} == {
+                    np.dtype(dtype)}, name
+
     def test_xhsub_only_needs_no_lexicon(self, tmp_path):
         text = micro_dataset(tmp_path)
         text = "\n".join(l for l in text.splitlines()
@@ -693,6 +708,28 @@ class TestMalformedArtifacts:
         err = capsys.readouterr().err
         assert str(tmp_path / "model.ckpt") in err and "Traceback" not in err
         assert f"{name!r} has dtype {np.dtype(dtype)}" in err
+
+    @pytest.mark.parametrize("inp, out", [(np.int64, np.int64),
+                                          (np.float16, np.float16),
+                                          (np.float32, np.float64)])
+    def test_subword_tables_not_one_float(self, tmp_path, capsys, inp, out):
+        """Integer or float16 tables, or a float32 and a float64 table, are
+        rejected when loaded; the message names the file and the array."""
+        vocab = vocab_of(["toza", "meka"])
+        vocab.save(tmp_path / "vocab.src")
+        cfg = SkipgramConfig(dim=4, buckets=10)
+        SubwordModel(vocab, cfg, np.ones((10 + len(vocab), 4), dtype=inp),
+                     np.ones((len(vocab), 4), dtype=out)).save(tmp_path / "sw.model")
+        capsys.readouterr()
+        assert main(["init-emb", "--strategy", "XhSub",
+                     "--vocab", str(tmp_path / "vocab.src"),
+                     "--subword-model", str(tmp_path / "sw.model"), "--dim", "4",
+                     "--out", str(tmp_path / "init.npz")]) == 1
+        err = capsys.readouterr().err
+        assert str(tmp_path / "sw.model") in err and "Traceback" not in err
+        name, dtype = ("input_vectors", inp) if inp is out else ("output_vectors", out)
+        assert f"{name!r} has dtype {np.dtype(dtype)}" in err
+        assert not (tmp_path / "init.npz").exists()
 
     def test_garbage_mapping(self, tmp_path, capsys):
         out = self.artifacts(tmp_path)
