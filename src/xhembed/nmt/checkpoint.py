@@ -3,6 +3,8 @@ history in the header, one array per tensor."""
 
 from dataclasses import asdict
 
+import numpy as np
+
 from .. import artifact
 from .model import Seq2SeqConfig, param_shapes
 from .train import EpochRecord
@@ -18,7 +20,7 @@ def load_checkpoint(path):
     """Returns (cfg, params, history), params in param_shapes order.  The
     arrays must be the config's tensors, of the shapes it gives them with
     the vocabulary sizes taken from the embedding rows, and all must share
-    one floating dtype, which the model then runs in."""
+    one dtype, float32 or float64, which the model then runs in."""
     def decode(header, arrays):
         cfg = Seq2SeqConfig(**header["config"])
         expected, found = set(param_shapes(cfg, 0, 0)), set(arrays)
@@ -31,11 +33,14 @@ def load_checkpoint(path):
         params = {name: artifact.require_shape(arrays, name, shape)
                   for name, shape in shapes.items()}
         first = next(iter(params))
+        dtype = params[first].dtype
+        if dtype not in (np.float32, np.float64):
+            raise ValueError(f"tensor {first!r} has dtype {dtype}, "
+                             "expected float32 or float64")
         for name, t in params.items():
-            if t.dtype.kind != "f" or t.dtype != params[first].dtype:
-                want = (f"{params[first].dtype} as {first!r}" if name != first
-                        else "a floating dtype")
-                raise ValueError(f"tensor {name!r} has dtype {t.dtype}, expected {want}")
+            if t.dtype != dtype:
+                raise ValueError(f"tensor {name!r} has dtype {t.dtype}, "
+                                 f"expected {dtype} as {first!r}")
         history = [EpochRecord(**rec) for rec in header["history"]]
         return cfg, params, history
     return artifact.load(path, "checkpoint", decode)

@@ -7,7 +7,10 @@ Each GRU is three tensors, `{prefix}_W` (I, 3H), `{prefix}_U` (H, 3H) and
 gates in that order, [z|r|c].  `param_shapes` is the one statement of the
 tensors of a config: `build_model` draws them from it, and checkpoints with
 any other names or shapes (such as the nine per-gate tensors per GRU of
-earlier versions) are rejected when loaded.
+earlier versions) are rejected when loaded.  Each weight's init range comes
+from its shape alone: uniform in +/-sqrt(6 / (fan_in + fan_out)) per matrix
+and per GRU gate block (Glorot & Bengio 2010), with zero biases and the
+source embeddings copied from the strategy's table.
 
 `gru_forward` runs one GRU, or both directions of an encoder layer, in one
 time-major loop of `_gru_step`.  `stack_forward` and `stack_backward` run a
@@ -107,13 +110,16 @@ def param_shapes(cfg, n_src, n_tgt):
     return shapes
 
 
-def build_model(cfg, source_init, target_vocab, init_scale=0.1, *, source_vocab):
+def build_model(cfg, source_init, target_vocab, *, source_vocab):
     """Create the parameter dict, one tensor per entry of param_shapes.  The
     source embedding table is copied from `source_init` (an
     InitializedEmbeddings or EmbeddingMatrix) whose rows must be the tokens of
-    `source_vocab` in id order; biases are zero and everything else is seeded
-    uniform +/-init_scale.  Every tensor is float32; the draws and the init
-    table are float64 until the one cast at the end."""
+    `source_vocab` in id order; biases are zero.  Every other matrix, and
+    each (in_dim, H) or (H, H) gate block of a GRU, is drawn uniform in
+    +/-sqrt(6 / (fan_in + fan_out)) of its own (fan_in, fan_out) shape
+    (Glorot & Bengio 2010), in param_shapes order.  Every tensor is
+    float32; the draws and the init table are float64 until the one cast at
+    the end."""
     matrix = getattr(source_init, "matrix", source_init)
     if matrix.dim != cfg.emb_dim:
         raise ValueError(f"source init dim {matrix.dim} != config emb_dim {cfg.emb_dim}")
@@ -123,6 +129,11 @@ def build_model(cfg, source_init, target_vocab, init_scale=0.1, *, source_vocab)
         raise ValueError("source init does not cover the source vocabulary "
                          "in id order")
     rng = np.random.default_rng(cfg.seed)
+
+    def draw(shape):
+        bound = np.sqrt(6 / sum(shape))
+        return rng.uniform(-bound, bound, shape)
+
     shapes = param_shapes(cfg, len(matrix), len(target_vocab))
     params = {}
     for name, shape in shapes.items():
@@ -135,12 +146,11 @@ def build_model(cfg, source_init, target_vocab, init_scale=0.1, *, source_vocab)
         elif name.endswith("_W") and f"{name[:-2]}_U" in shapes:
             # gate blocks drawn in the order W_z, U_z, W_r, U_r, W_c, U_c
             in_dim, hid = shape[0], shape[1] // 3
-            blocks = [rng.uniform(-init_scale, init_scale, (d, hid))
-                      for _ in range(3) for d in (in_dim, hid)]
+            blocks = [draw((d, hid)) for _ in range(3) for d in (in_dim, hid)]
             params[name] = np.concatenate(blocks[0::2], axis=1)
             params[f"{name[:-2]}_U"] = np.concatenate(blocks[1::2], axis=1)
         else:
-            params[name] = rng.uniform(-init_scale, init_scale, shape)
+            params[name] = draw(shape)
     return {name: t.astype(np.float32) for name, t in params.items()}
 
 

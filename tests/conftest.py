@@ -18,18 +18,18 @@ def fixed_mapping(w_x, w_z):
     return MappingModel(w_x, w_z, zero, zero, 1.0)
 
 
-def tiny_model(n_src=16, n_tgt=16, emb=8, hidden=8, seed=1, init_scale=0.5,
-               **cfg_kwargs):
-    """Small seq2seq at a random (non-degenerate) point, its float32 tensors
-    cast to float64 so the oracle tests can hold 1e-12 tolerances."""
+def tiny_model(n_src=16, n_tgt=16, emb=8, hidden=8, seed=1, **cfg_kwargs):
+    """Small seq2seq at a random (non-degenerate) point, source rows uniform
+    in +/-0.5, its float32 tensors cast to float64 so the oracle tests can
+    hold 1e-12 tolerances."""
     rng = np.random.default_rng(seed)
     sv = vocab_of([f"w{i}" for i in range(n_src)])
     tv = vocab_of([f"v{i}" for i in range(n_tgt)])
     cfg_kwargs.setdefault("dropout", 0.0)
     cfg = Seq2SeqConfig(hidden=hidden, emb_dim=emb, seed=seed, **cfg_kwargs)
     init = EmbeddingMatrix(sv.id_to_token,
-                           rng.uniform(-init_scale, init_scale, (len(sv), emb)))
-    params = build_model(cfg, init, tv, init_scale=init_scale, source_vocab=sv)
+                           rng.uniform(-0.5, 0.5, (len(sv), emb)))
+    params = build_model(cfg, init, tv, source_vocab=sv)
     params = {name: t.astype(np.float64) for name, t in params.items()}
     return cfg, params, sv, tv
 

@@ -709,6 +709,18 @@ class TestMalformedArtifacts:
         assert str(tmp_path / "model.ckpt") in err and "Traceback" not in err
         assert f"{name!r} has dtype {np.dtype(dtype)}" in err
 
+    def test_half_precision_checkpoint(self, tmp_path, capsys):
+        """A checkpoint of float16 tensors is rejected when loaded instead of
+        decoding in float16; the message names the file."""
+        cfg, params, sv, tv = tiny_model()
+        params = {name: t.astype(np.float16) for name, t in params.items()}
+        argv = tiny_translate_args(tmp_path, cfg, params, sv, tv)
+        capsys.readouterr()
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert str(tmp_path / "model.ckpt") in err and "Traceback" not in err
+        assert "'src_emb' has dtype float16, expected float32 or float64" in err
+
     @pytest.mark.parametrize("inp, out", [(np.int64, np.int64),
                                           (np.float16, np.float16),
                                           (np.float32, np.float64)])

@@ -46,19 +46,24 @@ class TestData:
         assert all(np.array_equal(x.src_ids, y.src_ids) for x, y in zip(a, b))
 
 
-def per_tensor_build_model(cfg, src_emb, vt, scale):
+def per_tensor_build_model(cfg, src_emb, vt):
     """build_model as it was written tensor by tensor before it drew from
-    param_shapes: the oracle for its names, order and random draws."""
+    param_shapes: the oracle for its names, order and random draws, each
+    block uniform in +/-sqrt(6 / (rows + columns))."""
     rng = np.random.default_rng(cfg.seed)
     h, h2, e = cfg.hidden, cfg.hidden // 2, cfg.emb_dim
-    params = {"src_emb": src_emb.copy(),
-              "tgt_emb": rng.uniform(-scale, scale, (vt, e))}
+
+    def uniform(rows, cols):
+        bound = math.sqrt(6 / (rows + cols))
+        return rng.uniform(-bound, bound, (rows, cols))
+
+    params = {"src_emb": src_emb.copy(), "tgt_emb": uniform(vt, e)}
 
     def gru(prefix, in_dim, hid):
         ws, us = [], []
         for _ in range(3):                  # W_z, U_z, W_r, U_r, W_c, U_c
-            ws.append(rng.uniform(-scale, scale, (in_dim, hid)))
-            us.append(rng.uniform(-scale, scale, (hid, hid)))
+            ws.append(uniform(in_dim, hid))
+            us.append(uniform(hid, hid))
         params[f"{prefix}_W"] = np.concatenate(ws, axis=1)
         params[f"{prefix}_U"] = np.concatenate(us, axis=1)
         params[f"{prefix}_b"] = np.zeros(3 * hid)
@@ -68,12 +73,12 @@ def per_tensor_build_model(cfg, src_emb, vt, scale):
         gru(f"enc_{l}_b", e if l == 0 else h, h2)
     for l in range(cfg.dec_layers):
         gru(f"dec_{l}", e if l == 0 else h, h)
-        params[f"bridge_{l}_W"] = rng.uniform(-scale, scale, (h, h))
+        params[f"bridge_{l}_W"] = uniform(h, h)
         params[f"bridge_{l}_b"] = np.zeros(h)
-    params["att_W"] = rng.uniform(-scale, scale, (h, h))
-    params["comb_W"] = rng.uniform(-scale, scale, (2 * h, h))
+    params["att_W"] = uniform(h, h)
+    params["comb_W"] = uniform(2 * h, h)
     params["comb_b"] = np.zeros(h)
-    params["out_W"] = rng.uniform(-scale, scale, (h, vt))
+    params["out_W"] = uniform(h, vt)
     params["out_b"] = np.zeros(vt)
     return params
 
@@ -107,7 +112,7 @@ class TestBuildModel:
     @pytest.mark.parametrize("layers", [(1, 1), (2, 2), (3, 2)])
     def test_draws_as_written_per_tensor(self, layers):
         cfg, params, sv, tv = tiny_model(enc_layers=layers[0], dec_layers=layers[1])
-        want = per_tensor_build_model(cfg, params["src_emb"], len(tv), 0.5)
+        want = per_tensor_build_model(cfg, params["src_emb"], len(tv))
         assert list(params) == list(want)
         for name, t in want.items():
             assert np.array_equal(params[name], t.astype(np.float32)), name

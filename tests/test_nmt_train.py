@@ -208,9 +208,9 @@ class TestLockstep:
         fine-tuned in lockstep: each model's parameters and history are those
         of its own train and fine_tune runs, byte for byte.  Two models stop
         early in training, so the stack shrinks from 3 to 2 to 1."""
-        cfg, models, sv, tv = grid_models(3, seed=3, dropout=0.3)
+        cfg, models, sv, tv = grid_models(3, seed=5, dropout=0.3)
         models = [{k: t.astype(np.float32) for k, t in m.items()} for m in models]
-        rng = np.random.default_rng(3)
+        rng = np.random.default_rng(5)
         data = [encode_pairs(random_pairs(sv, tv, n, rng), sv, tv)
                 for n in (24, 8, 16, 8)]
         hypers = [TrainConfig(lr=3e-2, epochs=8, patience=2, batch_size=8, seed=1),
@@ -228,4 +228,4 @@ class TestLockstep:
                 for k, t in q.items():
                     assert p[k].dtype == t.dtype and np.array_equal(p[k], t), k
             if fit is train:
-                assert sorted(len(h) for _, h in want) == [5, 6, 8]
+                assert sorted(len(h) for _, h in want) == [5, 7, 8]
