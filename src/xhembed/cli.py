@@ -12,8 +12,7 @@ from .combine import (STRATEGY_INPUTS, STRATEGY_ORDER, InitStrategy,
 from .corpus import (FieldError, SplitSpec, Vocabulary, build_vocabulary,
                      corpus_stats, load_parallel_corpus, read_aligned_lines,
                      read_lines, split_corpus, write_lines, write_splits)
-from .embedstore import (nearest_neighbors, read_dim, read_embeddings,
-                         write_embeddings)
+from .embedstore import nearest_neighbors, read_embeddings, write_embeddings
 from .lexproject import build_projected_matrix, read_lexicon
 from .nmt import (Seq2SeqConfig, TrainConfig, build_model, load_checkpoint,
                   save_checkpoint, train_models, translate)
@@ -168,10 +167,9 @@ def stage_map(e_v, e_m, out):
     return mapping
 
 
-def stage_init_emb(strategy, vocab, e_v, subword_model, mapping, dim, seed, out):
+def stage_init_emb(strategy, vocab, e_v, e_m, mapping, dim, seed, out):
     """Build and write an init table; `init.npz` gets `init.provenance.tsv`."""
-    init = build_initial_embeddings(strategy, vocab, e_v, subword_model, mapping,
-                                    dim, seed)
+    init = build_initial_embeddings(strategy, vocab, e_v, e_m, mapping, dim, seed)
     write_embeddings(init.matrix, out)
     init.write_provenance(Path(out).with_suffix(".provenance.tsv"))
     return init
@@ -210,29 +208,30 @@ def run_pipeline(cfg, out_dir, strategies, deterministic=True, log=print):
     if cfg["vocab.min_count"] < 1:
         raise ValidationError(
             f"vocab.min_count must be >= 1, got {cfg['vocab.min_count']}")
-    if "subword_model" in needs and nmt_cfg.emb_dim < sg_cfg.dim:
+    if "e_m" in needs and nmt_cfg.emb_dim < sg_cfg.dim:
         raise ValidationError(f"nmt.emb_dim {nmt_cfg.emb_dim} is narrower than "
                               f"subword.dim {sg_cfg.dim}, whose vectors it must hold")
+    # every outside input is read whole here, so a malformed one fails,
+    # naming its file, before any stage runs
+    corpora = {name: load_parallel_corpus(cfg[f"data.{name}_src"],
+                                          cfg[f"data.{name}_tgt"], name)
+               for name in ("bible", "corpus2")}
     if "e_v" in needs:
+        lex = read_lexicon(cfg["data.lexicon"])
         hr_path = cfg["data.hr_embeddings"]
-        try:
-            hr_dim = read_dim(hr_path)
-        except OSError as e:
-            raise ValidationError(f"data.hr_embeddings {hr_path!r}: {e}") from e
-        if hr_dim is not None and nmt_cfg.emb_dim < hr_dim:
+        e_hr = read_embeddings(hr_path)
+        if nmt_cfg.emb_dim < e_hr.dim:
             raise ValidationError(
-                f"nmt.emb_dim {nmt_cfg.emb_dim} is narrower than the {hr_dim}-d "
+                f"nmt.emb_dim {nmt_cfg.emb_dim} is narrower than the {e_hr.dim}-d "
                 f"vectors of data.hr_embeddings {hr_path!r}, which it must hold")
-        if "mapping" in needs and hr_dim is not None and hr_dim != sg_cfg.dim:
+        if "mapping" in needs and e_hr.dim != sg_cfg.dim:
             raise ValidationError(
-                f"subword.dim {sg_cfg.dim} differs from the {hr_dim}-d vectors of "
+                f"subword.dim {sg_cfg.dim} differs from the {e_hr.dim}-d vectors of "
                 f"data.hr_embeddings {hr_path!r}: the mapping needs one dim for both")
     try:
         stage = "stats+split"
         splits = {}
-        for name in ("bible", "corpus2"):
-            corp = load_parallel_corpus(cfg[f"data.{name}_src"], cfg[f"data.{name}_tgt"],
-                                        name)
+        for name, corp in corpora.items():
             write_lines(out / f"{name}.stats.txt", _stats_lines(corpus_stats(corp)))
             write_lines(out / f"{name}.load.txt", corp.report.lines())
             parts = splits[name] = stage_split(corp, split_spec, out)
@@ -259,9 +258,8 @@ def run_pipeline(cfg, out_dir, strategies, deterministic=True, log=print):
         e_v = mapping = None
         if "e_v" in needs:
             stage = "build-ev"
-            lex = read_lexicon(cfg["data.lexicon"])
-            e_v, report = stage_build_ev(lex, read_embeddings(cfg["data.hr_embeddings"]),
-                                         out / "ev.npz")
+            e_v, report = stage_build_ev(lex, e_hr, out / "ev.npz")
+            del e_hr  # not held through NMT training
             write_lines(out / "ev.report.txt", report.lines())
             log(f"[build-ev] covered {report.covered}/{len(lex)} entries")
 
@@ -275,7 +273,7 @@ def run_pipeline(cfg, out_dir, strategies, deterministic=True, log=print):
         models = []
         for strat, sdir in zip(strategies, sdirs):
             sdir.mkdir(exist_ok=True)
-            init = stage_init_emb(strat, src_vocab, e_v, model, mapping,
+            init = stage_init_emb(strat, src_vocab, e_v, e_m, mapping,
                                   nmt_cfg.emb_dim, nmt_cfg.seed, sdir / "init.npz")
             models.append(build_model(nmt_cfg, init, tgt_vocab, source_vocab=src_vocab))
         results = [str(strat) for strat in strategies]
@@ -366,15 +364,16 @@ def _cmd_init_emb(args):
     strat = InitStrategy.parse(args.strategy)
     vocab = Vocabulary.load(args.vocab)
     e_v = read_embeddings(args.ev) if args.ev else None
-    model = SubwordModel.load(args.subword_model) if args.subword_model else None
+    e_m = (SubwordModel.load(args.subword_model).export_matrix(vocab.tokens())
+           if args.subword_model else None)
     mapping = load_mapping(args.mapping) if args.mapping else None
-    if mapping is not None and e_v is not None and model is not None:
+    if mapping is not None and e_v is not None and e_m is not None:
         dim = mapping.w_x.shape[0]
-        if (e_v.dim, model.dim) != (dim, dim):
+        if (e_v.dim, e_m.dim) != (dim, dim):
             raise ValidationError(
                 f"{args.mapping}: mapping dim {dim} does not match E_V dim "
-                f"{e_v.dim} ({args.ev}) and E_M dim {model.dim} ({args.subword_model})")
-    stage_init_emb(strat, vocab, e_v, model, mapping, args.dim, args.seed, args.out)
+                f"{e_v.dim} ({args.ev}) and E_M dim {e_m.dim} ({args.subword_model})")
+    stage_init_emb(strat, vocab, e_v, e_m, mapping, args.dim, args.seed, args.out)
 
 
 def _checkpoint_vocabularies(args, params):

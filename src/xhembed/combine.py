@@ -1,5 +1,6 @@
 """Initial embedding construction for the task vocabulary under each
-strategy: Random, XhPre, XhSub, VecMap, XhMeta."""
+strategy (Random, XhPre, XhSub, VecMap, XhMeta) from the matrices E_V
+(projected) and E_M (subword-composed) and the mapping between them."""
 
 import enum
 from dataclasses import dataclass
@@ -38,10 +39,10 @@ STRATEGY_ORDER = [InitStrategy.RANDOM, InitStrategy.VECMAP, InitStrategy.XH_SUB,
 # names in `build_initial_embeddings`
 STRATEGY_INPUTS = {
     InitStrategy.RANDOM: (),
-    InitStrategy.XH_PRE: ("e_v", "subword_model"),
-    InitStrategy.XH_SUB: ("subword_model",),
-    InitStrategy.VECMAP: ("e_v", "subword_model", "mapping"),
-    InitStrategy.XH_META: ("e_v", "subword_model"),
+    InitStrategy.XH_PRE: ("e_v", "e_m"),
+    InitStrategy.XH_SUB: ("e_m",),
+    InitStrategy.VECMAP: ("e_v", "e_m", "mapping"),
+    InitStrategy.XH_META: ("e_v", "e_m"),
 }
 
 # random rows are drawn uniform in [-INIT_RANGE, INIT_RANGE)
@@ -74,26 +75,30 @@ def meta_embedding(ev_vec, em_vec):
     return (ev_vec + em_vec) / 2.0
 
 
-def build_initial_embeddings(strategy, task_vocab, e_v=None, subword_model=None,
+def build_initial_embeddings(strategy, task_vocab, e_v=None, e_m=None,
                              mapping=None, dim=None, seed=0):
     """One row and one provenance tag per task-vocabulary token.
 
-    Specials, and every row under Random, come from one uniform draw in id
-    order (PAD is all zeros); `_word_rows` gives the other strategies' rows.
-    Rows are zero-padded to `dim`, which may not be narrower than a source.
+    `e_m` is E_M over the task vocabulary: one subword-composed row per
+    non-special token, in id order.  Specials, and every row under Random,
+    come from one uniform draw in id order (PAD is all zeros); `_word_rows`
+    gives the other strategies' rows.  Rows are zero-padded to `dim`, which
+    may not be narrower than a source.
     """
     needs = STRATEGY_INPUTS[strategy]
-    have = {"e_v": e_v, "subword_model": subword_model, "mapping": mapping}
+    have = {"e_v": e_v, "e_m": e_m, "mapping": mapping}
     for name in needs:
         if have[name] is None:
             raise ValueError(f"strategy {strategy} requires input {name!r}")
+    if "e_m" in needs and e_m.tokens != task_vocab.tokens():
+        raise ValueError("e_m's tokens are not the task vocabulary's words in id order")
 
     if dim is None:
-        dims = [m.dim for m in (e_v, subword_model) if m is not None]
+        dims = [m.dim for m in (e_v, e_m) if m is not None]
         if not dims:
             raise ValueError("Random strategy needs an explicit dim")
         dim = max(dims)
-    for name in ("e_v", "subword_model"):
+    for name in ("e_v", "e_m"):
         if name in needs and have[name].dim > dim:
             raise ValueError(f"dim {dim} is narrower than {name} "
                              f"(dim {have[name].dim})")
@@ -109,17 +114,17 @@ def build_initial_embeddings(strategy, task_vocab, e_v=None, subword_model=None,
     if strategy is not InitStrategy.RANDOM:
         words = np.flatnonzero(~special)
         table, tags[words] = _word_rows(strategy, [tokens[i] for i in words],
-                                        e_v, subword_model, mapping)
+                                        e_v, e_m.rows, mapping)
         rows[words, :table.shape[1]] = table
     return InitializedEmbeddings(EmbeddingMatrix(tokens, rows), dict(zip(tokens, tags)))
 
 
-def _word_rows(strategy, words, e_v, subword_model, mapping):
-    """Rows and provenance tags of `words` under a strategy other than Random.
-    XhPre and VecMap (in the common space) take a word's E_V row if it has
-    one, else its E_M row; XhMeta averages the E_M row with the E_V row or
-    the E_V centroid.  The narrower of E_V and E_M is zero-padded."""
-    em = subword_model.compose_rows(words)
+def _word_rows(strategy, words, e_v, em, mapping):
+    """Rows and provenance tags of `words` under a strategy other than Random,
+    given their E_M rows `em`.  XhSub takes the E_M row; XhPre and VecMap (in
+    the common space) take a word's E_V row if it has one, else its E_M row;
+    XhMeta averages the E_M row with the E_V row or the E_V centroid.  The
+    narrower of E_V and E_M is zero-padded."""
     if strategy is InitStrategy.XH_SUB:
         return em, ["fromEM"] * len(words)
     has = np.array([w in e_v for w in words], dtype=bool)

@@ -148,9 +148,12 @@ class Vocabulary:
 
     @classmethod
     def from_freqs(cls, pairs):
-        """Vocabulary of (token, count) pairs, keeping their order as ids."""
+        """Vocabulary of (token, count) pairs, keeping their order as ids; a
+        repeated or special token raises ValueError."""
         v = cls()
         for tok, c in pairs:
+            if tok in v.token_to_id:
+                raise ValueError(f"repeated or special token {tok!r}")
             v.token_to_id[tok] = len(v.id_to_token)
             v.id_to_token.append(tok)
             v.freq[tok] = int(c)

@@ -62,23 +62,6 @@ def read_embeddings(path):
     return _read_artifact(path) if signature == artifact.SIGNATURE else _read_text(path)
 
 
-def read_dim(path):
-    """Row width of the matrix at `path`.  An artifact is read whole, so a
-    malformed one is an ArtifactError naming the file; of a text file only
-    the first line is read, as `read_embeddings` parses it (an "N D" header,
-    or a first row whose values are counted).  None when a text file starts
-    with a blank line."""
-    with open(path, "rb") as f:
-        first = f.readline()
-    if first.startswith(artifact.SIGNATURE):
-        return _read_artifact(path).dim
-    line = first.decode("utf-8", errors="replace")  # the full read names bad bytes
-    head = _header(line)
-    if head is None:
-        return _split_row(line)[2] if line.strip() else None
-    return head[1]
-
-
 def _read_artifact(path):
     """The matrix of the artifact at `path`: one row of its rows array per
     token.  Its width is the rows array's; files whose header also gives it
@@ -170,25 +153,29 @@ def _read_text(path):
 
 def _parse_values(path, fields, line_nos, dim):
     """(len(fields), dim) float64 rows of the value texts `fields`, parsed in
-    one np.loadtxt call.  If that fails, the fields are parsed one at a time
-    and the first that fails raises EmbeddingFormatError naming its file line
-    `line_nos[i]` (the first line, if none fails alone)."""
+    one np.loadtxt call.  If that fails or gives a non-finite value, the
+    fields are parsed one at a time and the first that fails or holds one
+    raises EmbeddingFormatError naming its file line `line_nos[i]` (the first
+    line, if none fails alone)."""
     def parse(part):
         return np.loadtxt(part, delimiter=" ", comments=None, quotechar=None, ndmin=2)
     if not (fields and dim):
         return np.zeros((len(fields), dim))
+    error = None
     try:
-        return parse(fields)
+        rows = parse(fields)
+        if np.isfinite(rows).all():
+            return rows
     except ValueError as e:
-        fault = line_nos[0], e
+        error = e
     for field, ln in zip(fields, line_nos):
         try:
-            parse([field])
+            row = parse([field])
         except ValueError as e:
-            fault = ln, e
-            break
-    ln, error = fault
-    raise EmbeddingFormatError(f"{path}:{ln}: non-numeric field: {error}") from error
+            raise EmbeddingFormatError(f"{path}:{ln}: non-numeric field: {e}") from e
+        if not np.isfinite(row).all():
+            raise EmbeddingFormatError(f"{path}:{ln}: non-finite value")
+    raise EmbeddingFormatError(f"{path}:{line_nos[0]}: non-numeric field: {error}") from error
 
 
 def write_embeddings(matrix, path):

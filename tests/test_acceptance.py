@@ -263,22 +263,12 @@ def test_criterion_9_composition_algebra():
         np.array_equal(meta_embedding(a, b), (np.asarray(a) + np.asarray(b)) / 2)
         for a, b in (rng.normal(size=(2, 12)) for _ in range(100)))
 
-    class HashSubword:
-        dim = 12
-
-        def compose(self, word):
-            r = np.random.default_rng(abs(hash(word)) % 2 ** 31)
-            return r.normal(size=12)
-
-        def compose_rows(self, words):
-            return np.array([self.compose(w) for w in words]).reshape(len(words), 12)
-
     vocab = vocab_of([w for w, _ in entries])
     e_v_half = EmbeddingMatrix([w for w, _ in entries[:500]], mat.rows[:500])
+    e_m = EmbeddingMatrix(vocab.tokens(), rng.normal(size=(len(vocab.tokens()), 12)))
     coverage_ok = True
     for strat in (InitStrategy.XH_PRE, InitStrategy.XH_SUB, InitStrategy.XH_META):
-        init = build_initial_embeddings(strat, vocab, e_v=e_v_half,
-                                        subword_model=HashSubword())
+        init = build_initial_embeddings(strat, vocab, e_v=e_v_half, e_m=e_m)
         if len(init.provenance) != len(vocab.id_to_token):
             coverage_ok = False
         if sorted(init.provenance) != sorted(vocab.id_to_token):

@@ -1,5 +1,6 @@
-from dataclasses import fields, replace
+from dataclasses import asdict, fields, replace
 from functools import partial
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -519,17 +520,73 @@ class TestPipeline:
         assert not (out / "ev.npz").exists()
 
     def test_stage_failure_is_two(self, tmp_path, capsys):
-        """A lexicon that repeats a source word passes the validate step,
-        which does not read the lexicon, and fails the build-ev stage."""
+        """A directory where build-ev writes E_V passes the validate step,
+        which reads only the inputs, and fails the build-ev stage."""
         cfg_path = write_cfg(tmp_path, micro_dataset(tmp_path))
-        with open(tmp_path / "lex.tsv", "a") as f:
-            f.write("meka\tlook\n")
+        out = tmp_path / "out"
+        (out / "ev.npz").mkdir(parents=True)
         capsys.readouterr()
-        assert main(["run-all", "--config", str(cfg_path), "--out",
-                     str(tmp_path / "out"), "--strategies", "XhPre"]) == 2
+        assert main(["run-all", "--config", str(cfg_path), "--out", str(out),
+                     "--strategies", "XhPre"]) == 2
         err = capsys.readouterr().err
         assert "stage 'build-ev' failed" in err and "Traceback" not in err
-        assert f"{tmp_path / 'lex.tsv'}:7: duplicate source word 'meka'" in err
+        assert str(out / "ev.npz") in err
+
+    @pytest.mark.parametrize("name, extra, named", [
+        ("b.src", "toza\n", "b.src has 41 lines"),
+        ("lex.tsv", "meka\tlook\n", "lex.tsv:7: duplicate source word 'meka'"),
+        ("hr.vec", "bad 1\n", "hr.vec:7: expected 8 values, got 1"),
+        ("hr.vec", "bad" + " nan" * 8 + "\n", "hr.vec:7: non-finite value"),
+        ("hr.npz", None, "hr.npz: not a readable embedding matrix")],
+        ids=["corpus-line-counts", "lexicon-repeats-a-word", "vec-bad-count",
+             "vec-non-finite", "truncated-hr-artifact"])
+    def test_malformed_input_fails_before_any_stage(self, tmp_path, capsys, name,
+                                                    extra, named):
+        """Every outside input is read whole before the first stage, so a
+        fault anywhere in one exits 1 naming the file, with no stage's output.
+        `extra` is appended to the input `name`; None makes `name` the HR
+        vectors as an artifact, cut short."""
+        text = micro_dataset(tmp_path)
+        path = tmp_path / name
+        if extra is None:
+            write_embeddings(read_embeddings(tmp_path / "hr.vec"), path)
+            path.write_bytes(path.read_bytes()[:path.stat().st_size // 2])
+            text += f"data.hr_embeddings={path}\n"
+        else:
+            with open(path, "a") as f:
+                f.write(extra)
+        cfg_path = write_cfg(tmp_path, text)
+        out = tmp_path / "out"
+        capsys.readouterr()
+        assert main(["run-all", "--config", str(cfg_path), "--out", str(out),
+                     "--strategies", "XhPre"]) == 1
+        err = capsys.readouterr().err
+        assert f"{tmp_path}/{named}" in err and "Traceback" not in err
+        assert not any(out.iterdir())
+
+    def test_five_strategies_compose_em_and_read_hr_once(self, tmp_path, monkeypatch):
+        """Every strategy's init table is built from the one E_M that is
+        exported to em.npz, and the HR artifact is read once."""
+        hr = tmp_path / "hr.npz"
+        text = micro_dataset(tmp_path)
+        write_embeddings(read_embeddings(tmp_path / "hr.vec"), hr)
+        cfg_path = write_cfg(tmp_path, text + f"data.hr_embeddings={hr}\n")
+        calls = {"compose_rows": 0, "hr reads": 0}
+        compose_rows, load = SubwordModel.compose_rows, artifact.load
+
+        def counted_compose_rows(self, words):
+            calls["compose_rows"] += 1
+            return compose_rows(self, words)
+
+        def counted_load(path, kind, decode):
+            calls["hr reads"] += Path(path) == hr
+            return load(path, kind, decode)
+
+        monkeypatch.setattr(SubwordModel, "compose_rows", counted_compose_rows)
+        monkeypatch.setattr(artifact, "load", counted_load)
+        assert main(["run-all", "--config", str(cfg_path), "--out", str(tmp_path / "out"),
+                     "--strategies", "Random,VecMap,XhSub,XhPre,XhMeta"]) == 0
+        assert calls == {"compose_rows": 1, "hr reads": 1}
 
     def test_subword_dim_must_match_hr_dim(self, tmp_path, capsys):
         """The micro dataset's HR vectors are 8-d; a 6-d subword space cannot
@@ -548,14 +605,10 @@ class TestPipeline:
     def test_emb_dim_narrower_than_hr_vectors_fails_before_any_stage(
             self, tmp_path, capsys, as_artifact):
         """The micro dataset's HR vectors are 8-d; a 6-d NMT embedding cannot
-        hold them.  Of a text file only the first line is read, so a bad row
-        further down is not what is reported; an artifact is read whole."""
+        hold them, as text or as an artifact."""
         text = micro_dataset(tmp_path) + "subword.dim=6\nnmt.emb_dim=6\n"
         hr = tmp_path / "hr.vec"
-        if not as_artifact:
-            with open(hr, "a") as f:
-                f.write("bad 1\n")
-        else:
+        if as_artifact:
             hr = tmp_path / "hr.npz"
             write_embeddings(read_embeddings(tmp_path / "hr.vec"), hr)
             text += f"data.hr_embeddings={hr}\n"
@@ -741,6 +794,26 @@ class TestMalformedArtifacts:
         assert str(tmp_path / "sw.model") in err and "Traceback" not in err
         name, dtype = ("input_vectors", inp) if inp is out else ("output_vectors", out)
         assert f"{name!r} has dtype {np.dtype(dtype)}" in err
+        assert not (tmp_path / "init.npz").exists()
+
+    @pytest.mark.parametrize("token", ["meka", "<unk>"])
+    def test_subword_vocabulary_repeats_a_token(self, tmp_path, capsys, token):
+        """A header vocabulary that repeats a word, or holds a special token,
+        is rejected when loaded; the message names the file and the token."""
+        vocab = vocab_of(["toza", "meka"])
+        vocab.save(tmp_path / "vocab.src")
+        cfg = SkipgramConfig(dim=4, buckets=10)
+        artifact.save(tmp_path / "sw.model", "subword model",
+                      {"config": asdict(cfg), "vocab": [["toza", 2], ["meka", 1], [token, 1]]},
+                      {"input_vectors": np.ones((13, 4)), "output_vectors": np.ones((3, 4))})
+        capsys.readouterr()
+        assert main(["init-emb", "--strategy", "XhSub",
+                     "--vocab", str(tmp_path / "vocab.src"),
+                     "--subword-model", str(tmp_path / "sw.model"), "--dim", "4",
+                     "--out", str(tmp_path / "init.npz")]) == 1
+        err = capsys.readouterr().err
+        assert str(tmp_path / "sw.model") in err and "Traceback" not in err
+        assert f"repeated or special token {token!r}" in err
         assert not (tmp_path / "init.npz").exists()
 
     def test_garbage_mapping(self, tmp_path, capsys):

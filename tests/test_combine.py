@@ -12,24 +12,15 @@ from xhembed.xmap import fit_mapping
 from conftest import fixed_mapping, vocab_of
 
 
-class FakeSubword:
-    """Deterministic stand-in: each word maps to a fixed pseudo-random row."""
-
-    def __init__(self, dim=4):
-        self.dim = dim
-
-    def compose(self, word):
-        rng = np.random.default_rng(abs(hash(word)) % (2 ** 31))
-        return rng.normal(size=self.dim)
-
-    def compose_rows(self, words):
-        return np.array([self.compose(w) for w in words]).reshape(len(words), self.dim)
-
-
-def ev_of(entries, dim=4):
+def ev_of(entries, dim=4, seed=9):
     toks = list(entries)
-    rng = np.random.default_rng(9)
+    rng = np.random.default_rng(seed)
     return EmbeddingMatrix(toks, rng.normal(size=(len(toks), dim)))
+
+
+def em_of(vocab, dim=4):
+    """A stand-in E_M: a fixed pseudo-random row per word of `vocab`."""
+    return ev_of(vocab.tokens(), dim, seed=4)
 
 
 class TestStrategyEnum:
@@ -73,7 +64,7 @@ class TestBuild:
     def setup_method(self):
         self.vocab = vocab_of(["inkosi", "indoda", "umntu"])
         self.ev = ev_of(["indoda", "umntu"])
-        self.sub = FakeSubword()
+        self.em = em_of(self.vocab)
 
     def test_random_needs_dim(self):
         with pytest.raises(ValueError):
@@ -88,66 +79,72 @@ class TestBuild:
 
     def test_pad_row_zero_other_specials_not(self):
         init = build_initial_embeddings(InitStrategy.XH_SUB, self.vocab,
-                                        subword_model=self.sub, seed=1)
+                                        e_m=self.em, seed=1)
         assert np.array_equal(init.matrix.rows[PAD], np.zeros(4))
         for tok in SPECIALS[1:]:
             assert np.linalg.norm(init.matrix.get(tok)) > 0
             assert init.provenance[tok] == "random"
 
     def test_missing_input_named(self):
-        with pytest.raises(ValueError, match="subword_model"):
+        with pytest.raises(ValueError, match="e_m"):
             build_initial_embeddings(InitStrategy.XH_SUB, self.vocab)
         with pytest.raises(ValueError, match="e_v"):
-            build_initial_embeddings(InitStrategy.XH_PRE, self.vocab,
-                                     subword_model=self.sub)
+            build_initial_embeddings(InitStrategy.XH_PRE, self.vocab, e_m=self.em)
         with pytest.raises(ValueError, match="mapping"):
             build_initial_embeddings(InitStrategy.VECMAP, self.vocab,
-                                     e_v=self.ev, subword_model=self.sub)
+                                     e_v=self.ev, e_m=self.em)
+
+    def test_em_must_be_the_vocabulary_words_in_id_order(self):
+        words = self.vocab.tokens()
+        for tokens in (words[::-1], words[:-1], ["<unk>", *words]):
+            e_m = EmbeddingMatrix(tokens, np.ones((len(tokens), 4)))
+            with pytest.raises(ValueError, match="e_m's tokens"):
+                build_initial_embeddings(InitStrategy.XH_SUB, self.vocab, e_m=e_m)
 
     def test_xhsub_rows_are_compositions(self):
         init = build_initial_embeddings(InitStrategy.XH_SUB, self.vocab,
-                                        subword_model=self.sub)
+                                        e_m=self.em)
         for tok in self.vocab.tokens():
-            assert np.allclose(init.matrix.get(tok), self.sub.compose(tok))
+            assert np.allclose(init.matrix.get(tok), self.em.get(tok))
             assert init.provenance[tok] == "fromEM"
 
     def test_xhpre_prefers_projected(self):
         init = build_initial_embeddings(InitStrategy.XH_PRE, self.vocab,
-                                        e_v=self.ev, subword_model=self.sub)
+                                        e_v=self.ev, e_m=self.em)
         assert np.allclose(init.matrix.get("indoda"), self.ev.get("indoda"))
         assert init.provenance["indoda"] == "fromEV"
-        assert np.allclose(init.matrix.get("inkosi"), self.sub.compose("inkosi"))
+        assert np.allclose(init.matrix.get("inkosi"), self.em.get("inkosi"))
         assert init.provenance["inkosi"] == "fromEM"
 
     def test_vecmap_applies_mapping(self):
         q = np.linalg.qr(np.random.default_rng(3).normal(size=(4, 4)))[0]
         mapping = fixed_mapping(q, np.eye(4))
         init = build_initial_embeddings(InitStrategy.VECMAP, self.vocab,
-                                        e_v=self.ev, subword_model=self.sub,
+                                        e_v=self.ev, e_m=self.em,
                                         mapping=mapping)
         assert np.allclose(init.matrix.get("indoda"),
                            mapping.map_x(self.ev.get("indoda")))
         assert np.allclose(init.matrix.get("inkosi"),
-                           mapping.map_z(self.sub.compose("inkosi")))
+                           mapping.map_z(self.em.get("inkosi")))
 
     def test_xhmeta_averages(self):
         init = build_initial_embeddings(InitStrategy.XH_META, self.vocab,
-                                        e_v=self.ev, subword_model=self.sub)
-        want = (self.ev.get("indoda") + self.sub.compose("indoda")) / 2
+                                        e_v=self.ev, e_m=self.em)
+        want = (self.ev.get("indoda") + self.em.get("indoda")) / 2
         assert np.allclose(init.matrix.get("indoda"), want)
         assert init.provenance["indoda"] == "fromEV"
 
     def test_xhmeta_absent_uses_centroid(self):
         init = build_initial_embeddings(InitStrategy.XH_META, self.vocab,
-                                        e_v=self.ev, subword_model=self.sub)
-        want = (unk_vector(self.ev) + self.sub.compose("inkosi")) / 2
+                                        e_v=self.ev, e_m=self.em)
+        want = (unk_vector(self.ev) + self.em.get("inkosi")) / 2
         assert np.allclose(init.matrix.get("inkosi"), want)
         assert init.provenance["inkosi"] == "unkSubstituted"
 
     def test_unequal_dims_zero_padded(self):
         ev = ev_of(["indoda"], dim=2)
         init = build_initial_embeddings(InitStrategy.XH_PRE, self.vocab,
-                                        e_v=ev, subword_model=FakeSubword(4))
+                                        e_v=ev, e_m=self.em)
         assert init.matrix.dim == 4
         row = init.matrix.get("indoda")
         assert np.allclose(row[:2], ev.get("indoda")) and np.all(row[2:] == 0)
@@ -159,7 +156,7 @@ class TestBuild:
 
     def test_write_provenance(self, tmp_path):
         init = build_initial_embeddings(InitStrategy.XH_SUB, self.vocab,
-                                        subword_model=self.sub)
+                                        e_m=self.em)
         init.write_provenance(tmp_path / "prov.tsv")
         lines = (tmp_path / "prov.tsv").read_text().splitlines()
         assert len(lines) == 7
@@ -265,10 +262,11 @@ class TestAgainstReference:
     def test_same_rows_and_provenance(self, micro_sources, strategy, dim):
         model, e_v, mapping = micro_sources
         assert model.compose_rows(["z"]).tolist() == [[0.0] * 4]
-        kwargs = dict(e_v=e_v, subword_model=model, mapping=mapping, dim=dim, seed=3)
-        got = build_initial_embeddings(strategy, self.vocab, **kwargs)
-        rows, provenance = reference_build_initial_embeddings(strategy, self.vocab,
-                                                              **kwargs)
+        kwargs = dict(e_v=e_v, mapping=mapping, dim=dim, seed=3)
+        got = build_initial_embeddings(
+            strategy, self.vocab, e_m=model.export_matrix(self.vocab.tokens()), **kwargs)
+        rows, provenance = reference_build_initial_embeddings(
+            strategy, self.vocab, subword_model=model, **kwargs)
         assert got.provenance == provenance
         if strategy is InitStrategy.VECMAP:
             assert np.abs(got.matrix.rows - rows).max() <= 1e-13
@@ -282,7 +280,8 @@ class TestAgainstReference:
         e_v = EmbeddingMatrix(e_v.tokens, np.random.default_rng(ev_dim).normal(
             size=(len(e_v), ev_dim)))
         got = build_initial_embeddings(strategy, self.vocab, e_v=e_v,
-                                       subword_model=model, seed=3)
+                                       e_m=model.export_matrix(self.vocab.tokens()),
+                                       seed=3)
         rows, provenance = reference_build_initial_embeddings(
             strategy, self.vocab, e_v=e_v, subword_model=model, seed=3)
         assert got.matrix.dim == max(ev_dim, 4)

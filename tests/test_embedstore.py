@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -6,7 +8,7 @@ from xhembed import artifact, embedstore
 from xhembed.artifact import ArtifactError
 from xhembed.corpus import CorpusError, read_lines
 from xhembed.embedstore import (EmbeddingFormatError, EmbeddingMatrix,
-                                nearest_neighbors, normalize_rows, read_dim,
+                                nearest_neighbors, normalize_rows,
                                 read_embeddings, unit_normalize,
                                 write_embeddings)
 from xhembed import xmap
@@ -122,9 +124,12 @@ def reference_read_text(path):
             continue
         seen.add(tok)
         try:
-            rows.append([float(v) for v in vals])
+            row = [float(v) for v in vals]
         except ValueError as e:
             raise EmbeddingFormatError(f"{path}:{ln}: non-numeric field: {e}") from e
+        if not all(map(math.isfinite, row)):
+            raise EmbeddingFormatError(f"{path}:{ln}: non-finite value")
+        rows.append(row)
         tokens.append(tok)
     m = EmbeddingMatrix(tokens, np.array(rows, dtype=np.float64).reshape(len(tokens), dim or 0))
     m.duplicates_dropped = dups
@@ -165,8 +170,6 @@ READER_CASES = [
     "\n\na 1 2\n\nb 3 4",                             # leading blanks, no final newline
     "ümlaut 1 2\n日本語 3 4\nà\u00a0b -5 6\n",         # unicode tokens
     "a 1e-3 -2.5E+02\nb +.5 5.\nc 1E5 -0\n",            # exponent forms
-    "a inf 1\n", "a 1 -Infinity\n", "a nan 0\n",       # non-finite values
-    "a 1e400 0\n",                                     # overflows to inf
     "a 1 2\na 3 inf\nb 5 6\n",                         # a dropped inf
     "a 1 2\na x y\nb 3 4\n",                           # a dropped non-numeric line
     "a 1 2\na x y\na\t7 8\n",                          # a tab is part of the token
@@ -174,6 +177,8 @@ READER_CASES = [
     "a\nb\n", "2 0\na\nb\n",                          # zero values a row
     "", "0 4\n", "\n\n",                                # nothing to read
     # errors, by file line
+    "a inf 1\n", "a 1 -Infinity\n", "a nan 0\n",       # non-finite values
+    "a 1e400 0\n",                                     # overflows to inf
     "a 1 2\nb 3\n",                                    # wrong field count
     "2 3\na 1 2 3\n\nb 1 2\n",                         # after a blank line
     "a 1 2\na 5\nb 3 4\n",                             # a duplicate is counted too
@@ -266,6 +271,15 @@ class TestChunkedReader:
         with pytest.raises(EmbeddingFormatError, match=":9: expected 2 values, got 1"):
             read_embeddings(p)
 
+    def test_nan_before_a_later_bad_count(self, tmp_path):
+        """Line 2's nan is in the first chunk, line 8's missing value in the
+        third; the nan's line is named."""
+        rows = [f"w{i} {i} 1" for i in range(10)]
+        rows[1], rows[7] = "w1 nan 1", "w7 1"
+        p = self.read(tmp_path, "\n".join(rows) + "\n")
+        with pytest.raises(EmbeddingFormatError, match=f"{p}:2: non-finite value"):
+            read_embeddings(p)
+
     def test_bad_value_before_a_later_undecodable_line(self, tmp_path):
         """Line 4's bad value waits in a chunk when line 5 fails to decode."""
         p = tmp_path / "e.vec"
@@ -315,31 +329,34 @@ class TestReaderMemory:
 
 
 class TestReadDim:
+    """The width `read_embeddings` gives a matrix."""
+
     def test_text_forms(self, tmp_path):
+        """A header's D, else the value count of the first row, past blank
+        lines; 0 when there is no row."""
         p = tmp_path / "e.vec"
         for text, dim in [("2 3\na 1 2 3\n", 3), ("a 1 2\n", 2), ("3 1.5\n", 1),
-                          ("a\n", 0), ("\na 1 2\n", None), ("", None)]:
+                          ("a\n", 0), ("\na 1 2\n", 2), ("", 0)]:
             p.write_text(text)
-            assert read_dim(p) == dim, text
+            assert read_embeddings(p).dim == dim, text
 
     def test_artifact_header(self, tmp_path):
         """The width comes from the rows array's shape; the JSON header does
         not restate it."""
         p = tmp_path / "e.npz"
         write_embeddings(EmbeddingMatrix(["a", "b"], np.ones((2, 5))), p)
-        assert read_dim(p) == 5
+        assert read_embeddings(p).dim == 5
         assert "dim" not in artifact.load(p, embedstore.KIND, lambda header, _: header)
 
     @pytest.mark.parametrize("rows", [np.ones(5), np.ones((2, 5, 1)), np.ones((3, 5))],
                              ids=["1-d", "3-d", "3-rows"])
     def test_malformed_rows_named(self, tmp_path, rows):
         """A rows array that is not one 2-D row per token is an ArtifactError
-        naming the file, from `read_dim` as from `read_embeddings`."""
+        naming the file."""
         p = tmp_path / "e.npz"
         artifact.save(p, embedstore.KIND, {"tokens": ["a", "b"]}, {"rows": rows})
-        for read in (read_embeddings, read_dim):
-            with pytest.raises(ArtifactError, match=f"{p}.*'rows' has shape"):
-                read(p)
+        with pytest.raises(ArtifactError, match=f"{p}.*'rows' has shape"):
+            read_embeddings(p)
 
 
 class TestNormalize:
